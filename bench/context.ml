@@ -19,17 +19,17 @@ let int_s = string_of_int
 (* The shared job service: simulation sweeps and knee searches go through
    its scheduler (worker pool) and content-addressed result cache, so a
    second bench run over the same traces and configs is cache-warm.  The
-   on-disk store defaults to .smallsim-cache; point SMALLSIM_BENCH_CACHE
+   log store defaults to .smallsim-cache; point SMALLSIM_BENCH_CACHE
    elsewhere (or run with it unset in a scratch dir) to start cold. *)
 let service =
   lazy
-    (let cache_dir =
+    (let store_dir =
        match Sys.getenv_opt "SMALLSIM_BENCH_CACHE" with
        | Some d -> d
        | None -> ".smallsim-cache"
      in
      let t =
-       Server.Service.create ~cache_dir
+       Server.Service.create ~store_dir
          ~workers:(Util.Parallel.default_domains ())
          ~queue_capacity:4096 ()
      in

@@ -1409,14 +1409,13 @@ let () =
          hedged.Cluster.Loadgen.p99_ms unhedged.Cluster.Loadgen.p99_ms)
 
 let () =
-  register "store" "Result store: legacy one-file-per-entry vs log-structured" @@ fun () ->
-  (* the two Result_cache disk backends under the same workload: N
-     stores on a cold cache, then N warm gets from a cold process (every
-     get comes off the disk), plus the open/recovery cost over the
-     populated directory — including a log reopen over a torn tail.
-     SMALLSIM_BENCH_SMOKE=1 (CI) shrinks N and gates the log store at
-     parity-or-better on warm gets; SMALLSIM_BENCH_STORE_OUT=FILE emits
-     the measurements as JSON (the BENCH_store.json trajectory). *)
+  register "store" "Result store: log-structured stores, warm gets, recovery" @@ fun () ->
+  (* the Result_cache log backend: N stores on a cold cache, then N
+     warm gets from a cold process (every get comes off the disk), plus
+     the open/recovery cost over the populated directory — including a
+     reopen over a torn tail.  SMALLSIM_BENCH_SMOKE=1 (CI) shrinks N;
+     SMALLSIM_BENCH_STORE_OUT=FILE emits the measurements as JSON (the
+     BENCH_store.json trajectory). *)
   let smoke = Sys.getenv_opt "SMALLSIM_BENCH_SMOKE" <> None in
   let n = if smoke then 400 else 4000 in
   let temp_dir prefix =
@@ -1444,7 +1443,8 @@ let () =
   let value i =
     Printf.sprintf "(result %d %s)" i (String.make (96 + (i mod 7) * 8) 'r')
   in
-  let bench make =
+  let make dir = Server.Result_cache.create ~store_dir:dir () in
+  let bench () =
     let dir = temp_dir "bench_store" in
     let writer = make dir in
     let _, store_s =
@@ -1469,12 +1469,7 @@ let () =
       failwith (Printf.sprintf "store bench: %d lost or corrupt entries" !misses);
     (dir, store_s, open_s, get_s)
   in
-  let ldir, l_store, l_open, l_get =
-    bench (fun dir -> Server.Result_cache.create ~dir ())
-  in
-  let sdir, s_store, s_open, s_get =
-    bench (fun dir -> Server.Result_cache.create ~store_dir:dir ())
-  in
+  let sdir, s_store, s_open, s_get = bench () in
   (* recovery over a torn tail: garbage appended to the live segment
      must be truncated away without losing one acknowledged entry *)
   let seg =
@@ -1485,9 +1480,7 @@ let () =
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 seg in
   output_string oc (String.make 64 '\xff');
   close_out oc;
-  let torn, torn_open_s =
-    time (fun () -> Server.Result_cache.create ~store_dir:sdir ())
-  in
+  let torn, torn_open_s = time (fun () -> make sdir) in
   let recovered = ref 0 in
   for i = 0 to n - 1 do
     if Server.Result_cache.find torn (key i) = Some (value i) then incr recovered
@@ -1502,10 +1495,7 @@ let () =
     ~title:
       (Printf.sprintf "Result store — %d entries (~128B), cold-process warm gets" n)
     ~header:[ "backend"; "stores/s"; "open ms"; "warm gets/s" ]
-    [ [ "legacy files"; Printf.sprintf "%.0f" (per_s n l_store);
-        Printf.sprintf "%.2f" (l_open *. 1e3);
-        Printf.sprintf "%.0f" (per_s n l_get) ];
-      [ "log-structured"; Printf.sprintf "%.0f" (per_s n s_store);
+    [ [ "log-structured"; Printf.sprintf "%.0f" (per_s n s_store);
         Printf.sprintf "%.2f" (s_open *. 1e3);
         Printf.sprintf "%.0f" (per_s n s_get) ] ];
   Util.Series.print_rows
@@ -1519,27 +1509,19 @@ let () =
      let oc = open_out file in
      Printf.fprintf oc
        "{\"bench\": \"store\", \"smoke\": %b, \"entries\": %d,\n\
-       \ \"legacy\": {\"stores_per_s\": %.0f, \"open_ms\": %.3f, \"warm_gets_per_s\": %.0f},\n\
        \ \"log\": {\"stores_per_s\": %.0f, \"open_ms\": %.3f, \"warm_gets_per_s\": %.0f},\n\
        \ \"torn_recovery\": {\"recovered\": %d, \"truncated_records\": %d, \"reopen_ms\": %.3f}}\n"
-       smoke n (per_s n l_store) (l_open *. 1e3) (per_s n l_get)
-       (per_s n s_store) (s_open *. 1e3) (per_s n s_get)
+       smoke n (per_s n s_store) (s_open *. 1e3) (per_s n s_get)
        !recovered truncated (torn_open_s *. 1e3);
      close_out oc;
      Printf.printf "wrote %s\n" file);
-  rm_rf ldir;
   rm_rf sdir;
   if !recovered <> n then
     failwith
       (Printf.sprintf "store: torn-tail recovery lost %d acknowledged entries"
          (n - !recovered));
   if truncated < 1 then
-    failwith "store: the appended garbage tail was not truncated";
-  if smoke && per_s n s_get < per_s n l_get then
-    failwith
-      (Printf.sprintf
-         "store: log-structured warm gets slower than legacy (%.0f/s vs %.0f/s)"
-         (per_s n s_get) (per_s n l_get))
+    failwith "store: the appended garbage tail was not truncated"
 
 let () =
   register "ablation.cluster" "Multi-node SMALL: placement vs interconnect traffic" @@ fun () ->

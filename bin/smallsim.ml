@@ -211,8 +211,8 @@ let trace_cmd =
     Printf.printf "events: %d (%d primitives, %d function calls, max depth %d)\n"
       hs.Trace.Binary.h_events st.Trace.Capture.primitives
       st.Trace.Capture.functions st.Trace.Capture.max_depth;
-    Printf.printf "binary v%d: %d chunks, %d bytes (%d payload)%s\n"
-      hs.Trace.Binary.h_version hs.Trace.Binary.h_chunks hs.Trace.Binary.h_bytes
+    Printf.printf "binary: %d chunks, %d bytes (%d payload)%s\n"
+      hs.Trace.Binary.h_chunks hs.Trace.Binary.h_bytes
       hs.Trace.Binary.h_payload_bytes
       (if Trace.Binary.source_mapped src then ", mmapped" else "");
     print_mix (guard (fun () -> Analysis.Prim_mix.analyze_source src));
@@ -387,30 +387,12 @@ let serve_cmd =
     Arg.(value & opt int 64
          & info [ "queue" ] ~doc:"Queue capacity; further submissions are rejected.")
   in
-  let cache_dir =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ]
-             ~doc:"Persist the result cache here in the legacy one-file-per-entry \
-                   layout (omit for memory-only).")
-  in
   let store_dir =
     Arg.(value & opt (some string) None
          & info [ "store-dir" ]
              ~doc:"Persist the result cache here in the crash-consistent \
                    log-structured store (group-committed segment log with recovery \
-                   replay and compaction).  Legacy --cache-dir entries found in the \
-                   directory are migrated on read.  Exclusive with --cache-dir.")
-  in
-  let segment_bytes =
-    Arg.(value & opt int (1 lsl 22)
-         & info [ "segment-bytes" ] ~docv:"BYTES"
-             ~doc:"Rotate the store's active segment at this size (with --store-dir).")
-  in
-  let compact_ratio =
-    Arg.(value & opt float 0.5
-         & info [ "compact-ratio" ] ~docv:"R"
-             ~doc:"Compact the store when dead bytes exceed this fraction of the \
-                   log (with --store-dir).")
+                   replay and compaction); omit for memory-only.")
   in
   let stdio =
     Arg.(value & flag
@@ -438,24 +420,17 @@ let serve_cmd =
              ~doc:"Name this service as a cluster shard: every reply line then \
                    carries a shard field (used by `smallsim route`).")
   in
-  let action socket workers queue cache_dir store_dir segment_bytes compact_ratio
-      stdio metrics_file fault_plan retries shard_id =
+  let action socket workers queue store_dir stdio metrics_file fault_plan retries
+      shard_id =
     if workers < 1 then Error (`Msg "--workers must be at least 1")
     else if queue < 1 then Error (`Msg "--queue must be at least 1")
     else if retries < 0 then Error (`Msg "--retries must be non-negative")
-    else if cache_dir <> None && store_dir <> None then
-      Error (`Msg "--cache-dir and --store-dir are exclusive")
-    else if segment_bytes < 4096 then
-      Error (`Msg "--segment-bytes must be at least 4096")
-    else if compact_ratio < 0.0 || compact_ratio > 1.0 then
-      Error (`Msg "--compact-ratio must be in [0,1]")
     else begin
       match load_fault_plan fault_plan with
       | Error _ as e -> e
       | Ok fault ->
         let t =
-          Server.Service.create ?cache_dir ?metrics_file ?fault ?shard_id ~retries
-            ?store_dir ~segment_bytes ~compact_ratio
+          Server.Service.create ?metrics_file ?fault ?shard_id ~retries ?store_dir
             ~workers ~queue_capacity:queue ()
         in
         Fun.protect
@@ -472,8 +447,7 @@ let serve_cmd =
   in
   let term =
     Term.(term_result
-            (const action $ socket_arg $ workers $ queue $ cache_dir $ store_dir
-             $ segment_bytes $ compact_ratio $ stdio
+            (const action $ socket_arg $ workers $ queue $ store_dir $ stdio
              $ metrics_file $ fault_plan $ retries $ shard_id))
   in
   Cmd.v
@@ -716,15 +690,12 @@ let make_router ~res ?(vnodes = 64) ~batch_max ~steal_min ~placement ~shards () 
 (* Spawned shards are children of this very binary serving the wire
    protocol on stdio — no sockets to coordinate, and a SIGKILLed child
    is indistinguishable from a crashed remote shard. *)
-let spawned_shards ~shards ~workers ~queue ~cache_dir ~store_dir =
+let spawned_shards ~shards ~workers ~queue ~store_dir =
   List.init shards (fun i ->
       let sid = Printf.sprintf "s%d" i in
       let argv =
         [ Sys.executable_name; "serve"; "--stdio"; "--shard-id"; sid;
           "--workers"; string_of_int workers; "--queue"; string_of_int queue ]
-        @ (match cache_dir with
-           | Some dir -> [ "--cache-dir"; Filename.concat dir sid ]
-           | None -> [])
         @ (match store_dir with
            | Some dir -> [ "--store-dir"; Filename.concat dir sid ]
            | None -> [])
@@ -746,19 +717,13 @@ let route_cmd =
     Arg.(value & flag
          & info [ "stdio" ] ~doc:"Serve one routing session on stdin/stdout.")
   in
-  let cache_dir =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ]
-             ~doc:"Per-shard result-cache root for spawned shards (shard id is \
-                   appended); omit for memory-only shards.")
-  in
   let store_dir =
     Arg.(value & opt (some string) None
          & info [ "store-dir" ]
              ~doc:"Per-shard log-structured store root for spawned shards (shard \
-                   id is appended).  Exclusive with --cache-dir.")
+                   id is appended); omit for memory-only shards.")
   in
-  let action socket backends stdio shards workers queue cache_dir store_dir
+  let action socket backends stdio shards workers queue store_dir
       placement vnodes batch_max steal_min health_interval down_after res =
     if shards < 1 then Error (`Msg "--shards must be at least 1")
     else if workers < 1 then Error (`Msg "--shard-workers must be at least 1")
@@ -768,15 +733,13 @@ let route_cmd =
     else if health_interval <= 0.0 then
       Error (`Msg "--health-interval must be positive")
     else if down_after <= 0.0 then Error (`Msg "--down-after must be positive")
-    else if cache_dir <> None && store_dir <> None then
-      Error (`Msg "--cache-dir and --store-dir are exclusive")
     else begin
       match res with
       | Error _ as e -> e
       | Ok res ->
       let shard_list =
         match backends with
-        | [] -> spawned_shards ~shards ~workers ~queue ~cache_dir ~store_dir
+        | [] -> spawned_shards ~shards ~workers ~queue ~store_dir
         | paths ->
           List.mapi
             (fun i p -> (Printf.sprintf "b%d" i, Cluster.Router.Socket p))
@@ -808,7 +771,7 @@ let route_cmd =
   let term =
     Term.(term_result
             (const action $ socket $ backends $ stdio $ shards_arg
-             $ shard_workers_arg $ shard_queue_arg $ cache_dir $ store_dir
+             $ shard_workers_arg $ shard_queue_arg $ store_dir
              $ placement_arg
              $ vnodes_arg $ batch_max_arg $ steal_min_arg $ health_interval_arg
              $ down_after_arg $ resilience_term))
@@ -905,7 +868,7 @@ let loadgen_cmd =
         match socket with
         | Some path -> [ ("remote", Cluster.Router.Socket path) ]
         | None ->
-          spawned_shards ~shards ~workers ~queue ~cache_dir:None ~store_dir
+          spawned_shards ~shards ~workers ~queue ~store_dir
       in
       let router =
         make_router ~res ~batch_max ~steal_min ~placement ~shards:shard_list ()

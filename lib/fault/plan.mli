@@ -8,9 +8,8 @@
     so a failing run can be replayed by seed alone.
 
     Sites are short dotted names chosen by the instrumented call sites
-    ("cache.store", "trace.save", "sched.job", "svc.wire", and the log
-    store's "store.append", "store.rotate", "store.compact",
-    "store.recover").  A plan with all probabilities zero never draws
+    ("trace.save", "sched.job", "svc.wire", and the log store's
+    "store.append", "store.rotate", "store.compact", "store.recover").  A plan with all probabilities zero never draws
     and costs nothing.
 
     Injections are counted per kind (see {!counts}) and, once

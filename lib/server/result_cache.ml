@@ -4,23 +4,12 @@ type metric_handles = {
   m_misses : Obs.Metric.Counter.t;
   m_stores : Obs.Metric.Counter.t;
   m_disk_bytes : Obs.Metric.Counter.t;
-  m_corrupt : Obs.Metric.Counter.t;
   m_write_errors : Obs.Metric.Counter.t;
   m_degraded : Obs.Metric.Gauge.t;
-  m_migrated : Obs.Metric.Counter.t;
 }
 
-(* Disk backend: the legacy one-file-per-entry layout, or the
-   log-structured store (with read-through migration of any legacy
-   entries already in its directory). *)
-type disk =
-  | No_disk
-  | Files of string
-  | Log of Store.Log.t * string
-
 type t = {
-  disk : disk;
-  fault : Fault.Plan.t option;
+  log : (Store.Log.t * string) option;   (* the disk backend and its dir *)
   lock : Mutex.t;
   mem : (string, string) Hashtbl.t;
   metrics : metric_handles option;
@@ -28,9 +17,7 @@ type t = {
   mutable disk_hits : int;
   mutable misses : int;
   mutable stores : int;
-  mutable corrupt : int;
   mutable write_errors : int;
-  mutable migrated : int;
   mutable degraded : bool;
 }
 
@@ -39,9 +26,7 @@ type stats = {
   disk_hits : int;
   misses : int;
   stores : int;
-  corrupt : int;
   write_errors : int;
-  migrated : int;
   degraded : bool;
 }
 
@@ -52,42 +37,23 @@ let resolve_metrics reg =
     m_misses = c "small_cache_misses_total" "result-cache misses";
     m_stores = c "small_cache_stores_total" "results stored";
     m_disk_bytes = c "small_cache_disk_bytes_total" "result bytes written to disk";
-    m_corrupt = c "small_cache_corrupt_total" "corrupt entries quarantined on read";
     m_write_errors = c "small_cache_write_errors_total" "failed disk writes (memory kept)";
     m_degraded =
       Obs.Registry.gauge reg
         ~help:"1 once any disk write has failed: entries live only in memory \
                and the next process start will recompute them"
-        "small_cache_degraded";
-    m_migrated = c "small_cache_migrated_total" "legacy SMRC1 entries migrated into the log store" }
+        "small_cache_degraded" }
 
 let with_metrics t f = match t.metrics with None -> () | Some m -> f m
 
-let create ?metrics ?dir ?fault ?store_dir ?segment_bytes ?compact_ratio
-    ?store_max_bytes ?store_ttl () =
-  let disk =
-    match dir, store_dir with
-    | Some _, Some _ ->
-      invalid_arg "Result_cache.create: ~dir and ~store_dir are exclusive"
-    | Some d, None -> Files d
-    | None, Some d ->
-      let config =
-        { Store.Log.segment_bytes =
-            Option.value segment_bytes
-              ~default:Store.Log.default_config.Store.Log.segment_bytes;
-          compact_ratio =
-            Option.value compact_ratio
-              ~default:Store.Log.default_config.Store.Log.compact_ratio;
-          max_bytes = store_max_bytes;
-          ttl = store_ttl }
-      in
-      Log (Store.Log.open_ ?metrics ?fault ~config ~dir:d (), d)
-    | None, None -> No_disk
+let create ?metrics ?fault ?store_dir () =
+  let log =
+    Option.map (fun d -> (Store.Log.open_ ?metrics ?fault ~dir:d (), d)) store_dir
   in
-  { disk; fault; lock = Mutex.create (); mem = Hashtbl.create 64;
+  { log; lock = Mutex.create (); mem = Hashtbl.create 64;
     metrics = Option.map resolve_metrics metrics;
-    hits = 0; disk_hits = 0; misses = 0; stores = 0; corrupt = 0;
-    write_errors = 0; migrated = 0; degraded = false }
+    hits = 0; disk_hits = 0; misses = 0; stores = 0; write_errors = 0;
+    degraded = false }
 
 let key ~trace_digest ~job_digest =
   Digest.to_hex (Digest.string (trace_digest ^ "+" ^ job_digest))
@@ -96,114 +62,19 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Two-level layout keeps any one directory small under big sweeps.
-   The same layout inside a log store's directory is where legacy
-   entries are migrated from. *)
-let legacy_path dir key =
-  Filename.concat (Filename.concat dir (String.sub key 0 2)) (key ^ ".result")
-
-let path_of t key =
-  match t.disk with
-  | Files dir -> Some (legacy_path dir key)
-  | No_disk | Log _ -> None
-
-(* ---- on-disk entry format (legacy Files backend) ----
-
-   "SMRC1 <md5hex-of-value> <value-length>\n<value>"
-
-   The header binds the payload to its own digest, so a torn write, a
-   flipped byte, or a foreign file in the cache directory is detected on
-   read instead of being served as a result. *)
-
-let entry_magic = "SMRC1"
-
-let encode_entry value =
-  Printf.sprintf "%s %s %d\n%s" entry_magic
-    (Digest.to_hex (Digest.string value)) (String.length value) value
-
-let decode_entry raw =
-  match String.index_opt raw '\n' with
-  | None -> Error "no header line"
-  | Some nl ->
-    match String.split_on_char ' ' (String.sub raw 0 nl) with
-    | [ magic; hex; len ] ->
-      if magic <> entry_magic then Error "bad magic"
-      else
-        let value = String.sub raw (nl + 1) (String.length raw - nl - 1) in
-        (match int_of_string_opt len with
-         | Some n when n = String.length value ->
-           if Digest.to_hex (Digest.string value) = hex then Ok value
-           else Error "digest mismatch"
-         | Some _ -> Error "length mismatch"
-         | None -> Error "bad length field")
-    | _ -> Error "malformed header"
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    Some
-      (Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-           really_input_string ic (in_channel_length ic)))
-  | exception Sys_error _ -> None
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* A corrupt entry is moved aside to [path ^ ".corrupt"] (never deleted:
-   the evidence is worth keeping) and the lookup becomes a miss, so the
-   caller recomputes and overwrites with a good entry. *)
-let quarantine (t : t) path =
-  t.corrupt <- t.corrupt + 1;
-  with_metrics t (fun m -> Obs.Metric.Counter.incr m.m_corrupt);
-  try Sys.rename path (path ^ ".corrupt") with Sys_error _ -> ()
-
-let write_file_atomic t path contents =
-  match Option.bind t.fault (fun p -> Fault.Plan.on_write p ~site:"cache.store") with
-  | Some Fault.Plan.Write_error -> raise (Sys_error (path ^ ": injected write error"))
-  | fault ->
-    let contents =
-      match fault with
-      | Some (Fault.Plan.Torn_write keep) ->
-        (* lying disk: a strict prefix lands and the write "succeeds" *)
-        let n = max 1 (min (String.length contents - 1)
-                         (int_of_float (keep *. float_of_int (String.length contents)))) in
-        String.sub contents 0 n
-      | _ -> contents
-    in
-    let dir = Filename.dirname path in
-    mkdir_p dir;
-    let tmp = Filename.temp_file ~temp_dir:dir "result" ".tmp" in
-    (try
-       let oc = open_out_bin tmp in
-       Fun.protect ~finally:(fun () -> close_out oc)
-         (fun () -> output_string oc contents);
-       Sys.rename tmp path
-     with e ->
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e)
-
 (* A write error degrades persistence, never correctness — but a
    degraded node looks exactly like a cold one at the next start, so
    surface it: gauge to 1 and one warning line, once. *)
-let note_write_error (t : t) =
+let note_write_error (t : t) dir =
   t.write_errors <- t.write_errors + 1;
   with_metrics t (fun m -> Obs.Metric.Counter.incr m.m_write_errors);
   if not t.degraded then begin
     t.degraded <- true;
     with_metrics t (fun m -> Obs.Metric.Gauge.set m.m_degraded 1);
-    let where =
-      match t.disk with
-      | Files d | Log (_, d) -> d
-      | No_disk -> "(no dir)"
-    in
     Printf.eprintf
       "smallsim: result cache degraded: disk write to %s failed; entries are \
        memory-only and will be recomputed on restart\n%!"
-      where
+      dir
   end
 
 let hit (t : t) ~from_disk v =
@@ -214,63 +85,22 @@ let hit (t : t) ~from_disk v =
       if from_disk then Obs.Metric.Counter.incr m.m_disk_hits);
   Some v
 
-(* Log-backend read-through: a key missing from the log but present as
-   a legacy SMRC1 file in the same directory is served from the file
-   and migrated into the log, so pointing --store-dir at an old
-   --cache-dir directory never recomputes warm entries. *)
-let migrate_legacy t log dir key =
-  let path = legacy_path dir key in
-  match read_file path with
-  | None -> None
-  | Some raw ->
-    match decode_entry raw with
-    | Error _ -> quarantine t path; None
-    | Ok v ->
-      (match Store.Log.set log key v with
-       | () ->
-         t.migrated <- t.migrated + 1;
-         with_metrics t (fun m -> Obs.Metric.Counter.incr m.m_migrated);
-         (try Sys.remove path with Sys_error _ -> ())
-       | exception Sys_error _ -> note_write_error t);
-      Some v
-
 let find t key =
   locked t (fun () ->
-      let miss () =
-        t.misses <- t.misses + 1;
-        with_metrics t (fun m -> Obs.Metric.Counter.incr m.m_misses);
-        None
-      in
       match Hashtbl.find_opt t.mem key with
       | Some v -> hit t ~from_disk:false v
       | None ->
-        match t.disk with
-        | No_disk -> miss ()
-        | Log (log, dir) ->
-          (match (try Store.Log.get log key with Sys_error _ -> None) with
-           | Some v ->
-             Hashtbl.replace t.mem key v;
-             hit t ~from_disk:true v
-           | None ->
-             match migrate_legacy t log dir key with
-             | Some v ->
-               Hashtbl.replace t.mem key v;
-               hit t ~from_disk:true v
-             | None -> miss ())
-        | Files _ ->
-          match path_of t key with
-          | None -> miss ()
-          | Some path ->
-            match read_file path with
-            | None -> miss ()
-            | Some raw ->
-              match decode_entry raw with
-              | Ok v ->
-                Hashtbl.replace t.mem key v;
-                hit t ~from_disk:true v
-              | Error _ ->
-                quarantine t path;
-                miss ())
+        match
+          Option.bind t.log (fun (log, _) ->
+              try Store.Log.get log key with Sys_error _ -> None)
+        with
+        | Some v ->
+          Hashtbl.replace t.mem key v;
+          hit t ~from_disk:true v
+        | None ->
+          t.misses <- t.misses + 1;
+          with_metrics t (fun m -> Obs.Metric.Counter.incr m.m_misses);
+          None)
 
 let store t key value =
   locked t (fun () ->
@@ -279,36 +109,18 @@ let store t key value =
       Hashtbl.replace t.mem key value;
       t.stores <- t.stores + 1;
       with_metrics t (fun m -> Obs.Metric.Counter.incr m.m_stores);
-      match t.disk with
-      | No_disk -> ()
-      | Log (log, _) ->
-        (match Store.Log.set log key value with
-         | () ->
-           with_metrics t (fun m ->
-               Obs.Metric.Counter.add m.m_disk_bytes (String.length value))
-         | exception Sys_error _ -> note_write_error t)
-      | Files _ ->
-        match path_of t key with
-        | Some path ->
-          let entry = encode_entry value in
-          (match write_file_atomic t path entry with
-           | () ->
-             with_metrics t (fun m ->
-                 Obs.Metric.Counter.add m.m_disk_bytes (String.length entry))
-           | exception Sys_error _ -> note_write_error t)
-        | None -> ())
+      match t.log with
+      | None -> ()
+      | Some (log, dir) ->
+        match Store.Log.set log key value with
+        | () ->
+          with_metrics t (fun m ->
+              Obs.Metric.Counter.add m.m_disk_bytes (String.length value))
+        | exception Sys_error _ -> note_write_error t dir)
 
 let stats t =
   locked t (fun () ->
       { hits = t.hits; disk_hits = t.disk_hits; misses = t.misses;
-        stores = t.stores; corrupt = t.corrupt; write_errors = t.write_errors;
-        migrated = t.migrated; degraded = t.degraded })
+        stores = t.stores; write_errors = t.write_errors; degraded = t.degraded })
 
-let dir t =
-  match t.disk with
-  | No_disk -> None
-  | Files d | Log (_, d) -> Some d
-
-let log_store t = match t.disk with Log (l, _) -> Some l | No_disk | Files _ -> None
-
-let log_stats t = Option.map Store.Log.stats (log_store t)
+let log_stats t = Option.map (fun (log, _) -> Store.Log.stats log) t.log

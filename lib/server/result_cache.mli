@@ -6,20 +6,11 @@
     processes and repeated sweeps hit the cache instead of
     re-simulating.  All operations are thread-safe.
 
-    Two disk backends:
-
-    - {b Legacy files} ([~dir]): one file per key
-      ([<dir>/<k0k1>/<key>.result], written atomically), self-verifying
-      (["SMRC1 <md5hex> <length>\n<payload>"]).  A read that fails the
-      digest check quarantines the file to [*.corrupt] and reports a
-      miss, so a torn write or flipped byte is recomputed, never served.
-    - {b Log-structured store} ([~store_dir]): the crash-consistent
-      segment log of {!Store.Log} — group-committed appends, recovery
-      replay on open, copying compaction, size/TTL eviction.  A key
-      missing from the log but present as a legacy [SMRC1] file in the
-      same directory is served from the file and migrated into the log
-      ([small_cache_migrated_total]), so pointing [--store-dir] at an
-      old [--cache-dir] directory never recomputes warm entries.
+    The disk backend ([~store_dir]) is the crash-consistent segment log
+    of {!Store.Log}: group-committed appends, recovery replay on open,
+    copying compaction.  A value span that fails its hash on read is
+    dropped by the store and reported as a miss, so a torn write or
+    flipped byte is recomputed, never served.
 
     A failed disk write keeps the in-memory entry, counts
     [small_cache_write_errors_total], raises the [small_cache_degraded]
@@ -29,28 +20,21 @@
 
 type t
 
-(** [create ?metrics ?dir ?fault ?store_dir ... ()] — with [dir] the
-    legacy one-file-per-entry backend persists there; with [store_dir]
-    the log-structured store does (both directories are created on
-    demand); with neither, the cache is memory-only.
-    [segment_bytes], [compact_ratio], [store_max_bytes] and [store_ttl]
-    tune the log store (see {!Store.Log.config}) and are ignored by the
-    other backends.  With [metrics], the cache keeps [small_cache_*]
-    counters in the registry (and the log store its [small_store_*]
-    families).  [fault] injects write failures at site ["cache.store"]
-    (legacy) and the ["store.*"] sites (log).
-    @raise Invalid_argument if both [dir] and [store_dir] are given.
+(** [create ?metrics ?fault ?store_dir ()] — with [store_dir] results
+    persist in a log store there (created on demand, with
+    {!Store.Log.default_config}); without it the cache is memory-only.
+    With [metrics], the cache keeps [small_cache_*] counters in the
+    registry and the log store its [small_store_*] families.  [fault]
+    injects failures at the log store's ["store.*"] sites.
     @raise Sys_error if opening the log store fails. *)
 val create :
-  ?metrics:Obs.Registry.t -> ?dir:string -> ?fault:Fault.Plan.t ->
-  ?store_dir:string -> ?segment_bytes:int -> ?compact_ratio:float ->
-  ?store_max_bytes:int -> ?store_ttl:float -> unit -> t
+  ?metrics:Obs.Registry.t -> ?fault:Fault.Plan.t -> ?store_dir:string -> unit -> t
 
 val key : trace_digest:string -> job_digest:string -> string
 
 (** [find t key] — [None] counts a miss; hits record whether they came
-    from memory or disk.  Corrupt disk entries are quarantined (legacy)
-    or dropped (log) and reported as misses. *)
+    from memory or disk.  Corrupt disk entries are dropped by the log
+    store (counted in its [corrupt_reads]) and reported as misses. *)
 val find : t -> string -> string option
 
 val store : t -> string -> string -> unit
@@ -60,18 +44,11 @@ type stats = {
   disk_hits : int;             (** subset of [hits] loaded from disk *)
   misses : int;
   stores : int;
-  corrupt : int;               (** disk entries quarantined on read *)
   write_errors : int;          (** failed disk writes (memory kept) *)
-  migrated : int;              (** legacy entries migrated into the log store *)
   degraded : bool;             (** any disk write has failed *)
 }
 
 val stats : t -> stats
 
-(** The backing directory, if any (legacy or log). *)
-val dir : t -> string option
-
-(** The log store behind this cache, when created with [~store_dir]. *)
-val log_store : t -> Store.Log.t option
-
+(** The log store's statistics, when created with [~store_dir]. *)
 val log_stats : t -> Store.Log.stats option

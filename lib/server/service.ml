@@ -36,9 +36,8 @@ type t = {
   mutable jobs_executed : int;      (* cache misses actually run *)
 }
 
-let create ?cache_dir ?metrics_file ?fault ?shard_id ?(retries = 0)
-    ?(max_request_bytes = 1 lsl 20) ?store_dir ?segment_bytes ?compact_ratio
-    ?jitter_seed ~workers ~queue_capacity () =
+let create ?metrics_file ?fault ?shard_id ?(retries = 0)
+    ?(max_request_bytes = 1 lsl 20) ?store_dir ?jitter_seed ~workers ~queue_capacity () =
   if retries < 0 then invalid_arg "Service.create: retries < 0";
   if max_request_bytes < 1 then invalid_arg "Service.create: max_request_bytes < 1";
   let metrics = Obs.Registry.create () in
@@ -56,9 +55,7 @@ let create ?cache_dir ?metrics_file ?fault ?shard_id ?(retries = 0)
   in
   { scheduler =
       Scheduler.create ~metrics ?jitter_seed ~workers ~capacity:queue_capacity ();
-    result_cache =
-      Result_cache.create ~metrics ?dir:cache_dir ?fault ?store_dir
-        ?segment_bytes ?compact_ratio ();
+    result_cache = Result_cache.create ~metrics ?fault ?store_dir ();
     fault; retries; max_request_bytes;
     metrics;
     req_latency =
@@ -308,9 +305,7 @@ let stats_json t =
            ("disk_hits", Json.Int c.Result_cache.disk_hits);
            ("misses", Json.Int c.Result_cache.misses);
            ("stores", Json.Int c.Result_cache.stores);
-           ("corrupt", Json.Int c.Result_cache.corrupt);
            ("write_errors", Json.Int c.Result_cache.write_errors);
-           ("migrated", Json.Int c.Result_cache.migrated);
            ("degraded", Json.Bool c.Result_cache.degraded) ]) ]
      @ (match Result_cache.log_stats t.result_cache with
         | None -> []
@@ -324,6 +319,7 @@ let stats_json t =
                  ("appends", Json.Int ls.Store.Log.appends);
                  ("recovered_records", Json.Int ls.Store.Log.recovered_records);
                  ("truncated_records", Json.Int ls.Store.Log.truncated_records);
+                 ("corrupt_reads", Json.Int ls.Store.Log.corrupt_reads);
                  ("compactions", Json.Int ls.Store.Log.compactions);
                  ("evictions", Json.Int ls.Store.Log.evictions);
                  ("write_errors", Json.Int ls.Store.Log.write_errors) ]) ])

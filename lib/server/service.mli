@@ -59,16 +59,13 @@ type response = {
   outcome : (Exec.output, failure) result;
 }
 
-(** [create ?cache_dir ?metrics_file ?fault ?retries ?max_request_bytes
-    ?store_dir ~workers ~queue_capacity ()] — [cache_dir] persists
-    results in the legacy one-file-per-entry layout, [store_dir] in the
-    crash-consistent log-structured store (see {!Result_cache} — legacy
-    entries found there are migrated on read); omit both for a
-    memory-only cache.  [segment_bytes] and [compact_ratio] tune the log
-    store.
+(** [create ?metrics_file ?fault ?retries ?max_request_bytes
+    ?store_dir ~workers ~queue_capacity ()] — [store_dir] persists
+    results in the crash-consistent log-structured store (see
+    {!Result_cache}); omit it for a memory-only cache.
 
-    [fault] threads a {!Fault.Plan} through the whole stack: cache
-    writes (site ["cache.store"]), worker thunks (["sched.job"]), and
+    [fault] threads a {!Fault.Plan} through the whole stack: store
+    writes (sites ["store.*"]), worker thunks (["sched.job"]), and
     request lines (["svc.wire"]); its injection counters are registered
     in this service's registry.  [retries] (default 0) re-runs a raising
     job thunk with exponential backoff.  [max_request_bytes] (default
@@ -87,10 +84,9 @@ type response = {
     after every handled request line and at shutdown, so an external
     scraper can read it on demand. *)
 val create :
-  ?cache_dir:string -> ?metrics_file:string -> ?fault:Fault.Plan.t ->
+  ?metrics_file:string -> ?fault:Fault.Plan.t ->
   ?shard_id:string -> ?retries:int -> ?max_request_bytes:int ->
-  ?store_dir:string -> ?segment_bytes:int -> ?compact_ratio:float ->
-  ?jitter_seed:int ->
+  ?store_dir:string -> ?jitter_seed:int ->
   workers:int -> queue_capacity:int -> unit -> t
 
 (** Cache lookup, then submit-and-await.  [Error `Overloaded] means the

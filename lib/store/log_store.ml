@@ -270,6 +270,7 @@ type metric_handles = {
   c_recoveries : Obs.Metric.Counter.t;
   c_recovered : Obs.Metric.Counter.t;
   c_truncated : Obs.Metric.Counter.t;
+  c_corrupt_reads : Obs.Metric.Counter.t;
   c_compactions : Obs.Metric.Counter.t;
   c_evictions : Obs.Metric.Counter.t;
   c_write_errors : Obs.Metric.Counter.t;
@@ -313,6 +314,8 @@ let resolve_metrics reg =
     c_recovered = c "small_store_recovered_records_total" "records replayed by recovery";
     c_truncated = c "small_store_truncated_records_total"
         "torn/corrupt records dropped by recovery";
+    c_corrupt_reads = c "small_store_corrupt_reads_total"
+        "value spans that failed their hash on read or compaction (dropped)";
     c_compactions = c "small_store_compactions_total" "copying compactions completed";
     c_evictions = c "small_store_evictions_total" "entries evicted (size bound or TTL)";
     c_write_errors = c "small_store_write_errors_total" "failed or torn appends" }
@@ -433,6 +436,10 @@ let fail_if_unusable t =
 let count_write_error t =
   t.write_errors <- t.write_errors + 1;
   with_metrics t (fun m -> Obs.Metric.Counter.incr m.c_write_errors)
+
+let count_corrupt_read t =
+  t.corrupt_reads <- t.corrupt_reads + 1;
+  with_metrics t (fun m -> Obs.Metric.Counter.incr m.c_corrupt_reads)
 
 (* Encode [ops] (oldest first) as one record and append it to the
    active segment; on success apply them to the index.  Raises
@@ -585,7 +592,7 @@ let compact_locked t =
              | b when fnv_bytes b 0 e.e_len = e.e_hash ->
                Some (k, Bytes.unsafe_to_string b, e)
              | _ | exception (Sys_error _ | Not_found | Unix.Unix_error _) ->
-               t.corrupt_reads <- t.corrupt_reads + 1;
+               count_corrupt_read t;
                supersede t k;
                None)
           live
@@ -901,7 +908,7 @@ let get t key =
             Some (Bytes.unsafe_to_string b)
           | _ | exception (Sys_error _ | Not_found | Unix.Unix_error _) ->
             (* a corrupt span must never be served: drop the entry *)
-            t.corrupt_reads <- t.corrupt_reads + 1;
+            count_corrupt_read t;
             supersede t key;
             t.dead_bytes <- t.dead_bytes + e.e_bytes;
             publish_gauges t;

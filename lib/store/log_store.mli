@@ -109,7 +109,8 @@ type stats = {
   appends : int;             (** committed groups *)
   recovered_records : int;   (** groups replayed by recovery *)
   truncated_records : int;   (** torn/corrupt records dropped by recovery *)
-  corrupt_reads : int;       (** value spans that failed their hash on {!get} *)
+  corrupt_reads : int;       (** value spans that failed their hash on {!get}
+                                 or compaction ([small_store_corrupt_reads_total]) *)
   compactions : int;
   evictions : int;           (** size evictions + TTL expiries *)
   write_errors : int;

@@ -1,18 +1,15 @@
-(* Two on-disk revisions share the event/datum wire encoding and differ
-   only in framing and checksums:
+(* Framing ("SMTB\x02\n"): chunk header = [varint count][varint len]
+   [8-byte FNV-1a of the payload], so a mapped reader verifies each
+   chunk as it decodes it — no up-front pass over the file — and the
+   mandatory stream trailer covers only the magic, the chunk headers
+   and the end marker (the structure), since the payloads carry their
+   own sums.  Any other revision byte after "SMTB" is rejected. *)
 
-   v1 ("SMTB\x01\n"): chunk header = [varint count][varint len]; one
-   FNV-1a 64 trailer over every byte of the stream.
+let magic = "SMTB\x02\n"
 
-   v2 ("SMTB\x02\n"), the format written today: chunk header =
-   [varint count][varint len][8-byte FNV-1a of the payload], so a
-   mapped reader verifies each chunk as it decodes it — no up-front
-   pass over the file — and the stream trailer covers only the magic,
-   the chunk headers and the end marker (the structure), since the
-   payloads carry their own sums. *)
-
-let magic = "SMTB\x01\n"
-let magic_v2 = "SMTB\x02\n"
+(* The revision-independent prefix: a stream starting with it is a
+   binary trace, of this revision or an unsupported one. *)
+let family = "SMTB"
 
 exception Corrupt of { offset : int; reason : string }
 
@@ -155,8 +152,6 @@ let put_event t buf (e : Event.t) =
 
 (* ---- streaming writer ---- *)
 
-type format_version = V1 | V2
-
 type sink = {
   put : string -> unit;
   put_buf : Buffer.t -> unit;    (* frame/chunk path: no contents copy *)
@@ -164,7 +159,6 @@ type sink = {
 
 type writer = {
   sink : sink;
-  version : format_version;
   chunk_events : int;
   chunk : Buffer.t;      (* payload of the chunk being built; [Buffer.clear]
                             keeps its storage, so after the first few chunks
@@ -172,8 +166,7 @@ type writer = {
                             frame path stops allocating *)
   frame : Buffer.t;      (* scratch for the chunk header *)
   intern : intern;
-  mutable hash : int64;  (* v1: FNV of every emitted byte; v2: FNV of the
-                            magic + chunk headers + end marker only *)
+  mutable hash : int64;  (* FNV of the magic + chunk headers + end marker *)
   mutable pending : int;
   mutable closed : bool;
 }
@@ -182,13 +175,13 @@ let wput w s =
   w.hash <- fnv_string w.hash s;
   w.sink.put s
 
-let writer_of_sink ?(version = V2) ?(chunk_events = 4096) sink =
+let writer_of_sink ?(chunk_events = 4096) sink =
   if chunk_events < 1 then invalid_arg "Trace.Binary.writer: chunk_events < 1";
   let w =
-    { sink; version; chunk_events; chunk = Buffer.create 4096; frame = Buffer.create 16;
+    { sink; chunk_events; chunk = Buffer.create 4096; frame = Buffer.create 16;
       intern = intern_create (); hash = fnv_init; pending = 0; closed = false }
   in
-  wput w (match version with V1 -> magic | V2 -> magic_v2);
+  wput w magic;
   w
 
 let flush_chunk w =
@@ -196,14 +189,9 @@ let flush_chunk w =
     Buffer.clear w.frame;
     put_varint w.frame w.pending;
     put_varint w.frame (Buffer.length w.chunk);
-    (match w.version with
-     | V2 -> add_hash64 w.frame (fnv_buffer fnv_init w.chunk)
-     | V1 -> ());
+    add_hash64 w.frame (fnv_buffer fnv_init w.chunk);
     w.hash <- fnv_buffer w.hash w.frame;
     w.sink.put_buf w.frame;
-    (match w.version with
-     | V1 -> w.hash <- fnv_buffer w.hash w.chunk
-     | V2 -> ());
     w.sink.put_buf w.chunk;
     Buffer.clear w.chunk;
     w.pending <- 0
@@ -227,7 +215,7 @@ let close_writer w =
 let channel_sink oc =
   { put = (fun s -> output_string oc s); put_buf = (fun b -> Buffer.output_buffer oc b) }
 
-let writer ?version ?chunk_events oc = writer_of_sink ?version ?chunk_events (channel_sink oc)
+let writer ?chunk_events oc = writer_of_sink ?chunk_events (channel_sink oc)
 
 (* ---- shared reader state ---- *)
 
@@ -272,11 +260,9 @@ type view =
 type source = {
   view : view;
   slen : int;
-  sversion : format_version;
 }
 
 let source_length s = s.slen
-let source_version s = s.sversion
 let source_mapped s = match s.view with Map _ -> true | Mem _ -> false
 
 let corrupt_at offset reason = raise (Corrupt { offset; reason })
@@ -304,17 +290,19 @@ let fnv_span src h pos len =
      done);
   !h
 
-let version_of_first_bytes probe =
-  if probe = magic then Some V1
-  else if probe = magic_v2 then Some V2
-  else None
+(* The reason every reader gives for a stream that does not start with
+   [magic]: an "SMTB" prefix is a binary trace of another revision. *)
+let magic_error probe =
+  if String.length probe = String.length magic
+  && String.sub probe 0 (String.length family) = family
+  then "unsupported binary trace version"
+  else "bad magic"
 
 let source_of_view view slen =
-  if slen < String.length magic then corrupt_at 0 "bad magic";
-  let src0 = { view; slen; sversion = V2 } in
-  match version_of_first_bytes (ssub src0 0 (String.length magic)) with
-  | Some v -> { src0 with sversion = v }
-  | None -> corrupt_at 0 "bad magic"
+  let src = { view; slen } in
+  let probe = ssub src 0 (min slen (String.length magic)) in
+  if probe <> magic then corrupt_at 0 (magic_error probe);
+  src
 
 let source_of_string s = source_of_view (Mem (Bytes.unsafe_of_string s)) (String.length s)
 
@@ -579,8 +567,7 @@ type reader = {
   src : source;
   batch : Batch.t;
   mutable pos : int;
-  mutable hash : int64;   (* v1: running FNV of the whole stream;
-                             v2: FNV of magic + headers + end marker *)
+  mutable hash : int64;   (* FNV of magic + headers + end marker *)
   mutable finished : bool;
 }
 
@@ -608,19 +595,15 @@ let header_varint r what =
   done;
   !n
 
+(* The trailer is mandatory: a stream cut right after its end marker is
+   truncated like any other.  (Bytes beyond the trailer are ignored, as
+   the channel reader always did.) *)
 let check_trailer r =
-  (* Zero trailing bytes is a pre-checksum stream and is accepted;
-     anything else must be a complete valid trailer — a damaged tag or
-     hash must not read as "legacy".  (Bytes beyond the trailer are
-     ignored, as the channel reader always did.) *)
-  let available = r.src.slen - r.pos in
-  if available > 0 then begin
-    if available < trailer_length then corrupt_at r.pos "truncated checksum trailer";
-    if ssub r.src r.pos (String.length checksum_tag) <> checksum_tag then
-      corrupt_at r.pos "bad checksum trailer";
-    if ssub r.src (r.pos + String.length checksum_tag) 8 <> hash_to_string r.hash then
-      corrupt_at r.pos "checksum mismatch"
-  end
+  if r.src.slen - r.pos < trailer_length then corrupt_at r.pos "truncated checksum trailer";
+  if ssub r.src r.pos (String.length checksum_tag) <> checksum_tag then
+    corrupt_at r.pos "bad checksum trailer";
+  if ssub r.src (r.pos + String.length checksum_tag) 8 <> hash_to_string r.hash then
+    corrupt_at r.pos "checksum mismatch"
 
 (* Decode the next chunk into the reader's reused batch.  [decode:false]
    (the header-only path) skips payload decoding and verification and
@@ -631,43 +614,27 @@ let next_chunk ~decode r =
     let count = header_varint r "chunk header" in
     if count = 0 then begin
       r.finished <- true;
-      (* v1 stats walks skip payload bytes, so the whole-stream hash
-         cannot be checked; the structural v2 trailer always can *)
-      (match r.src.sversion, decode with
-       | V1, false -> ()
-       | _ -> check_trailer r);
+      check_trailer r;
       None
     end
     else begin
       let len = header_varint r "chunk header" in
-      let expected =
-        match r.src.sversion with
-        | V1 -> 0L
-        | V2 ->
-          if r.pos + 8 > r.src.slen then corrupt_at r.pos "truncated chunk header";
-          let h = ref 0L in
-          for _ = 1 to 8 do
-            let c = sbyte r.src r.pos in
-            r.pos <- r.pos + 1;
-            r.hash <- fnv_byte r.hash c;
-            h := Int64.logor (Int64.shift_left !h 8) (Int64.of_int c)
-          done;
-          !h
-      in
+      if r.pos + 8 > r.src.slen then corrupt_at r.pos "truncated chunk header";
+      let expected = ref 0L in
+      for _ = 1 to 8 do
+        let c = sbyte r.src r.pos in
+        r.pos <- r.pos + 1;
+        r.hash <- fnv_byte r.hash c;
+        expected := Int64.logor (Int64.shift_left !expected 8) (Int64.of_int c)
+      done;
       (* guard the decode: a corrupt frame must not make us walk a
          multi-gigabyte span or spin on an absurd event count *)
       if len < 0 || r.pos + len > r.src.slen then
         corrupt_at r.pos "chunk length past end of file";
       if count > len then corrupt_at r.pos "more events than payload bytes";
       let payload = r.pos in
-      (match r.src.sversion with
-       | V1 ->
-         (* the v1 trailer covers payload bytes too *)
-         if decode then r.hash <- fnv_span r.src r.hash payload len
-         else r.hash <- 0L  (* poisoned: stats walks skip the payload *)
-       | V2 ->
-         if decode && fnv_span r.src fnv_init payload len <> expected then
-           corrupt_at payload "chunk checksum mismatch");
+      if decode && fnv_span r.src fnv_init payload len <> !expected then
+        corrupt_at payload "chunk checksum mismatch";
       r.pos <- payload + len;
       if decode then begin
         let b = r.batch in
@@ -709,7 +676,6 @@ let iter_source src f =
 (* ---- header-only statistics ---- *)
 
 type header_stats = {
-  h_version : int;
   h_events : int;
   h_chunks : int;
   h_bytes : int;
@@ -717,9 +683,8 @@ type header_stats = {
 }
 
 (* Chunk headers alone: total events and sizes without touching any
-   payload byte.  On a v2 stream the structural trailer is still
-   verified, so damaged headers are detected; v1 trailers cover the
-   payloads we skip and so cannot be checked here. *)
+   payload byte.  The structural trailer is still verified, so damaged
+   headers are detected. *)
 let header_stats src =
   let r = read_source src in
   let events = ref 0 and chunks = ref 0 and payload = ref 0 in
@@ -737,16 +702,14 @@ let header_stats src =
         while sbyte src !p land 0x80 <> 0 do incr p; incr n done;
         incr p; incr n;
         while sbyte src !p land 0x80 <> 0 do incr p; incr n done;
-        incr n;
-        (match src.sversion with V1 -> !n | V2 -> !n + 8)
+        !n + 1 + 8
       in
       payload := !payload + (r.pos - before - header_len);
       go ()
     | None -> ()
   in
   go ();
-  { h_version = (match src.sversion with V1 -> 1 | V2 -> 2);
-    h_events = !events; h_chunks = !chunks; h_bytes = src.slen;
+  { h_events = !events; h_chunks = !chunks; h_bytes = src.slen;
     h_payload_bytes = !payload }
 
 (* Whole-trace capture statistics off the flat batches: no [Event.t] or
@@ -766,11 +729,10 @@ let scan_stats src : Capture.stats =
       done);
   { Capture.functions = !functions; primitives = !primitives; max_depth = !max_depth }
 
-(* ---- streaming channel reader (legacy path) ----
+(* ---- streaming channel reader ----
 
    Kept for non-seekable inputs and as the independent cross-check the
-   equivalence tests compare the mapped reader against.  Reads both
-   format revisions. *)
+   equivalence tests compare the mapped reader against. *)
 
 exception Local of string
 
@@ -865,15 +827,11 @@ let read_available ic buf =
 let iter_channel ic f =
   let stream_pos () = try pos_in ic with Sys_error _ -> -1 in
   let fail reason = raise (Corrupt { offset = stream_pos (); reason }) in
-  let hash = ref fnv_init in
-  let version =
-    match really_input_string ic (String.length magic) with
-    | m ->
-      (match version_of_first_bytes m with
-       | Some v -> hash := fnv_string !hash m; v
-       | None -> fail "bad magic")
-    | exception End_of_file -> fail "bad magic"
+  let hash = ref (fnv_string fnv_init magic) in
+  let probe =
+    try really_input_string ic (String.length magic) with End_of_file -> ""
   in
+  if probe <> magic then fail (magic_error probe);
   let read_varint what =
     let n = ref 0 and shift = ref 0 and continue = ref true in
     (try
@@ -900,20 +858,14 @@ let iter_channel ic f =
     if count = 0 then finished := true
     else begin
       let len = read_varint "chunk header" in
-      let expected =
-        match version with
-        | V1 -> 0L
-        | V2 ->
-          let h = ref 0L in
-          (try
-             for _ = 1 to 8 do
-               let c = input_byte ic in
-               hash := fnv_byte !hash c;
-               h := Int64.logor (Int64.shift_left !h 8) (Int64.of_int c)
-             done
-           with End_of_file -> fail "truncated chunk header");
-          !h
-      in
+      let expected = ref 0L in
+      (try
+         for _ = 1 to 8 do
+           let c = input_byte ic in
+           hash := fnv_byte !hash c;
+           expected := Int64.logor (Int64.shift_left !expected 8) (Int64.of_int c)
+         done
+       with End_of_file -> fail "truncated chunk header");
       (* guard the allocation: a corrupt frame must not make us build a
          multi-gigabyte buffer or spin on an absurd event count *)
       if len < 0 || len > remaining () then fail "chunk length past end of file";
@@ -921,11 +873,8 @@ let iter_channel ic f =
       let payload = Bytes.create len in
       (try really_input ic payload 0 len
        with End_of_file -> fail "truncated chunk payload");
-      (match version with
-       | V1 -> hash := fnv_string !hash (Bytes.unsafe_to_string payload)
-       | V2 ->
-         if fnv_string fnv_init (Bytes.unsafe_to_string payload) <> expected then
-           fail "chunk checksum mismatch");
+      if fnv_string fnv_init (Bytes.unsafe_to_string payload) <> !expected then
+        fail "chunk checksum mismatch";
       let base = stream_pos () in
       let base = if base >= 0 then base - len else base in
       let pos = ref 0 in
@@ -938,21 +887,18 @@ let iter_channel ic f =
          raise (Corrupt { offset = (if base >= 0 then base + !pos else -1); reason }))
     end
   done;
-  (* Checksum trailer, same accept-if-absent rule as the mapped path. *)
+  (* The mandatory checksum trailer, as on the mapped path. *)
   let trailer = Bytes.create trailer_length in
-  let got = read_available ic trailer in
-  if got > 0 then begin
-    if got < trailer_length then fail "truncated checksum trailer";
-    if Bytes.sub_string trailer 0 (String.length checksum_tag) <> checksum_tag then
-      fail "bad checksum trailer";
-    if Bytes.sub_string trailer (String.length checksum_tag) 8 <> hash_to_string !hash
-    then fail "checksum mismatch"
-  end
+  if read_available ic trailer < trailer_length then fail "truncated checksum trailer";
+  if Bytes.sub_string trailer 0 (String.length checksum_tag) <> checksum_tag then
+    fail "bad checksum trailer";
+  if Bytes.sub_string trailer (String.length checksum_tag) 8 <> hash_to_string !hash
+  then fail "checksum mismatch"
 
 (* ---- whole-capture convenience ---- *)
 
-let write_channel ?version oc capture =
-  let w = writer ?version oc in
+let write_channel oc capture =
+  let w = writer oc in
   Array.iter (write_event w) (Capture.events capture);
   close_writer w
 
@@ -966,10 +912,10 @@ let capture_of_source src =
   iter_source src (Capture.record capture);
   capture
 
-let to_string ?version capture =
+let to_string capture =
   let buf = Buffer.create 65536 in
   let w =
-    writer_of_sink ?version
+    writer_of_sink
       { put = Buffer.add_string buf; put_buf = (fun b -> Buffer.add_buffer buf b) }
   in
   Array.iter (write_event w) (Capture.events capture);

@@ -3,18 +3,14 @@
     names, so large traces serialise to a fraction of the s-expression
     form and load without parsing text.
 
-    Two framing revisions are read; v2 is written:
-    - v1 ({!magic}, "SMTB\x01\n"): chunks of [varint event_count,
-      varint byte_length, payload]; [event_count = 0] terminates the
-      stream; an optional 12-byte trailer ["SMCK" ^ fnv1a64(stream)]
-      (big-endian) covers every byte through the end marker.
-    - v2 ({!magic_v2}, "SMTB\x02\n"): each chunk header additionally
-      carries the big-endian FNV-1a 64 of its payload, verified as the
-      chunk is decoded — so a memory-mapped reader needs no up-front
-      pass over the file — and the trailer covers only the magic, the
-      chunk headers and the end marker (the stream's structure).
-
-    Streams without a trailer (pre-checksum files) still load.
+    Framing: the magic {!magic}, then chunks of [varint event_count,
+    varint byte_length, fnv1a64(payload), payload] (the hash
+    big-endian, verified as the chunk is decoded — so a memory-mapped
+    reader needs no up-front pass over the file); [event_count = 0]
+    terminates the stream, and a mandatory 12-byte trailer
+    ["SMCK" ^ fnv1a64] (big-endian) covers the magic, the chunk headers
+    and the end marker (the stream's structure).  A stream with another
+    ["SMTB"] revision, or with no trailer, is rejected as {!Corrupt}.
 
     Within a chunk, events are tag bytes followed by varint fields; all
     integers use LEB128 (signed values zigzag-coded), and every symbol,
@@ -23,11 +19,13 @@
     reader processes one chunk at a time, so memory tracks the chunk
     size, not the file size. *)
 
-(** The 6-byte magic prefix of a v1 binary trace. *)
+(** The 6-byte magic prefix of a binary trace ("SMTB\x02\n"). *)
 val magic : string
 
-(** The 6-byte magic prefix of a v2 binary trace (the format written). *)
-val magic_v2 : string
+(** ["SMTB"]: the prefix every revision of the format shares.  A
+    stream starting with it but not with {!magic} is rejected with
+    reason ["unsupported binary trace version"]. *)
+val family : string
 
 (** Raised on a corrupt or truncated stream.  [offset] is the byte
     position in the stream where the damage was detected ([-1] when the
@@ -36,15 +34,12 @@ exception Corrupt of { offset : int; reason : string }
 
 (** {1 Streaming writer} *)
 
-type format_version = V1 | V2
-
 type writer
 
 (** [writer oc] starts a binary stream on [oc] (writes the header).
     [chunk_events] bounds how many events are buffered before a chunk is
-    flushed (default 4096).  [version] defaults to {!V2}; [V1] exists
-    for compatibility tests. *)
-val writer : ?version:format_version -> ?chunk_events:int -> out_channel -> writer
+    flushed (default 4096). *)
+val writer : ?chunk_events:int -> out_channel -> writer
 
 val write_event : writer -> Event.t -> unit
 
@@ -70,7 +65,6 @@ val source_of_path : ?mmap:bool -> string -> source
 val source_of_string : string -> source
 
 val source_length : source -> int
-val source_version : source -> format_version
 
 (** Whether the source is an mmapped region (vs. the [Bytes] fallback). *)
 val source_mapped : source -> bool
@@ -154,7 +148,6 @@ val capture_of_source : source -> Capture.t
 (** {1 Header-only statistics} *)
 
 type header_stats = {
-  h_version : int;
   h_events : int;
   h_chunks : int;
   h_bytes : int;          (** whole stream, trailer included *)
@@ -162,9 +155,8 @@ type header_stats = {
 }
 
 (** Walk chunk headers only — no payload byte is read, no event is
-    materialised.  On a v2 stream the structural trailer is verified;
-    a v1 trailer covers the skipped payloads and cannot be checked
-    here.  @raise Corrupt on damaged framing. *)
+    materialised.  The structural trailer is verified.
+    @raise Corrupt on damaged framing. *)
 val header_stats : source -> header_stats
 
 (** Whole-trace {!Capture.stats} off the flat batches: payloads are
@@ -173,9 +165,8 @@ val scan_stats : source -> Capture.stats
 
 (** {1 Streaming channel reader}
 
-    The legacy path, kept for non-seekable inputs and as the
-    independent cross-check for the mapped reader.  Reads both format
-    revisions. *)
+    Kept for non-seekable inputs and as the independent cross-check
+    for the mapped reader. *)
 
 (** [iter_channel ic f] decodes events chunk by chunk, calling [f] on
     each.  @raise Corrupt on a corrupt or truncated stream. *)
@@ -183,7 +174,7 @@ val iter_channel : in_channel -> (Event.t -> unit) -> unit
 
 (** {1 Whole-capture convenience} *)
 
-val write_channel : ?version:format_version -> out_channel -> Capture.t -> unit
+val write_channel : out_channel -> Capture.t -> unit
 val read_channel : in_channel -> Capture.t
 
 (** Atomic: encodes to a temp file in the target directory, then
@@ -197,7 +188,7 @@ val save : ?fault:Fault.Plan.t -> string -> Capture.t -> unit
 val load : string -> Capture.t
 
 (** [to_string capture] is the full encoded stream in memory. *)
-val to_string : ?version:format_version -> Capture.t -> string
+val to_string : Capture.t -> string
 
 (** [digest capture] is the MD5 hex digest of the binary encoding — the
     content address of a trace, used to key the server's result cache. *)

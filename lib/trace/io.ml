@@ -110,23 +110,16 @@ let save ?(format = Sexp_lines) ?fault path capture =
          (try Sys.remove tmp with Sys_error _ -> ());
          raise e)
 
-(* Format sniffing: a binary trace announces itself with one of the
-   SMTB magics, anything else is datum lines. *)
+(* Format sniffing: a binary trace announces itself with the "SMTB"
+   prefix, anything else is datum lines.  Any revision routes to the
+   binary reader, which rejects the ones it does not read with a typed
+   error instead of letting them misparse as sexp lines. *)
 let probe_is_binary path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let probe = Bytes.create (String.length Binary.magic) in
-  let rec fill off =
-    if off >= Bytes.length probe then off
-    else
-      match input ic probe off (Bytes.length probe - off) with
-      | 0 -> off
-      | k -> fill (off + k)
-  in
-  let got = fill 0 in
-  got = Bytes.length probe
-  && (let m = Bytes.to_string probe in
-      m = Binary.magic || m = Binary.magic_v2)
+  match really_input_string ic (String.length Binary.family) with
+  | prefix -> prefix = Binary.family
+  | exception End_of_file -> false
 
 type loaded =
   | Binary_source of Binary.source

@@ -80,6 +80,14 @@ let test_truncated_binary_trace () =
   one_line "truncated binary trace"
     (Printf.sprintf "simulate -t %s" (Filename.quote path))
     "Corrupt";
+  (* a revision-1 stream is refused by the binary reader, not misread
+     as sexp lines *)
+  let oc = open_out_bin path in
+  output_string oc "SMTB\x01\n\x01\x03\x02\x00\x00\x00";
+  close_out oc;
+  one_line "v1 binary trace"
+    (Printf.sprintf "trace --trace %s" (Filename.quote path))
+    "unsupported binary trace version";
   Sys.remove path
 
 let test_missing_fault_plan () =

@@ -1,9 +1,10 @@
 (* Fault-injection tests: deterministic seeded plans, scheduler
    retry/backoff/deadline behaviour, priority shedding and the service
-   overload ladder, crash-safe cache persistence under torn and failed
-   writes, wire-garbage handling, and the 60-job storm acceptance test
-   (every job completes with a fault-free-identical result or a typed
-   error; the pool survives). *)
+   overload ladder, wire-garbage handling, and the 60-job storm
+   acceptance test (every job completes with a fault-free-identical
+   result or a typed error; the pool survives; a damaged result store is
+   recomputed, never served).  Crash-safety of the store itself is
+   tested in test_store. *)
 
 module P = Fault.Plan
 module Sch = Server.Scheduler
@@ -46,17 +47,17 @@ let job_seq plan site n =
 let test_plan_deterministic () =
   let a = P.create (mixed_cfg 42) and b = P.create (mixed_cfg 42) in
   Alcotest.(check (list string)) "same seed, same write schedule"
-    (write_seq a "cache.store" 300) (write_seq b "cache.store" 300);
+    (write_seq a "store.append" 300) (write_seq b "store.append" 300);
   Alcotest.(check (list string)) "same seed, same job schedule"
     (job_seq a "sched.job" 300) (job_seq b "sched.job" 300);
   let c = P.create (mixed_cfg 43) in
   Alcotest.(check bool) "different seed, different schedule" true
-    (write_seq (P.create (mixed_cfg 42)) "cache.store" 300
-     <> write_seq c "cache.store" 300);
+    (write_seq (P.create (mixed_cfg 42)) "store.append" 300
+     <> write_seq c "store.append" 300);
   (* sites draw independent streams *)
   let d = P.create (mixed_cfg 42) in
   Alcotest.(check bool) "sites are independent streams" true
-    (write_seq d "cache.store" 300 <> write_seq d "trace.save" 300)
+    (write_seq d "store.append" 300 <> write_seq d "trace.save" 300)
 
 let test_plan_rates () =
   let plan = P.create { P.default with seed = 7; write_fail = 0.3; torn_write = 0.2 } in
@@ -208,135 +209,6 @@ let test_shed_lower () =
           "small_sched_jobs_total"));
   Sch.shutdown s
 
-(* ---- result cache: detect, quarantine, recompute ---- *)
-
-let cache_file dir key = Filename.concat (Filename.concat dir (String.sub key 0 2)) (key ^ ".result")
-
-let test_cache_detects_corruption () =
-  let dir = temp_dir "faultcache" in
-  let reg = Obs.Registry.create () in
-  let c = Server.Result_cache.create ~dir () in
-  let k = Server.Result_cache.key ~trace_digest:"t" ~job_digest:"j" in
-  Server.Result_cache.store c k "precious result";
-  let path = cache_file dir k in
-  (* flip one payload byte on disk *)
-  let ic = open_in_bin path in
-  let raw = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let b = Bytes.of_string raw in
-  let pos = Bytes.length b - 3 in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc;
-  (* a fresh instance (cold memory) must detect, quarantine, and miss *)
-  let c2 = Server.Result_cache.create ~metrics:reg ~dir () in
-  Alcotest.(check (option string)) "corrupt entry is a miss" None
-    (Server.Result_cache.find c2 k);
-  Alcotest.(check int) "corrupt counted" 1
-    (Server.Result_cache.stats c2).Server.Result_cache.corrupt;
-  Alcotest.(check int) "small_cache_corrupt_total" 1
-    (Obs.Metric.Counter.get (Obs.Registry.counter reg "small_cache_corrupt_total"));
-  Alcotest.(check bool) "quarantined alongside" true
-    (Sys.file_exists (path ^ ".corrupt"));
-  Alcotest.(check bool) "bad entry removed" false (Sys.file_exists path);
-  (* recompute-and-store heals the entry *)
-  Server.Result_cache.store c2 k "precious result";
-  let c3 = Server.Result_cache.create ~dir () in
-  Alcotest.(check (option string)) "healed entry readable" (Some "precious result")
-    (Server.Result_cache.find c3 k)
-
-let test_cache_rejects_foreign_file () =
-  let dir = temp_dir "faultcache" in
-  let k = Server.Result_cache.key ~trace_digest:"x" ~job_digest:"y" in
-  let path = cache_file dir k in
-  let rec mkdir_p d =
-    if not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  mkdir_p (Filename.dirname path);
-  let oc = open_out_bin path in
-  output_string oc "just some bytes, no header";
-  close_out oc;
-  let c = Server.Result_cache.create ~dir () in
-  Alcotest.(check (option string)) "headerless file is a miss" None
-    (Server.Result_cache.find c k);
-  Alcotest.(check int) "counted corrupt" 1
-    (Server.Result_cache.stats c).Server.Result_cache.corrupt
-
-let test_cache_torn_write_detected () =
-  let dir = temp_dir "faultcache" in
-  let plan = P.create { P.default with seed = 5; torn_write = 1.0 } in
-  let c = Server.Result_cache.create ~dir ~fault:plan () in
-  let k = Server.Result_cache.key ~trace_digest:"t" ~job_digest:"torn" in
-  Server.Result_cache.store c k "a value that will tear on disk";
-  (* same instance still serves from memory (degraded, not wrong) *)
-  Alcotest.(check (option string)) "memory entry survives"
-    (Some "a value that will tear on disk") (Server.Result_cache.find c k);
-  (* a fresh instance sees the torn file, quarantines, misses *)
-  let c2 = Server.Result_cache.create ~dir () in
-  Alcotest.(check (option string)) "torn disk entry never served" None
-    (Server.Result_cache.find c2 k);
-  Alcotest.(check int) "quarantined" 1
-    (Server.Result_cache.stats c2).Server.Result_cache.corrupt
-
-let test_cache_write_error_degrades () =
-  let dir = temp_dir "faultcache" in
-  let reg = Obs.Registry.create () in
-  let plan = P.create { P.default with seed = 5; write_fail = 1.0 } in
-  let c = Server.Result_cache.create ~metrics:reg ~dir ~fault:plan () in
-  let k = Server.Result_cache.key ~trace_digest:"t" ~job_digest:"werr" in
-  Server.Result_cache.store c k "value";
-  Alcotest.(check (option string)) "memory entry kept" (Some "value")
-    (Server.Result_cache.find c k);
-  Alcotest.(check int) "write error counted" 1
-    (Server.Result_cache.stats c).Server.Result_cache.write_errors;
-  Alcotest.(check int) "small_cache_write_errors_total" 1
-    (Obs.Metric.Counter.get (Obs.Registry.counter reg "small_cache_write_errors_total"));
-  Alcotest.(check bool) "nothing landed on disk" false
-    (Sys.file_exists (cache_file dir k))
-
-(* Kill-mid-store: a concurrent reader over the same directory must only
-   ever observe a full value or a miss — never a partial write.  The
-   torn-write fault makes half-written files actually land, so this
-   exercises the read-side digest check, not just rename atomicity. *)
-let test_cache_no_partial_reads () =
-  let dir = temp_dir "faultcache" in
-  let plan = P.create { P.default with seed = 21; torn_write = 0.5 } in
-  let value i = Printf.sprintf "value-%d-%s" i (String.make 64 'v') in
-  let keys =
-    Array.init 8 (fun i ->
-        Server.Result_cache.key ~trace_digest:"t"
-          ~job_digest:(Printf.sprintf "j%d" i))
-  in
-  let stop = Atomic.make false in
-  let writer =
-    Domain.spawn (fun () ->
-        let c = Server.Result_cache.create ~dir ~fault:plan () in
-        for round = 1 to 50 do
-          Array.iteri (fun i k -> Server.Result_cache.store c k (value i)) keys;
-          ignore round
-        done;
-        Atomic.set stop true)
-  in
-  let anomalies = ref [] in
-  while not (Atomic.get stop) do
-    (* a fresh instance per sweep: always reads the disk, cold memory *)
-    let reader = Server.Result_cache.create ~dir () in
-    Array.iteri
-      (fun i k ->
-         match Server.Result_cache.find reader k with
-         | None -> ()
-         | Some v when v = value i -> ()
-         | Some v ->
-           anomalies := Printf.sprintf "key %d: %d bytes" i (String.length v) :: !anomalies)
-      keys
-  done;
-  Domain.join writer;
-  Alcotest.(check (list string)) "no partial value ever observed" [] !anomalies
-
 (* ---- service: wire garbage, overload ladder, storm ---- *)
 
 let synth_capture = lazy (Trace.Synth.generate { Trace.Synth.default with length = 2000 })
@@ -414,7 +286,7 @@ let test_overload_ladder () =
    plan injecting fs-write failures, torn writes, worker crashes, and
    delays.  Every job must come back with either a result byte-identical
    to the fault-free run or a typed error; the pool must survive; and a
-   later fault-free service over the same cache directory must never
+   later fault-free service over the same store directory must never
    serve a corrupt entry. *)
 let storm_seeds = List.init 60 (fun i -> i + 1)
 
@@ -465,7 +337,7 @@ let test_storm_under_faults () =
   let dir = temp_dir "faultstorm" in
   let plan = storm_plan () in
   let svc =
-    Server.Service.create ~cache_dir:dir ~fault:plan ~retries:3 ~workers:4
+    Server.Service.create ~store_dir:dir ~fault:plan ~retries:3 ~workers:4
       ~queue_capacity:128 ()
   in
   let oks, errors =
@@ -487,9 +359,9 @@ let test_storm_under_faults () =
   Alcotest.(check bool)
     (Printf.sprintf "almost all jobs recovered (%d ok, %d typed errors)" oks errors)
     true (oks >= 55);
-  (* a fault-free service over the same (possibly damaged) cache dir
-     must recompute quarantined entries, never serve them *)
-  let svc2 = Server.Service.create ~cache_dir:dir ~workers:4 ~queue_capacity:128 () in
+  (* a fault-free service over the same (possibly damaged) store must
+     recompute torn or lost entries, never serve them *)
+  let svc2 = Server.Service.create ~store_dir:dir ~workers:4 ~queue_capacity:128 () in
   let oks2, errors2 =
     Fun.protect ~finally:(fun () -> Server.Service.shutdown svc2) @@ fun () ->
     run_storm svc2
@@ -527,13 +399,6 @@ let () =
          Alcotest.test_case "retry budget" `Quick test_retry_budget_exhausted;
          Alcotest.test_case "retry deadline" `Quick test_retry_respects_deadline;
          Alcotest.test_case "shed lower" `Quick test_shed_lower ]);
-      ("cache",
-       [ Alcotest.test_case "detect + quarantine + recompute" `Quick
-           test_cache_detects_corruption;
-         Alcotest.test_case "foreign file" `Quick test_cache_rejects_foreign_file;
-         Alcotest.test_case "torn write detected" `Quick test_cache_torn_write_detected;
-         Alcotest.test_case "write error degrades" `Quick test_cache_write_error_degrades;
-         Alcotest.test_case "no partial reads" `Quick test_cache_no_partial_reads ]);
       ("service",
        [ Alcotest.test_case "wire garbage" `Quick test_wire_garbage_never_escapes;
          Alcotest.test_case "overload ladder" `Quick test_overload_ladder;

@@ -275,10 +275,9 @@ let test_stats_shape () =
     (match List.assoc "metrics" fields with
      | J.Obj families ->
        Alcotest.(check (list string)) "registered families on a fresh service"
-         [ "small_cache_corrupt_total"; "small_cache_degraded";
+         [ "small_cache_degraded";
            "small_cache_disk_bytes_total";
            "small_cache_disk_hits_total"; "small_cache_hits_total";
-           "small_cache_migrated_total";
            "small_cache_misses_total"; "small_cache_stores_total";
            "small_cache_write_errors_total"; "small_jobs_retried_total";
            "small_sched_inflight"; "small_sched_jobs_total";

@@ -1,5 +1,6 @@
 (* Zero-copy replay: equivalence of the mapped, Bytes-fallback and
-   legacy streaming readers; corruption fuzz of the mapped path; the
+   streaming channel readers, and their common rejection of other format
+   revisions and trailer-less streams; corruption fuzz of the mapped path; the
    header-only stats path; and the determinism regression that flat-batch
    preprocessing (and simulation on top of it) is byte-identical to the
    capture-based pipeline. *)
@@ -43,14 +44,14 @@ let via_channel path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> B.read_channel ic)
 
-let encode ?version ?(chunk_events = 4096) capture =
+let encode ?(chunk_events = 4096) capture =
   let buf = Buffer.create 4096 in
   let path = Filename.temp_file "replayenc" ".smtb" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
        let oc = open_out_bin path in
-       let w = B.writer ?version ~chunk_events oc in
+       let w = B.writer ~chunk_events oc in
        Array.iter (B.write_event w) (Trace.Capture.events capture);
        B.close_writer w;
        close_out oc;
@@ -69,29 +70,46 @@ let check_all_readers name capture data =
         (captures_equal capture (via_bytes path));
       Alcotest.(check bool) (name ^ ": string source") true
         (captures_equal capture (via_string data));
-      Alcotest.(check bool) (name ^ ": legacy channel") true
+      Alcotest.(check bool) (name ^ ": channel") true
         (captures_equal capture (via_channel path)))
 
+(* Every reader, and [Trace.Io.load], must refuse [data] with the typed
+   error and [reason]. *)
+let check_all_reject name ~reason data =
+  let expect what decode =
+    match decode () with
+    | (_ : Trace.Capture.t) -> Alcotest.failf "%s: %s loaded silently" name what
+    | exception B.Corrupt { reason = r; _ } ->
+      Alcotest.(check string) (Printf.sprintf "%s: %s reason" name what) reason r
+    | exception Trace.Io.Corrupt { reason = r; _ } ->
+      Alcotest.(check string) (Printf.sprintf "%s: %s reason" name what) reason r
+  in
+  with_temp_trace data (fun path ->
+      expect "mapped" (fun () -> via_mapped path);
+      expect "bytes fallback" (fun () -> via_bytes path);
+      expect "string source" (fun () -> via_string data);
+      expect "channel" (fun () -> via_channel path);
+      expect "Trace.Io.load" (fun () -> Trace.Io.load path))
+
+(* The one revision written (v2) round-trips through every reader; a
+   stream announcing revision 1, and a v2 stream without its checksum
+   trailer, are refused by every reader. *)
 let test_readers_agree_synth () =
   let c = Trace.Synth.generate { Trace.Synth.default with length = 3000; seed = 7 } in
-  check_all_readers "v2 multi-chunk" c (encode ~chunk_events:100 c);
-  check_all_readers "v1 multi-chunk" c (encode ~version:B.V1 ~chunk_events:100 c)
+  let data = encode ~chunk_events:100 c in
+  check_all_readers "v2 multi-chunk" c data;
+  let v1 = Bytes.of_string data in
+  Bytes.set v1 4 '\x01';
+  check_all_reject "v1 multi-chunk" ~reason:"unsupported binary trace version"
+    (Bytes.to_string v1);
+  check_all_reject "trailer-less" ~reason:"truncated checksum trailer"
+    (String.sub data 0 (String.length data - 12))
 
 let test_readers_agree_edge_chunking () =
   let c = Trace.Synth.generate { Trace.Synth.default with length = 64; seed = 11 } in
   (* one event per chunk, and everything in one chunk *)
   check_all_readers "chunk_events=1" c (encode ~chunk_events:1 c);
   check_all_readers "chunk_events=4096" c (encode ~chunk_events:4096 c)
-
-let test_trailerless_legacy_files () =
-  (* strip the 12-byte trailer: a pre-checksum file, both revisions *)
-  let c = Trace.Synth.generate { Trace.Synth.default with length = 200; seed = 5 } in
-  List.iter
-    (fun version ->
-       let data = encode ?version c in
-       let stripped = String.sub data 0 (String.length data - 12) in
-       check_all_readers "trailer-less" c stripped)
-    [ None; Some B.V1 ]
 
 let test_empty_trace () =
   let c = mk_capture [] in
@@ -259,9 +277,8 @@ let test_mapped_checksum_catches_bitflip () =
 
 (* The lib/fault battery against the mapped reader: a torn write (a
    lying disk landing a strict prefix, injected at site "trace.save")
-   must never yield silently wrong data — every load either raises the
-   typed Corrupt or, when the tear fell exactly on the trailer, the
-   complete stream. *)
+   must never load — the trailer is mandatory, so every strict prefix
+   raises the typed Corrupt. *)
 let test_torn_write_detected_by_mapped_reader () =
   let c = Trace.Synth.generate { Trace.Synth.default with length = 400; seed = 12 } in
   let detected = ref 0 in
@@ -273,12 +290,10 @@ let test_torn_write_detected_by_mapped_reader () =
       (fun () ->
          B.save ~fault:plan path c;
          match via_mapped path with
-         | c' ->
-           Alcotest.(check bool) "a silent load is the complete stream" true
-             (captures_equal c c')
+         | (_ : Trace.Capture.t) -> ()
          | exception B.Corrupt _ -> incr detected)
   done;
-  Alcotest.(check bool) "torn writes detected" true (!detected >= 15)
+  Alcotest.(check int) "every torn write detected" 20 !detected
 
 (* ---- preprocessing determinism ---- *)
 
@@ -344,7 +359,6 @@ let () =
     [ ("equivalence",
        [ Alcotest.test_case "synth both revisions" `Quick test_readers_agree_synth;
          Alcotest.test_case "edge chunking" `Quick test_readers_agree_edge_chunking;
-         Alcotest.test_case "trailer-less legacy" `Quick test_trailerless_legacy_files;
          Alcotest.test_case "empty trace" `Quick test_empty_trace;
          Alcotest.test_case "batch adapter" `Quick test_batch_adapter_roundtrip ]);
       ("header-stats",

@@ -2,8 +2,8 @@
    reopen at every byte offset of a torn final record and at every
    single-byte flip must recover a prefix-consistent state and never
    lose an acknowledged group or serve a corrupt value), seeded
-   fault-plan workloads over every store.* injection site,
-   legacy-vs-log equivalence and SMRC1 migration, compaction/eviction
+   fault-plan workloads over every store.* injection site, a corrupt
+   value span counted and healed with the store open, compaction/eviction
    properties with exact dead-byte accounting and a concurrent reader,
    the cache-degraded regression, and a service-level reopen. *)
 
@@ -244,6 +244,48 @@ let test_byte_flip_battery () =
     (Printf.sprintf "crash battery generated %d points (>= 1000)" !crash_points)
     true (!crash_points >= 1000)
 
+(* A flipped byte inside a committed value, under a store that stays
+   open: the read-side hash check drops the entry (a miss, never the
+   damaged bytes), counts it where an operator can see it, and a
+   re-store heals it — durably once compaction rewrites the log. *)
+let test_corrupt_read_counted_and_healed () =
+  let dir = temp_dir "store_corrupt_read" in
+  let reg = Obs.Registry.create () in
+  let s = L.open_ ~metrics:reg ~config:flat_config ~dir () in
+  let value = "a precious stored value" in
+  L.set s "keep" "intact";
+  L.set s "victim" value;
+  let seg = Filename.concat dir "seg-00000000.smsg" in
+  let body = Bytes.of_string (read_file seg) in
+  (* the value bytes sit verbatim in the last record *)
+  let pos =
+    let n = String.length value in
+    let rec find i =
+      if i < 0 then Alcotest.fail "value not found in the segment"
+      else if Bytes.sub_string body i n = value then i
+      else find (i - 1)
+    in
+    find (Bytes.length body - n) + 3
+  in
+  Bytes.set body pos (Char.chr (Char.code (Bytes.get body pos) lxor 0x01));
+  write_file seg (Bytes.to_string body);
+  Alcotest.(check (option string)) "damaged value is a miss" None (L.get s "victim");
+  Alcotest.(check (option string)) "neighbour unaffected" (Some "intact") (L.get s "keep");
+  Alcotest.(check int) "stats count the corrupt read" 1 (L.stats s).L.corrupt_reads;
+  Alcotest.(check int) "small_store_corrupt_reads_total" 1
+    (Obs.Metric.Counter.get
+       (Obs.Registry.counter reg "small_store_corrupt_reads_total"));
+  Alcotest.(check (option string)) "dropped, not re-read" None (L.get s "victim");
+  Alcotest.(check int) "counted once" 1 (L.stats s).L.corrupt_reads;
+  L.set s "victim" value;
+  Alcotest.(check (option string)) "re-store heals" (Some value) (L.get s "victim");
+  L.compact s;
+  L.close s;
+  let r = L.open_ ~config:flat_config ~dir () in
+  check_state "healed state survives reopen" [ ("keep", "intact"); ("victim", value) ] r;
+  L.close r;
+  rm_rf dir
+
 (* ---- seeded fault-plan workloads: every store.* site ---- *)
 
 let faulty_cfg seed =
@@ -310,68 +352,6 @@ let test_recovery_fault_site () =
   Alcotest.(check (option string)) "state intact after failed recovery"
     (Some "value") (L.get r "stable");
   L.close r;
-  rm_rf dir
-
-(* ---- legacy vs log equivalence, and SMRC1 migration ---- *)
-
-let cache_key i = RC.key ~trace_digest:(string_of_int (i mod 8)) ~job_digest:"eq"
-
-let prop_equivalence =
-  QCheck.Test.make ~name:"legacy and log caches answer identically" ~count:40
-    QCheck.(list (pair (0 -- 7) (option string_printable)))
-    (fun ops ->
-       let ldir = temp_dir "eq_files" and sdir = temp_dir "eq_log" in
-       Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf sdir) @@ fun () ->
-       let legacy = RC.create ~dir:ldir () in
-       let log = RC.create ~store_dir:sdir () in
-       List.iter
-         (fun (i, op) ->
-            let k = cache_key i in
-            match op with
-            | Some v -> RC.store legacy k v; RC.store log k v
-            | None ->
-              if RC.find legacy k <> RC.find log k then
-                QCheck.Test.fail_reportf "find diverged on key %d" i)
-         ops;
-       (* cold processes over the same directories agree too *)
-       let legacy2 = RC.create ~dir:ldir () in
-       let log2 = RC.create ~store_dir:sdir () in
-       List.for_all
-         (fun i -> RC.find legacy2 (cache_key i) = RC.find log2 (cache_key i))
-         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
-
-let test_migration () =
-  let dir = temp_dir "migrate" in
-  (* a legacy cache populates the directory with SMRC1 files *)
-  let old = RC.create ~dir () in
-  let k1 = RC.key ~trace_digest:"t1" ~job_digest:"j" in
-  let k2 = RC.key ~trace_digest:"t2" ~job_digest:"j" in
-  RC.store old k1 "legacy one";
-  RC.store old k2 "legacy two";
-  (* pointing the log store at the same directory reads through *)
-  let reg = Obs.Registry.create () in
-  let c = RC.create ~metrics:reg ~store_dir:dir () in
-  Alcotest.(check (option string)) "read through" (Some "legacy one") (RC.find c k1);
-  Alcotest.(check int) "counted as disk hit" 1 (RC.stats c).RC.disk_hits;
-  Alcotest.(check int) "counted as migrated" 1 (RC.stats c).RC.migrated;
-  Alcotest.(check int) "small_cache_migrated_total" 1
-    (Obs.Metric.Counter.get (Obs.Registry.counter reg "small_cache_migrated_total"));
-  (* the migrated entry now lives in the log: a cold process finds it
-     even with the legacy file gone *)
-  let c2 = RC.create ~store_dir:dir () in
-  Alcotest.(check (option string)) "migrated entry served from the log"
-    (Some "legacy one") (RC.find c2 k1);
-  Alcotest.(check (option string)) "unread legacy entry still reads through"
-    (Some "legacy two") (RC.find c2 k2);
-  Alcotest.(check int) "no recompute: all hits" 0 (RC.stats c2).RC.misses;
-  (match RC.log_stats c2 with
-   | Some ls -> Alcotest.(check bool) "log recovered the migrated entry" true
-                  (ls.L.recovered_records > 0)
-   | None -> Alcotest.fail "expected a log-backed cache");
-  (* both backends on one directory is a configuration error *)
-  (match RC.create ~dir ~store_dir:dir () with
-   | _ -> Alcotest.fail "dir + store_dir must be rejected"
-   | exception Invalid_argument _ -> ());
   rm_rf dir
 
 (* ---- compaction and eviction properties ---- *)
@@ -588,12 +568,6 @@ let check_degraded ~make_cache name =
   Alcotest.(check int) (name ^ ": small_cache_degraded raised") 1
     (Obs.Metric.Gauge.get (Obs.Registry.gauge reg "small_cache_degraded"))
 
-let test_degraded_gauge_files () =
-  let dir = temp_dir "degraded_files" in
-  check_degraded "files"
-    ~make_cache:(fun reg -> RC.create ~metrics:reg ~dir ~fault:always_fail ());
-  rm_rf dir
-
 let test_degraded_gauge_log () =
   let dir = temp_dir "degraded_log" in
   (* the plan would also fail recovery reads, but an empty directory
@@ -648,6 +622,14 @@ let test_service_over_log_store () =
     r.Server.Service.cached;
   Alcotest.(check int) "counted as a disk hit" 1
     (RC.stats (Server.Service.cache svc)).RC.disk_hits;
+  (match Server.Service.stats_json svc with
+   | Server.Json.Obj fields ->
+     (match List.assoc_opt "store" fields with
+      | Some (Server.Json.Obj store) ->
+        Alcotest.(check bool) "(stats).store reports corrupt reads" true
+          (List.assoc_opt "corrupt_reads" store = Some (Server.Json.Int 0))
+      | _ -> Alcotest.fail "(stats) must carry the store object")
+   | _ -> Alcotest.fail "(stats) must be an object");
   rm_rf dir
 
 let () =
@@ -663,10 +645,9 @@ let () =
          Alcotest.test_case "seeded fault-plan workloads" `Quick
            test_fault_plan_workloads;
          Alcotest.test_case "recovery fault site mutates nothing" `Quick
-           test_recovery_fault_site ]);
-      ("equivalence",
-       [ QCheck_alcotest.to_alcotest prop_equivalence;
-         Alcotest.test_case "SMRC1 migration" `Quick test_migration ]);
+           test_recovery_fault_site;
+         Alcotest.test_case "corrupt read counted and healed" `Quick
+           test_corrupt_read_counted_and_healed ]);
       ("compaction",
        [ QCheck_alcotest.to_alcotest prop_compaction_accounting;
          Alcotest.test_case "concurrent reader during compaction" `Quick
@@ -675,9 +656,7 @@ let () =
        [ Alcotest.test_case "size eviction is durable" `Quick test_size_eviction;
          Alcotest.test_case "ttl expiry" `Quick test_ttl_expiry ]);
       ("degraded cache",
-       [ Alcotest.test_case "files backend raises the gauge" `Quick
-           test_degraded_gauge_files;
-         Alcotest.test_case "log backend raises the gauge" `Quick
+       [ Alcotest.test_case "log backend raises the gauge" `Quick
            test_degraded_gauge_log ]);
       ("service",
        [ Alcotest.test_case "reopen serves recovered entries" `Quick

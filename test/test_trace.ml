@@ -115,18 +115,26 @@ let test_binary_digest () =
 
 let test_binary_rejects_corrupt () =
   let path = Filename.temp_file "trace" ".smtb" in
-  let oc = open_out_bin path in
-  output_string oc Trace.Binary.magic;
-  output_string oc "\x05\x03garbage";   (* 5 events claimed, 3 payload bytes *)
-  close_out oc;
-  let raised =
+  let rejects contents =
+    let oc = open_out_bin path in
+    output_string oc contents;
+    close_out oc;
     match Trace.Io.load path with
-    | _ -> false
+    | _ -> None
     | exception Trace.Io.Corrupt { path = p; offset; reason } ->
-      p = path && offset >= 0 && reason <> ""
+      if p = path && offset >= 0 then Some reason else None
   in
+  (* 5 events claimed, 3 payload bytes *)
+  let garbage = rejects (Trace.Binary.magic ^ "\x05\x03garbage") in
+  (* a hand-built revision-1 stream (one chunk holding one car event,
+     no per-chunk sum, the end marker): routed to the binary reader and
+     refused there, not misparsed as sexp lines *)
+  let v1 = rejects "SMTB\x01\n\x01\x03\x02\x00\x00\x00" in
   Sys.remove path;
-  Alcotest.(check bool) "corrupt stream rejected with typed error" true raised
+  Alcotest.(check bool) "corrupt stream rejected with typed error" true
+    (match garbage with Some r -> r <> "" | None -> false);
+  Alcotest.(check (option string)) "v1 stream rejected with typed error"
+    (Some "unsupported binary trace version") v1
 
 (* Satellite: a valid binary trace truncated at EVERY byte boundary must
    load as Corrupt — never crash, hang, or silently yield a trace. *)
@@ -143,15 +151,12 @@ let test_binary_truncation_everywhere () =
     close_out oc;
     match Trace.Io.load path with
     | c' ->
-      (* two legal silent loads: the empty prefix (sexp format, zero
-         events), and stripping exactly the 12-byte trailer — a valid
-         pre-checksum stream whose every event landed *)
+      (* the one legal silent load: the empty prefix (sexp format, zero
+         events); the trailer is mandatory, so even the cut that strips
+         exactly the trailer is corrupt *)
       if cut = 0 then
         Alcotest.(check int) "empty prefix loads as empty sexp trace"
           0 (Trace.Capture.length c')
-      else if cut = String.length data - 12 then
-        Alcotest.(check bool) "trailer-stripped stream is still complete"
-          true (captures_equal c c')
       else Alcotest.failf "truncation at %d/%d loaded silently" cut (String.length data)
     | exception Trace.Io.Corrupt { path = p; offset = _; reason = _ } ->
       Alcotest.(check string) "corrupt error names the file" path p
