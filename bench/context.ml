@@ -82,7 +82,7 @@ let seed_knees ?(config = Core.Simulator.default_config) name seeds =
     (List.map job seeds)
     (fun job ->
        match job.Server.Job.spec with
-       | Server.Job.Knee cfg -> fst (Core.Simulator.min_table_size cfg (pre name))
+       | Server.Job.Knee cfg -> fst (Core.Simulator.min_table_size cfg (Core.Simulator.pack (pre name)))
        | _ -> assert false)
     (function Server.Exec.Knee_out { size; _ } -> Some size | _ -> None)
 

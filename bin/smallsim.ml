@@ -42,9 +42,15 @@ let trace_file =
   let doc = "A previously saved trace file." in
   Arg.(value & opt (some file) None & info [ "t"; "trace" ] ~doc)
 
-(* Analysis and simulation need only the preprocessed form; binary trace
-   files reach it through the zero-copy mapped source without ever
-   materialising events. *)
+let job_source workload file =
+  match workload, file with
+  | Some w, _ -> Ok (Server.Job.Workload w.Workloads.Registry.name)
+  | None, Some path -> Ok (Server.Job.Trace_file path)
+  | None, None -> Error (`Msg "need --workload or --trace")
+
+(* Analysis needs the preprocessed form; binary trace files reach it
+   through the zero-copy mapped source without ever materialising
+   events. *)
 let load_preprocessed workload file =
   match workload, file with
   | Some w, _ -> Ok (Workloads.Registry.preprocessed w)
@@ -217,8 +223,10 @@ let trace_cmd =
       (if Trace.Binary.source_mapped src then ", mmapped" else "");
     print_mix (guard (fun () -> Analysis.Prim_mix.analyze_source src));
     if show_stats then begin
-      let pre = guard (fun () -> Trace.Preprocess.run_source src) in
-      Printf.printf "unique list objects: %d\n" pre.Trace.Preprocess.distinct_lists;
+      (match Server.Exec.stats_of_source (Server.Job.Trace_file path) with
+       | Server.Exec.Stats_out { distinct_lists; _ } ->
+         Printf.printf "unique list objects: %d\n" distinct_lists
+       | _ -> assert false);
       Printf.printf "digest: %s\n" (Digest.to_hex (Digest.file path))
     end;
     if out <> None then
@@ -316,9 +324,12 @@ let simulate_cmd =
   in
   let action workload file size policy seed cache_lines line_size split find_knee
       with_metrics =
-    match load_preprocessed workload file with
+    match job_source workload file with
     | Error _ as e -> e
-    | Ok pre ->
+    | Ok source ->
+      (* the job service's cold path: a binary trace file packs straight
+         off its mapped source *)
+      let packed = Server.Exec.packed_of_source source in
       let config =
         { Core.Simulator.default_config with
           table_size = size; policy; seed; split_counts = split;
@@ -329,12 +340,12 @@ let simulate_cmd =
       in
       let metrics = if with_metrics then Some (Obs.Registry.create ()) else None in
       if find_knee then begin
-        let k, stats = Core.Simulator.min_table_size ?metrics config pre in
+        let k, stats = Core.Simulator.min_table_size ?metrics config packed in
         Printf.printf "knee: %d entries (peak usage %d, no overflow)\n" k
           stats.Core.Simulator.peak_lpt
       end
       else begin
-        let s = Core.Simulator.run ?metrics config pre in
+        let s = Core.Simulator.run_packed ?metrics config packed in
         Printf.printf "events %d; peak LPT %d, average %.1f\n" s.Core.Simulator.events
           s.Core.Simulator.peak_lpt s.Core.Simulator.avg_lpt;
         Printf.printf "LPT: %d hits, %d misses (hit rate %.2f%%)\n"

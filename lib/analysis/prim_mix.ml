@@ -22,35 +22,29 @@ let analyze capture =
     total = !total;
   }
 
+(* Counts indexed by wire kind — the binary format's primitive tag. *)
+let of_kind_counts k =
+  let count : Trace.Event.prim -> int = function
+    | Car -> k.(2)
+    | Cdr -> k.(3)
+    | Cons -> k.(4)
+    | Rplaca -> k.(5)
+    | Rplacd -> k.(6)
+  in
+  { counts = List.map (fun p -> (p, count p)) Trace.Event.all_prims;
+    total = k.(2) + k.(3) + k.(4) + k.(5) + k.(6) }
+
 (* Same counts off the flat batches of a mapped binary trace: the wire
    kind is the primitive tag, so no event is materialised. *)
 let analyze_source src =
   let module B = Trace.Binary.Batch in
-  let car = ref 0 and cdr = ref 0 and cons = ref 0 in
-  let rplaca = ref 0 and rplacd = ref 0 in
+  let k = Array.make 7 0 in
   Trace.Binary.iter_batches src (fun b ->
       for i = 0 to B.length b - 1 do
-        match B.kind b i with
-        | 2 -> incr car
-        | 3 -> incr cdr
-        | 4 -> incr cons
-        | 5 -> incr rplaca
-        | 6 -> incr rplacd
-        | _ -> ()
+        let kd = B.kind b i in
+        k.(kd) <- k.(kd) + 1
       done);
-  let counts =
-    List.map
-      (fun (p : Trace.Event.prim) ->
-         ( p,
-           match p with
-           | Car -> !car
-           | Cdr -> !cdr
-           | Cons -> !cons
-           | Rplaca -> !rplaca
-           | Rplacd -> !rplacd ))
-      Trace.Event.all_prims
-  in
-  { counts; total = !car + !cdr + !cons + !rplaca + !rplacd }
+  of_kind_counts k
 
 (* And off an already-preprocessed trace (primitive identity survives
    preprocessing untouched). *)

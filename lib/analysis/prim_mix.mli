@@ -13,6 +13,11 @@ val analyze : Trace.Capture.t -> result
     event or datum is materialised. *)
 val analyze_source : Trace.Binary.source -> result
 
+(** [of_kind_counts k] reads [k.(2)] .. [k.(6)] as the car, cdr, cons,
+    rplaca and rplacd counts — the binary format's wire kinds, as
+    {!Trace.Preprocess.scan_source} reports them. *)
+val of_kind_counts : int array -> result
+
 (** Same counts off a preprocessed trace. *)
 val of_preprocessed : Trace.Preprocess.t -> result
 

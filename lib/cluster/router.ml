@@ -82,7 +82,8 @@ type t = {
   cv : Condition.t;                  (* new work / state change *)
   (* key -> shard whose result cache holds this key's value *)
   owners_tbl : (string, string) Hashtbl.t;
-  digests : (string, string) Hashtbl.t;   (* trace-file path -> digest *)
+  (* trace-file path -> (dev, inode, size, mtime, ctime), digest *)
+  digests : (string, (int * int * int * float * float) * string) Hashtbl.t;
   dm : Mutex.t;                           (* digest memo lock *)
   next_id : int Atomic.t;
   inflight_tbl : (int, item) Hashtbl.t;   (* router id -> live job item *)
@@ -1126,20 +1127,27 @@ let create ?(vnodes = 64) ?(batch_max = 16) ?(steal_min = 2)
 
 (* The placement key is exactly the shard-local result-cache key, so
    "route to the cached result" and "the shard will hit its cache" agree
-   by construction.  Trace-file digests are memoised per path. *)
+   by construction.  Trace-file digests are memoised per path under the
+   file's stat stamp, taken before hashing: a rewritten file changes
+   inode, size or times, so it is re-hashed rather than placed under its
+   old content's key. *)
 let placement_key t (job : Server.Job.t) =
   let trace_digest () =
     match job.source with
     | Server.Job.Trace_file path ->
+      let st = Unix.stat path in
+      let stamp =
+        Unix.(st.st_dev, st.st_ino, st.st_size, st.st_mtime, st.st_ctime)
+      in
       Mutex.lock t.dm;
       let memo = Hashtbl.find_opt t.digests path in
       Mutex.unlock t.dm;
       (match memo with
-       | Some d -> d
-       | None ->
+       | Some (s, d) when s = stamp -> d
+       | Some _ | None ->
          let d = Server.Exec.trace_digest job.source in
          Mutex.lock t.dm;
-         Hashtbl.replace t.digests path d;
+         Hashtbl.replace t.digests path (stamp, d);
          Mutex.unlock t.dm;
          d)
     | Server.Job.Workload _ -> Server.Exec.trace_digest job.source

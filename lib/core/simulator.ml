@@ -895,7 +895,7 @@ let cache_hit_rate (stats : stats) =
 let overflow_free (stats : stats) =
   (not stats.true_overflow) && stats.lpt.Lpt.pseudo_overflows = 0
 
-let min_table_size ?(jobs = 1) ?metrics cfg trace =
+let min_table_size ?(jobs = 1) ?metrics cfg packed =
   (* Double until overflow-free, then bisect down to the knee.  With
      [jobs] > 1 the probe runs go through [Util.Parallel]: the doubling
      phase probes a batch of sizes at once, and the bisection phase
@@ -906,9 +906,8 @@ let min_table_size ?(jobs = 1) ?metrics cfg trace =
      into the same counters at once — safe by construction, and the
      search decisions never read the metrics, so the result is
      registry-independent. *)
-  (* The trace is packed once; every probe replays the same immutable
-     int arrays (shared across probe domains). *)
-  let packed = pack trace in
+  (* Every probe replays the caller's one packed trace: immutable int
+     arrays, shared across probe domains. *)
   let probe size = run_packed ?metrics { cfg with table_size = size } packed in
   let rec grow size =
     if jobs <= 1 then begin

@@ -117,10 +117,12 @@ val run_reference : ?metrics:Obs.Registry.t -> config -> Trace.Preprocess.t -> s
 val lpt_hit_rate : stats -> float
 val cache_hit_rate : stats -> float
 
-(** [min_table_size ?jobs ?metrics config trace] searches for the knee of
-    Figure 5.1: the smallest table size (within the probe sequence) at
+(** [min_table_size ?jobs ?metrics config packed] searches for the knee
+    of Figure 5.1: the smallest table size (within the probe sequence) at
     which no overflow of any kind occurs, by doubling then bisecting.
-    Returns the size and the stats of the run at that size.
+    Returns the size and the stats of the run at that size.  Every probe
+    replays the one packed trace, so the caller packs once ({!pack} or
+    {!pack_source}).
 
     With [jobs] > 1 the probe simulations run on a [Util.Parallel] pool —
     the doubling phase probes whole batches of sizes at once and the
@@ -131,5 +133,4 @@ val cache_hit_rate : stats -> float
     [metrics] is shared by every probe run (concurrent probes record
     into it at once); the search result does not depend on it. *)
 val min_table_size :
-  ?jobs:int -> ?metrics:Obs.Registry.t -> config -> Trace.Preprocess.t ->
-  int * stats
+  ?jobs:int -> ?metrics:Obs.Registry.t -> config -> packed -> int * stats

@@ -61,21 +61,70 @@ let trace_digest = function
        Hashtbl.replace workload_digests w d;
        d)
 
-(* Trace files preprocess straight off the mapped source: no capture,
-   no per-event allocation, O(1) open.  (Sexp-lines files have no
-   random-access form and still go through a capture.) *)
-let preprocessed_of_source = function
+(* [of_source s ~binary ~pre] hands a binary trace file to [binary] as
+   its mapped source (O(1) open, no capture), and anything else to [pre]
+   as its preprocessed form: a workload's is memoised by the registry, a
+   sexp-lines file (no random-access form) goes through a capture. *)
+let of_source s ~binary ~pre =
+  match s with
   | Job.Workload w ->
     (match Workloads.Registry.find w with
-     | Some w -> Workloads.Registry.preprocessed w
+     | Some w -> pre (Workloads.Registry.preprocessed w)
      | None -> invalid_arg ("Server.Exec: unknown workload " ^ w))
   | Job.Trace_file p ->
     (match Trace.Io.open_path p with
      | Trace.Io.Binary_source src ->
-       (try Trace.Preprocess.run_source src
+       (try binary src
         with Trace.Binary.Corrupt { offset; reason } ->
           raise (Trace.Io.Corrupt { path = p; offset; reason }))
-     | Trace.Io.Sexp_capture c -> Trace.Preprocess.run c)
+     | Trace.Io.Sexp_capture c -> pre (Trace.Preprocess.run c))
+
+let preprocessed_of_source s =
+  of_source s ~binary:Trace.Preprocess.run_source ~pre:Fun.id
+
+(* A binary trace file packs in one scan: no [pevent] array. *)
+let packed_of_source s =
+  of_source s ~binary:Core.Simulator.pack_source ~pre:Core.Simulator.pack
+
+let stats_of_preprocessed (pre : Trace.Preprocess.t) =
+  let st = pre.stats in
+  Stats_out
+    { events = Array.length pre.events;
+      primitives = st.primitives;
+      functions = st.functions;
+      max_depth = st.max_depth;
+      distinct_lists = pre.distinct_lists;
+      mix = (Analysis.Prim_mix.of_preprocessed pre).counts }
+
+(* Every stats field off one id-assignment scan: the sizes table has
+   one slot per unique list. *)
+let stats_of_binary src =
+  let functions = ref 0 and returns = ref 0 in
+  let depth = ref 0 and max_depth = ref 0 in
+  let kinds = Array.make 7 0 in
+  let sizes =
+    Trace.Preprocess.scan_source src
+      ~call:(fun ~nargs:_ ->
+          incr functions;
+          incr depth;
+          if !depth > !max_depth then max_depth := !depth)
+      ~return_:(fun () ->
+          incr returns;
+          decr depth)
+      ~prim:(fun ~kind ~arity:_ ~list_mask:_ ~chained_mask:_ ~result_list:_ ->
+          kinds.(kind) <- kinds.(kind) + 1)
+  in
+  let mix = Analysis.Prim_mix.of_kind_counts kinds in
+  Stats_out
+    { events = !functions + !returns + mix.total;
+      primitives = mix.total;
+      functions = !functions;
+      max_depth = !max_depth;
+      distinct_lists = Array.length sizes;
+      mix = mix.counts }
+
+let stats_of_source s =
+  of_source s ~binary:stats_of_binary ~pre:stats_of_preprocessed
 
 (* ---- execution ---- *)
 
@@ -84,21 +133,7 @@ let check should_stop = if should_stop () then raise Scheduler.Stop
 let run ?(should_stop = fun () -> false) (job : Job.t) =
   check should_stop;
   match job.spec with
-  | Job.Stats ->
-    (* everything a stats job reports lives in the preprocessed form,
-       so one (possibly zero-copy) pass serves the whole job — no
-       capture is materialised for binary trace files *)
-    let pre = preprocessed_of_source job.source in
-    check should_stop;
-    let st = pre.Trace.Preprocess.stats in
-    let mix = Analysis.Prim_mix.of_preprocessed pre in
-    Stats_out
-      { events = Array.length pre.Trace.Preprocess.events;
-        primitives = st.Trace.Capture.primitives;
-        functions = st.Trace.Capture.functions;
-        max_depth = st.Trace.Capture.max_depth;
-        distinct_lists = pre.Trace.Preprocess.distinct_lists;
-        mix = mix.Analysis.Prim_mix.counts }
+  | Job.Stats -> stats_of_source job.source
   | Job.Analyze { separation } ->
     let pre = preprocessed_of_source job.source in
     check should_stop;
@@ -124,13 +159,13 @@ let run ?(should_stop = fun () -> false) (job : Job.t) =
         car_chain_pct = Analysis.Chaining.car_pct ch;
         cdr_chain_pct = Analysis.Chaining.cdr_pct ch }
   | Job.Simulate config ->
-    let pre = preprocessed_of_source job.source in
+    let packed = packed_of_source job.source in
     check should_stop;
-    Simulate_out (Core.Simulator.run config pre)
+    Simulate_out (Core.Simulator.run_packed config packed)
   | Job.Knee config ->
-    let pre = preprocessed_of_source job.source in
+    let packed = packed_of_source job.source in
     check should_stop;
-    let size, stats = Core.Simulator.min_table_size config pre in
+    let size, stats = Core.Simulator.min_table_size config packed in
     Knee_out { size; stats }
 
 (* ---- sexp (cache) form ----

@@ -41,6 +41,19 @@ type output =
     @raise Sys_error / Invalid_argument on an unreadable source. *)
 val capture_of_source : Job.source -> Trace.Capture.t
 
+(** [packed_of_source s] is the packed trace a simulate or knee job
+    replays.  A binary trace file packs in one scan of its mapped source
+    ({!Core.Simulator.pack_source}: no [pevent] array, no capture); a
+    workload or sexp-lines file packs its preprocessed form.
+    @raise Trace.Io.Corrupt on a damaged binary file. *)
+val packed_of_source : Job.source -> Core.Simulator.packed
+
+(** [stats_of_source s] is a stats job's output.  A binary trace file
+    answers from one {!Trace.Preprocess.scan_source} pass; a workload or
+    sexp-lines file from its preprocessed form.
+    @raise Trace.Io.Corrupt on a damaged binary file. *)
+val stats_of_source : Job.source -> output
+
 (** The trace half of the result-cache key: for a workload, the MD5 of
     its binary encoding (memoised); for a file, the MD5 of the file
     bytes. *)

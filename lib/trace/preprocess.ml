@@ -83,16 +83,23 @@ let run capture =
     np_by_id = Array.of_list (List.rev !nps);
   }
 
-(* [run_source] is [run] off the flat batches of a mapped binary trace.
-   The token stream of a batch is canonical — two datums are
-   structurally equal iff their token spans are identical (intern ids
-   are first-occurrence indices, fixed for the whole stream) — so list
-   identity can be assigned from span equality alone, and a datum is
-   materialised only when a list shape is seen for the first time (its
-   (n, p) metrics need the tree) or an argument is an atom.  Everything
-   else — the id table keys, the probe comparisons — stays in flat int
-   arrays. *)
-let run_source src =
+(* [scan] is the id-assignment pass of [run] off the flat batches of a
+   mapped binary trace — the one implementation behind [run_source] and
+   [scan_source].  The token stream of a batch is canonical — two datums
+   are structurally equal iff their token spans are identical (intern
+   ids are first-occurrence indices, fixed for the whole stream) — so
+   list identity can be assigned from span equality alone, and a datum
+   is materialised here only when a list shape is seen for the first
+   time (its (n, p) metrics need the tree).
+
+   Per event one callback fires on the live batch.  A primitive reports
+   its wire kind, argument count and the previous primitive's list
+   result id ([-1] for none), with two scratch arrays valid only during
+   the call: [ids.(j)] is argument j's list id ([-1] for an atom),
+   [ids.(nargs)] the result's, and [toks.(j)] the token start of each,
+   so a consumer can materialise atoms.  [entry ~n ~p] turns each fresh
+   id's metrics into its slot of the returned id-indexed table. *)
+let scan ~entry ~call ~return_ ~prim src =
   let module B = Binary.Batch in
   (* Open-addressing span -> latest-id table, replacing {!Dtbl}.  Keys
      are the token span copied as an interleaved [tag, val, ...] int
@@ -164,7 +171,7 @@ let run_source src =
     done;
     a
   in
-  let nps = ref [] in
+  let table = ref [||] in
   let next = ref 0 in
   (* Same replace semantics as [run]: a fresh id always advances the
      counter and takes over its shape's table slot. *)
@@ -178,14 +185,57 @@ let run_source src =
       incr filled
     end;
     !kids.(slot) <- id;
-    let d, _ = B.datum b k in
-    nps := Sexp.Metrics.np d :: !nps;
+    let n, p = Sexp.Metrics.np (fst (B.datum b k)) in
+    let e = entry ~n ~p in
+    if id = Array.length !table then begin
+      let g = Array.make (max 1024 (2 * id)) e in
+      Array.blit !table 0 g 0 id;
+      table := g
+    end;
+    !table.(id) <- e;
     id
   in
   let id_of b k stop =
     let slot = find_slot b k stop in
     if Array.length !keys.(slot) = 0 then fresh_id b k stop else !kids.(slot)
   in
+  let ids = ref (Array.make 8 (-1)) and toks = ref (Array.make 8 0) in
+  let prev_result = ref (-1) in
+  Binary.iter_batches src (fun b ->
+      for i = 0 to B.length b - 1 do
+        match B.kind b i with
+        | 0 -> call b i
+        | 1 -> return_ b i
+        | kind ->
+          let nargs = B.nargs b i in
+          if nargs >= Array.length !ids then begin
+            ids := Array.make (2 * nargs + 1) (-1);
+            toks := Array.make (2 * nargs + 1) 0
+          end;
+          let ids = !ids and toks = !toks in
+          let k = ref (B.tok_start b i) in
+          for j = 0 to nargs do
+            let k0 = !k in
+            let stop = B.skip_tree b k0 in
+            k := stop;
+            toks.(j) <- k0;
+            ids.(j) <-
+              (match B.tok_tag b k0 with
+               | 4 | 5 ->
+                 (* a cons/rplac result is a fresh cell, however familiar
+                    its shape — mirrors [classify_result] *)
+                 if j = nargs && kind >= 4 then fresh_id b k0 stop
+                 else id_of b k0 stop
+               | _ -> -1)
+          done;
+          let prev = !prev_result in
+          prev_result := ids.(nargs);
+          prim b ~kind ~nargs ~prev ids toks
+      done);
+  Array.sub !table 0 !next
+
+let run_source src =
+  let module B = Binary.Batch in
   (* growable pevent accumulator (total event count is not known until
      the last chunk header) *)
   let evs = ref (Array.make 1024 (Preturn { name = "" })) in
@@ -201,214 +251,71 @@ let run_source src =
   in
   let functions = ref 0 and primitives = ref 0 in
   let depth = ref 0 and max_depth = ref 0 in
-  let prev_result = ref None in
-  Binary.iter_batches src (fun b ->
-      for i = 0 to B.length b - 1 do
-        match B.kind b i with
-        | 0 ->
+  let arg b ids toks j ~chained =
+    if ids.(j) < 0 then Atom (fst (B.datum b toks.(j)))
+    else List { id = ids.(j); chained }
+  in
+  let rec args b ids toks ~prev j nargs =
+    if j = nargs then []
+    else
+      let a = arg b ids toks j ~chained:(ids.(j) = prev) in
+      a :: args b ids toks ~prev (j + 1) nargs
+  in
+  let np_by_id =
+    scan src
+      ~entry:(fun ~n ~p -> (n, p))
+      ~call:(fun b i ->
           incr functions;
           incr depth;
           if !depth > !max_depth then max_depth := !depth;
-          push (Pcall { name = B.name b i; nargs = B.nargs b i })
-        | 1 ->
+          push (Pcall { name = B.name b i; nargs = B.nargs b i }))
+      ~return_:(fun b i ->
           decr depth;
-          push (Preturn { name = B.name b i })
-        | kd ->
+          push (Preturn { name = B.name b i }))
+      ~prim:(fun b ~kind ~nargs ~prev ids toks ->
           incr primitives;
           let prim : Event.prim =
-            match kd with
+            match kind with
             | 2 -> Car
             | 3 -> Cdr
             | 4 -> Cons
             | 5 -> Rplaca
             | _ -> Rplacd
           in
-          let prev = !prev_result in
-          let k = ref (B.tok_start b i) in
-          let rev_args = ref [] in
-          for _ = 1 to B.nargs b i do
-            let k0 = !k in
-            let stop = B.skip_tree b k0 in
-            k := stop;
-            let arg =
-              match B.tok_tag b k0 with
-              | 4 | 5 ->
-                let id = id_of b k0 stop in
-                List { id; chained = prev = Some id }
-              | _ ->
-                let d, _ = B.datum b k0 in
-                Atom d
-            in
-            rev_args := arg :: !rev_args
-          done;
-          let args = List.rev !rev_args in
-          let k0 = !k in
-          let stop = B.skip_tree b k0 in
-          let result =
-            match B.tok_tag b k0, prim with
-            | (4 | 5), (Event.Cons | Event.Rplaca | Event.Rplacd) ->
-              (* a cons/rplac result is a fresh cell, however familiar
-                 its shape — mirrors [classify_result] *)
-              List { id = fresh_id b k0 stop; chained = false }
-            | (4 | 5), _ ->
-              let id = id_of b k0 stop in
-              List { id; chained = false }
-            | _ ->
-              let d, _ = B.datum b k0 in
-              Atom d
-          in
-          prev_result :=
-            (match result with List { id; _ } -> Some id | Atom _ -> None);
-          push (Pprim { prim; args; result })
-      done);
+          let args = args b ids toks ~prev 0 nargs in
+          push (Pprim { prim; args; result = arg b ids toks nargs ~chained:false }))
+  in
   {
     events = Array.sub !evs 0 !n_ev;
-    distinct_lists = !next;
+    distinct_lists = Array.length np_by_id;
     stats =
       { Capture.functions = !functions;
         primitives = !primitives;
         max_depth = !max_depth };
-    np_by_id = Array.of_list (List.rev !nps);
+    np_by_id;
   }
 
-(* [scan_source] is the id-assignment pass of [run_source] with the
-   pevent construction stripped out: the same span-dedup table, the same
-   fresh-id rules (a cons/rplac result is always a fresh cell), the same
-   chaining flags — but each event is reported to a callback as packed
-   scalars (positional bitmasks over the argument list), so a consumer
-   can build a flat representation without any [arg list] existing.
-   Only the (n, p) table survives as data, in the same id order as
-   [run]/[run_source] produce. *)
+(* [scan_source] folds each primitive's ids into positional bitmasks
+   over its argument list, so a consumer can build a flat representation
+   without any [arg list] existing; only the drawable sizes survive as
+   data, in the same id order as [run]/[run_source] produce. *)
 let scan_source ~call ~return_ ~prim src =
-  let module B = Binary.Batch in
-  let cap = ref 4096 in
-  let mask = ref (!cap - 1) in
-  let keys = ref (Array.make !cap [||]) in
-  let kids = ref (Array.make !cap 0) in
-  let filled = ref 0 in
-  let mix h x = (h lxor x) * 16777619 land max_int in
-  let hash_key key = Array.fold_left mix 0x811c9dc5 key in
-  let hash_span b k stop =
-    let h = ref 0x811c9dc5 in
-    for i = k to stop - 1 do
-      h := mix (mix !h (B.tok_tag b i)) (B.tok_val b i)
-    done;
-    !h
-  in
-  let key_matches key b k stop =
-    Array.length key = 2 * (stop - k)
-    && (let ok = ref true and j = ref 0 in
-        let i = ref k in
-        while !ok && !i < stop do
-          if key.(!j) <> B.tok_tag b !i || key.(!j + 1) <> B.tok_val b !i then
-            ok := false;
-          incr i;
-          j := !j + 2
+  scan src
+    ~entry:(fun ~n ~p -> max 1 (n + p))
+    ~call:(fun b i -> call ~nargs:(Binary.Batch.nargs b i))
+    ~return_:(fun _ _ -> return_ ())
+    ~prim:(fun _ ~kind ~nargs ~prev ids _ ->
+        if nargs > 24 then
+          invalid_arg "Preprocess.scan_source: more than 24 arguments";
+        let list_mask = ref 0 and chained_mask = ref 0 in
+        for j = 0 to nargs - 1 do
+          if ids.(j) >= 0 then begin
+            list_mask := !list_mask lor (1 lsl j);
+            if ids.(j) = prev then chained_mask := !chained_mask lor (1 lsl j)
+          end
         done;
-        !ok)
-  in
-  let find_slot b k stop =
-    let s = ref (hash_span b k stop land !mask) in
-    let continue = ref true in
-    while !continue do
-      let key = !keys.(!s) in
-      if Array.length key = 0 || key_matches key b k stop then continue := false
-      else s := (!s + 1) land !mask
-    done;
-    !s
-  in
-  let grow () =
-    let ncap = 2 * !cap in
-    let nmask = ncap - 1 in
-    let nkeys = Array.make ncap [||] and nids = Array.make ncap 0 in
-    Array.iteri
-      (fun i key ->
-         if Array.length key > 0 then begin
-           let s = ref (hash_key key land nmask) in
-           while Array.length nkeys.(!s) > 0 do
-             s := (!s + 1) land nmask
-           done;
-           nkeys.(!s) <- key;
-           nids.(!s) <- !kids.(i)
-         end)
-      !keys;
-    keys := nkeys;
-    kids := nids;
-    cap := ncap;
-    mask := nmask
-  in
-  let key_of_span b k stop =
-    let a = Array.make (2 * (stop - k)) 0 in
-    let j = ref 0 in
-    for i = k to stop - 1 do
-      a.(!j) <- B.tok_tag b i;
-      a.(!j + 1) <- B.tok_val b i;
-      j := !j + 2
-    done;
-    a
-  in
-  let nps = ref [] in
-  let next = ref 0 in
-  let fresh_id b k stop =
-    if 2 * (!filled + 1) >= !cap then grow ();
-    let id = !next in
-    incr next;
-    let slot = find_slot b k stop in
-    if Array.length !keys.(slot) = 0 then begin
-      !keys.(slot) <- key_of_span b k stop;
-      incr filled
-    end;
-    !kids.(slot) <- id;
-    let d, _ = B.datum b k in
-    nps := Sexp.Metrics.np d :: !nps;
-    id
-  in
-  let id_of b k stop =
-    let slot = find_slot b k stop in
-    if Array.length !keys.(slot) = 0 then fresh_id b k stop else !kids.(slot)
-  in
-  let prev_result = ref (-1) in
-  Binary.iter_batches src (fun b ->
-      for i = 0 to B.length b - 1 do
-        match B.kind b i with
-        | 0 -> call ~nargs:(B.nargs b i)
-        | 1 -> return_ ()
-        | kd ->
-          let prev = !prev_result in
-          let nargs = B.nargs b i in
-          if nargs > 24 then
-            invalid_arg "Preprocess.scan_source: more than 24 arguments";
-          let k = ref (B.tok_start b i) in
-          let list_mask = ref 0 and chained_mask = ref 0 in
-          for j = 0 to nargs - 1 do
-            let k0 = !k in
-            let stop = B.skip_tree b k0 in
-            k := stop;
-            match B.tok_tag b k0 with
-            | 4 | 5 ->
-              let id = id_of b k0 stop in
-              list_mask := !list_mask lor (1 lsl j);
-              if id = prev then chained_mask := !chained_mask lor (1 lsl j)
-            | _ -> ()
-          done;
-          let k0 = !k in
-          let stop = B.skip_tree b k0 in
-          let result_list =
-            match B.tok_tag b k0 with
-            | 4 | 5 ->
-              (* a cons/rplac result is a fresh cell, however familiar
-                 its shape — mirrors [classify_result] *)
-              prev_result :=
-                (if kd >= 4 then fresh_id b k0 stop else id_of b k0 stop);
-              true
-            | _ ->
-              prev_result := -1;
-              false
-          in
-          prim ~kind:kd ~arity:nargs ~list_mask:!list_mask
-            ~chained_mask:!chained_mask ~result_list
-      done);
-  Array.of_list (List.rev_map (fun (n, p) -> max 1 (n + p)) !nps)
+        prim ~kind ~arity:nargs ~list_mask:!list_mask
+          ~chained_mask:!chained_mask ~result_list:(ids.(nargs) >= 0))
 
 let prim_refs t =
   let refs = ref [] in

@@ -295,7 +295,10 @@ let test_simulator_knee () =
      (pseudo overflows clamp it); above it, growing the table leaves the
      peak unchanged *)
   let trace = synth_trace ~length:3000 () in
-  let size, at_knee = Core.Simulator.min_table_size Core.Simulator.default_config trace in
+  let size, at_knee =
+    Core.Simulator.min_table_size Core.Simulator.default_config
+      (Core.Simulator.pack trace)
+  in
   Alcotest.(check bool) "knee found" true (size > 4);
   Alcotest.(check int) "overflow-free at the knee" 0
     at_knee.Core.Simulator.lpt.Core.Lpt.pseudo_overflows;
@@ -316,11 +319,15 @@ let test_knee_jobs_invariant () =
   (* the parallel probe runs must walk the same decision sequence as the
      sequential search: identical knee for every jobs count *)
   let trace = synth_trace ~length:3000 () in
-  let seq, _ = Core.Simulator.min_table_size ~jobs:1 Core.Simulator.default_config trace in
+  let seq, _ =
+    Core.Simulator.min_table_size ~jobs:1 Core.Simulator.default_config
+      (Core.Simulator.pack trace)
+  in
   List.iter
     (fun jobs ->
        let par, stats =
-         Core.Simulator.min_table_size ~jobs Core.Simulator.default_config trace
+         Core.Simulator.min_table_size ~jobs Core.Simulator.default_config
+           (Core.Simulator.pack trace)
        in
        Alcotest.(check int) (Printf.sprintf "same knee with %d jobs" jobs) seq par;
        Alcotest.(check int) "overflow-free at the knee" 0
@@ -331,7 +338,10 @@ let test_simulator_compress_all_lower_avg () =
   (* §5.2.3: Compress-All keeps average occupancy at or below
      Compress-One's (when overflows actually occur) *)
   let trace = synth_trace ~length:3000 () in
-  let size, _ = Core.Simulator.min_table_size Core.Simulator.default_config trace in
+  let size, _ =
+    Core.Simulator.min_table_size Core.Simulator.default_config
+      (Core.Simulator.pack trace)
+  in
   let small = max 16 (size * 2 / 3) in
   let run policy =
     Core.Simulator.run

@@ -323,11 +323,13 @@ let test_run_determinism () =
 let test_knee_determinism () =
   let pre = Lazy.force synth_pre in
   let cfg = { Core.Simulator.default_config with table_size = 16 } in
-  let k_seq, s_seq = Core.Simulator.min_table_size ~jobs:1 cfg pre in
+  let k_seq, s_seq = Core.Simulator.min_table_size ~jobs:1 cfg (Core.Simulator.pack pre) in
   let reg = Obs.Registry.create () in
   (* several domains share one registry while probing: the search result
      must not care *)
-  let k_par, s_par = Core.Simulator.min_table_size ~jobs:4 ~metrics:reg cfg pre in
+  let k_par, s_par =
+    Core.Simulator.min_table_size ~jobs:4 ~metrics:reg cfg (Core.Simulator.pack pre)
+  in
   Alcotest.(check int) "same knee across jobs and registries" k_seq k_par;
   Alcotest.(check string) "same stats" (sim_bytes s_seq) (sim_bytes s_par)
 

@@ -304,16 +304,27 @@ let preprocessed_equal (a : Trace.Preprocess.t) (b : Trace.Preprocess.t) =
   && a.Trace.Preprocess.np_by_id = b.Trace.Preprocess.np_by_id
 
 let test_run_source_matches_run_synth () =
+  let check label c =
+    let data = encode ~chunk_events:256 c in
+    Alcotest.(check bool) label true
+      (preprocessed_equal (Trace.Preprocess.run c)
+         (Trace.Preprocess.run_source (B.source_of_string data)))
+  in
   List.iter
     (fun (length, seed) ->
-       let c = Trace.Synth.generate { Trace.Synth.default with length; seed } in
-       let data = encode ~chunk_events:256 c in
-       let p1 = Trace.Preprocess.run c in
-       let p2 = Trace.Preprocess.run_source (B.source_of_string data) in
-       Alcotest.(check bool)
+       check
          (Printf.sprintf "identical preprocessing (len %d seed %d)" length seed)
-         true (preprocessed_equal p1 p2))
-    [ (2000, 1); (5000, 42); (1000, 9) ]
+         (Trace.Synth.generate { Trace.Synth.default with length; seed }))
+    [ (2000, 1); (5000, 42); (1000, 9) ];
+  (* primitives wider than any synthetic one: twelve arguments, lists
+     and atoms mixed, one of them the previous result *)
+  let l i = D.list [ D.int i; D.int (i + 1) ] in
+  let wide = List.init 12 (fun i -> if i mod 3 = 0 then D.int i else l (i mod 5)) in
+  check "identical preprocessing (12-argument primitives)"
+    (mk_capture
+       [ prim E.Cons [ D.int 0; l 1 ] (l 0);
+         prim E.Car (l 0 :: wide) (D.int 0);
+         prim E.Rplaca wide (l 2) ])
 
 let prop_run_source_matches_run =
   QCheck.Test.make ~name:"run_source = run . capture" ~count:60

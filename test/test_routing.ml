@@ -292,6 +292,40 @@ let test_cache_aware_placement () =
   Alcotest.(check bool) "cache placements counted" true
     (int_at [ "placement"; "cache" ] stats >= 4)
 
+(* A trace file rewritten under the same path must not keep its old
+   placement key: the repeat is re-hashed, so it is not placed as a
+   cache hit, and it answers for the new content. *)
+let test_rewritten_trace_rehashed () =
+  let path = Filename.temp_file "rewrite" ".smtb" in
+  let save length =
+    Trace.Io.save ~format:Trace.Io.Binary path
+      (Trace.Synth.generate { Trace.Synth.default with length })
+  in
+  let line =
+    Printf.sprintf "(simulate (trace-file \"%s\") (size 64) (seed 7))" path
+  in
+  save 2000;
+  with_router ~n:2 @@ fun t ->
+  let first = Router.submit_line t line () in
+  Alcotest.(check bool) "cold run executes" true (contains first "\"cached\":false");
+  let repeat = Router.submit_line t line () in
+  Alcotest.(check bool) "repeat is a cache hit" true (contains repeat "\"cached\":true");
+  let cache_placements () = int_at [ "placement"; "cache" ] (Router.stats_json t) in
+  let before = cache_placements () in
+  save 2500;
+  let oracle =
+    let svc = Server.Service.create ~workers:1 ~queue_capacity:4 () in
+    Fun.protect
+      ~finally:(fun () -> Server.Service.shutdown svc)
+      (fun () -> Server.Service.handle_line svc line)
+  in
+  let rewritten = Router.handle_line t line in
+  Alcotest.(check int) "rewritten file is not a cache placement" before
+    (cache_placements ());
+  Alcotest.(check (list string)) "reply is the oracle for the new content"
+    (List.map strip_volatile oracle) (List.map strip_volatile rewritten);
+  Sys.remove path
+
 (* The acceptance experiment, in miniature: a zipfian key stream over
    2 shards.  Cache-aware placement executes each distinct config once
    cluster-wide; uniform round-robin warms every shard's cache
@@ -420,6 +454,8 @@ let () =
          Alcotest.test_case "stats and ping" `Quick test_router_stats_and_ping;
          Alcotest.test_case "cache-aware placement" `Quick
            test_cache_aware_placement;
+         Alcotest.test_case "rewritten trace re-hashed" `Quick
+           test_rewritten_trace_rehashed;
          Alcotest.test_case "cache-aware beats uniform" `Quick
            test_cache_aware_beats_uniform;
          Alcotest.test_case "failover and shard_down" `Quick

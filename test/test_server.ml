@@ -382,12 +382,22 @@ let saved_synth_trace = lazy (
   Trace.Io.save ~format:Trace.Io.Binary path (Lazy.force synth_capture);
   path)
 
+(* The same capture in the text format: a sexp-lines file is
+   preprocessed from its capture by [Preprocess.run], the oracle every
+   binary-file path must match. *)
+let saved_synth_sexp = lazy (
+  let path = Filename.temp_file "synth" ".trace" in
+  Trace.Io.save ~format:Trace.Io.Sexp_lines path (Lazy.force synth_capture);
+  path)
+
 let sim_config seed = { Core.Simulator.default_config with table_size = 64; seed }
 
-let sim_job seed =
-  { Server.Job.source = Server.Job.Trace_file (Lazy.force saved_synth_trace);
-    spec = Server.Job.Simulate (sim_config seed);
+let file_job path spec =
+  { Server.Job.source = Server.Job.Trace_file path; spec;
     timeout = None; priority = 0; deadline = None; wire_id = None }
+
+let sim_job seed =
+  file_job (Lazy.force saved_synth_trace) (Server.Job.Simulate (sim_config seed))
 
 let result_bytes (r : Server.Service.response) =
   match r.Server.Service.outcome with
@@ -412,7 +422,23 @@ let test_service_matches_direct_runs () =
        Alcotest.(check string)
          (Printf.sprintf "seed %d byte-identical to a direct run" seed)
          (direct_bytes seed) (result_bytes r))
-    seeds joins
+    seeds joins;
+  (* every job kind on the binary file (one scan of the mapped source)
+     answers exactly as on the sexp-lines file (capture, then
+     [Preprocess.run]) *)
+  let answer path spec =
+    result_bytes (ok (Server.Service.run_job svc (file_job path spec)))
+  in
+  List.iter
+    (fun (kind, spec) ->
+       Alcotest.(check string)
+         (kind ^ ": binary file byte-identical to sexp-lines file")
+         (answer (Lazy.force saved_synth_sexp) spec)
+         (answer (Lazy.force saved_synth_trace) spec))
+    [ ("stats", Server.Job.Stats);
+      ("analyze", Server.Job.Analyze { separation = 0.25 });
+      ("simulate", Server.Job.Simulate (sim_config 5));
+      ("knee", Server.Job.Knee (sim_config 5)) ]
 
 let test_service_cache_hit () =
   let dir = temp_dir "svccache" in
