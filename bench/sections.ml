@@ -1089,8 +1089,11 @@ let () =
      meaningful if the simulation is bit-identical.  SMALLSIM_BENCH_SMOKE=1
      (CI) shrinks the trace and gates: the flat kernel must not be slower
      than the reference, and must stay under the per-event minor-allocation
-     ceiling (16 words).  With SMALLSIM_BENCH_SIM_OUT=FILE the
-     measurements land as JSON (the BENCH_sim.json trajectory). *)
+     ceiling (16 words); [pack_source] must allocate at most half the
+     bytes per event it did before the decoder hashed as it went (201.4
+     B/event on the smoke trace, so the ceiling is 100.7).  With
+     SMALLSIM_BENCH_SIM_OUT=FILE the measurements land as JSON (the
+     BENCH_sim.json trajectory). *)
   let smoke = Sys.getenv_opt "SMALLSIM_BENCH_SMOKE" <> None in
   let length = if smoke then 60_000 else 400_000 in
   let capture = Trace.Synth.generate { Trace.Synth.default with length } in
@@ -1120,9 +1123,10 @@ let () =
     failwith "sim.hotloop: flat kernel diverges from the reference stats";
   let ref_s = best_of reps (fun () -> ignore (Core.Simulator.run_reference cfg pre)) in
   let flat_s = best_of reps (fun () -> ignore (Core.Simulator.run_packed cfg packed)) in
-  (* end-to-end off a binary file: pack_source + replay, no pevent array *)
+  (* end-to-end off a binary file: pack_source + replay, no pevent array;
+     and pack_source alone, the cold-miss preprocessing step *)
   let path = Filename.temp_file "smallsim-simbench" ".smtb" in
-  let src_s =
+  let src_s, pack_source_s, pack_alloc =
     Fun.protect
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () ->
@@ -1134,7 +1138,13 @@ let () =
            if compare s s_ref <> 0 then
              failwith "sim.hotloop: run_source diverges from the reference stats"
          in
-         best_of reps run_src)
+         let pack_src () = Core.Simulator.pack_source (Trace.Binary.source_of_path path) in
+         if compare (pack_src ()) packed <> 0 then
+           failwith "sim.hotloop: pack_source diverges from pack";
+         let before = Gc.allocated_bytes () in
+         ignore (pack_src ());
+         let alloc = (Gc.allocated_bytes () -. before) /. float_of_int (max 1 events) in
+         (best_of reps run_src, best_of reps (fun () -> ignore (pack_src ())), alloc))
   in
   (* per-primitive-event minor allocation of the flat kernel (the
      reference allocates stack items, options and draws per event) *)
@@ -1161,6 +1171,7 @@ let () =
         Printf.sprintf "%.2fx" speedup ] ];
   Printf.printf "pack: %.4fs once per trace; run_source end-to-end: %.4fs\n"
     pack_s src_s;
+  Printf.printf "pack_source: %.4fs, %.1f B/event allocated\n" pack_source_s pack_alloc;
   (match Sys.getenv_opt "SMALLSIM_BENCH_SIM_OUT" with
    | None -> ()
    | Some file ->
@@ -1170,9 +1181,10 @@ let () =
        \ \"reference_run_s\": %.6f, \"reference_alloc_b_per_prim\": %.1f,\n\
        \ \"flat_run_s\": %.6f, \"flat_alloc_b_per_prim\": %.2f,\n\
        \ \"speedup\": %.2f, \"pack_s\": %.6f, \"run_source_s\": %.6f,\n\
-       \ \"flat_prims_per_s\": %.0f}\n"
+       \ \"flat_prims_per_s\": %.0f, \"pack_source_s\": %.6f,\n\
+       \ \"pack_alloc_b_per_event\": %.2f}\n"
        smoke events prims ref_s ref_alloc flat_s flat_alloc speedup pack_s src_s
-       (eps flat_s);
+       (eps flat_s) pack_source_s pack_alloc;
      close_out oc;
      Printf.printf "wrote %s\n" file);
   (* 16 words = 128 bytes on 64-bit: the issue's steady-state ceiling *)
@@ -1181,6 +1193,10 @@ let () =
       (Printf.sprintf
          "sim.hotloop: flat kernel allocates %.1f B/prim (ceiling 128)"
          flat_alloc);
+  if smoke && pack_alloc > 100.7 then
+    failwith
+      (Printf.sprintf
+         "sim.hotloop: pack_source allocates %.1f B/event (ceiling 100.7)" pack_alloc);
   if smoke && flat_s > ref_s then
     failwith
       (Printf.sprintf

@@ -217,10 +217,9 @@ let trace_cmd =
     Printf.printf "events: %d (%d primitives, %d function calls, max depth %d)\n"
       hs.Trace.Binary.h_events st.Trace.Capture.primitives
       st.Trace.Capture.functions st.Trace.Capture.max_depth;
-    Printf.printf "binary: %d chunks, %d bytes (%d payload)%s\n"
+    Printf.printf "binary: %d chunks, %d bytes (%d payload)\n"
       hs.Trace.Binary.h_chunks hs.Trace.Binary.h_bytes
-      hs.Trace.Binary.h_payload_bytes
-      (if Trace.Binary.source_mapped src then ", mmapped" else "");
+      hs.Trace.Binary.h_payload_bytes;
     print_mix (guard (fun () -> Analysis.Prim_mix.analyze_source src));
     if show_stats then begin
       (match Server.Exec.stats_of_source (Server.Job.Trace_file path) with

@@ -567,26 +567,36 @@ let pack (trace : Trace.Preprocess.t) =
     p_sizes =
       Array.map (fun (n, p) -> max 1 (n + p)) trace.Trace.Preprocess.np_by_id }
 
+(* Sized once from the chunk headers; position masks are built here,
+   so [encode_prim] alone enforces the 24-argument limit. *)
 let pack_source src =
-  let codes = ref (Array.make 1024 0) in
+  let total = (Trace.Binary.header_stats src).Trace.Binary.h_events in
+  let codes = Array.make total 0 in
   let n = ref 0 in
   let push code =
-    if !n = Array.length !codes then begin
-      let g = Array.make (2 * !n) 0 in
-      Array.blit !codes 0 g 0 !n;
-      codes := g
-    end;
-    !codes.(!n) <- code;
+    if !n < total then codes.(!n) <- code;
     incr n
   in
   let sizes =
     Trace.Preprocess.scan_source src
       ~call:(fun ~nargs -> push (0 lor (nargs lsl 3)))
       ~return_:(fun () -> push 1)
-      ~prim:(fun ~kind ~arity ~list_mask ~chained_mask ~result_list ->
-          push (encode_prim ~kind ~arity ~list_mask ~chained_mask ~result_list))
+      ~prim:(fun ~kind ~nargs ~prev ids ->
+          let list_mask = ref 0 and chained_mask = ref 0 in
+          for j = 0 to nargs - 1 do
+            if ids.(j) >= 0 then begin
+              list_mask := !list_mask lor (1 lsl j);
+              if ids.(j) = prev then chained_mask := !chained_mask lor (1 lsl j)
+            end
+          done;
+          push
+            (encode_prim ~kind ~arity:nargs ~list_mask:!list_mask
+               ~chained_mask:!chained_mask ~result_list:(ids.(nargs) >= 0)))
   in
-  { p_codes = Array.sub !codes 0 !n; p_sizes = sizes }
+  if !n <> total then
+    raise
+      (Trace.Binary.Corrupt { offset = 0; reason = "event count changed while reading" });
+  { p_codes = codes; p_sizes = sizes }
 
 (* All-float single-field record: flat representation, so updating the
    accumulator stores a raw double instead of boxing one per event. *)

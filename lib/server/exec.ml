@@ -62,8 +62,8 @@ let trace_digest = function
        d)
 
 (* [of_source s ~binary ~pre] hands a binary trace file to [binary] as
-   its mapped source (O(1) open, no capture), and anything else to [pre]
-   as its preprocessed form: a workload's is memoised by the registry, a
+   its source (no capture), and anything else to [pre] as its
+   preprocessed form: a workload's is memoised by the registry, a
    sexp-lines file (no random-access form) goes through a capture. *)
 let of_source s ~binary ~pre =
   match s with
@@ -111,8 +111,7 @@ let stats_of_binary src =
       ~return_:(fun () ->
           incr returns;
           decr depth)
-      ~prim:(fun ~kind ~arity:_ ~list_mask:_ ~chained_mask:_ ~result_list:_ ->
-          kinds.(kind) <- kinds.(kind) + 1)
+      ~prim:(fun ~kind ~nargs:_ ~prev:_ _ -> kinds.(kind) <- kinds.(kind) + 1)
   in
   let mix = Analysis.Prim_mix.of_kind_counts kinds in
   Stats_out

@@ -42,7 +42,7 @@ type output =
 val capture_of_source : Job.source -> Trace.Capture.t
 
 (** [packed_of_source s] is the packed trace a simulate or knee job
-    replays.  A binary trace file packs in one scan of its mapped source
+    replays.  A binary trace file packs in one scan of its source
     ({!Core.Simulator.pack_source}: no [pevent] array, no capture); a
     workload or sexp-lines file packs its preprocessed form.
     @raise Trace.Io.Corrupt on a damaged binary file. *)

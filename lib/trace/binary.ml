@@ -247,47 +247,39 @@ let prim_of_tag_opt = function
 
 (* ---- zero-copy sources ----
 
-   A [source] is the whole stream as random-access bytes: either an
+   A [source] is the whole stream as one random-access byte view: an
    mmapped [Bigarray] (O(1) startup, the file never fully materialises
-   in the OCaml heap) or a plain [Bytes] fallback for non-mmap inputs
-   (strings, filesystems without mmap).  All decoding below works off
-   a source; offsets in [Corrupt] are absolute stream positions. *)
+   in the OCaml heap), or a [Bigarray] copy for inputs that cannot be
+   mapped (strings, filesystems without mmap, [~mmap:false]).  There is
+   one view, so every byte read below is an inlined unchecked load;
+   each read is guarded by the caller's [limit] check.  Offsets in
+   [Corrupt] are absolute stream positions. *)
 
-type view =
-  | Map of (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-  | Mem of Bytes.t
+type bigbytes = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type source = {
-  view : view;
+  buf : bigbytes;
   slen : int;
 }
 
 let source_length s = s.slen
-let source_mapped s = match s.view with Map _ -> true | Mem _ -> false
 
 let corrupt_at offset reason = raise (Corrupt { offset; reason })
 
-let sbyte src i =
-  match src.view with
-  | Map a -> Char.code (Bigarray.Array1.unsafe_get a i)
-  | Mem b -> Char.code (Bytes.unsafe_get b i)
+let[@inline] sbyte (buf : bigbytes) i = Char.code (Bigarray.Array1.unsafe_get buf i)
 
-let ssub src pos len =
-  match src.view with
-  | Mem b -> Bytes.sub_string b pos len
-  | Map a -> String.init len (fun i -> Bigarray.Array1.unsafe_get a (pos + i))
+let ssub (buf : bigbytes) pos len =
+  let s = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set s i (Bigarray.Array1.unsafe_get buf (pos + i))
+  done;
+  Bytes.unsafe_to_string s
 
-let fnv_span src h pos len =
+let fnv_span (buf : bigbytes) h pos len =
   let h = ref h in
-  (match src.view with
-   | Mem b ->
-     for i = pos to pos + len - 1 do
-       h := fnv_byte !h (Char.code (Bytes.unsafe_get b i))
-     done
-   | Map a ->
-     for i = pos to pos + len - 1 do
-       h := fnv_byte !h (Char.code (Bigarray.Array1.unsafe_get a i))
-     done);
+  for i = pos to pos + len - 1 do
+    h := fnv_byte !h (sbyte buf i)
+  done;
   !h
 
 (* The reason every reader gives for a stream that does not start with
@@ -298,27 +290,41 @@ let magic_error probe =
   then "unsupported binary trace version"
   else "bad magic"
 
-let source_of_view view slen =
-  let src = { view; slen } in
-  let probe = ssub src 0 (min slen (String.length magic)) in
+let source_of_buf buf slen =
+  let probe = ssub buf 0 (min slen (String.length magic)) in
   if probe <> magic then corrupt_at 0 (magic_error probe);
-  src
+  { buf; slen }
 
-let source_of_string s = source_of_view (Mem (Bytes.unsafe_of_string s)) (String.length s)
+let bigbytes_create len = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len
 
-let read_fd_to_bytes fd len =
-  let b = Bytes.create len in
+(* Copy [b.[0 .. len)] into [buf] at [off]. *)
+let blit_in b (buf : bigbytes) off len =
+  for i = 0 to len - 1 do
+    Bigarray.Array1.unsafe_set buf (off + i) (Bytes.unsafe_get b i)
+  done
+
+let source_of_string s =
+  let len = String.length s in
+  let buf = bigbytes_create len in
+  blit_in (Bytes.unsafe_of_string s) buf 0 len;
+  source_of_buf buf len
+
+let read_fd_to_bigbytes fd len =
+  let buf = bigbytes_create len in
+  let scratch = Bytes.create 65536 in
   let rec fill off =
     if off >= len then ()
     else
-      match Unix.read fd b off (len - off) with
+      match Unix.read fd scratch 0 (min (Bytes.length scratch) (len - off)) with
       | 0 -> corrupt_at off "file shrank while reading"
-      | k -> fill (off + k)
+      | k ->
+        blit_in scratch buf off k;
+        fill (off + k)
   in
   fill 0;
-  b
+  buf
 
-(* Memory-map [path] (Bytes fallback on any mmap failure, or when
+(* Memory-map [path] (an in-heap copy on any mmap failure, or when
    [mmap:false] is forced).  Replay startup is O(1) in the file size on
    the mapped path: nothing is read until a chunk is decoded. *)
 let source_of_path ?(mmap = true) path =
@@ -327,14 +333,14 @@ let source_of_path ?(mmap = true) path =
   @@ fun () ->
   let len = (Unix.fstat fd).Unix.st_size in
   if len < String.length magic then corrupt_at 0 "bad magic";
-  let view =
+  let buf =
     if mmap then
       match Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |] with
-      | g -> Map (Bigarray.array1_of_genarray g)
-      | exception (Unix.Unix_error _ | Sys_error _) -> Mem (read_fd_to_bytes fd len)
-    else Mem (read_fd_to_bytes fd len)
+      | g -> Bigarray.array1_of_genarray g
+      | exception (Unix.Unix_error _ | Sys_error _) -> read_fd_to_bigbytes fd len
+    else read_fd_to_bigbytes fd len
   in
-  source_of_view view len
+  source_of_buf buf len
 
 (* ---- flat event batches ----
 
@@ -344,28 +350,38 @@ let source_of_path ?(mmap = true) path =
      2..6 primitives) with the argument count ([lsl 3]);
    - [names.(i)] is the intern index of a call/return's function name
      (-1 for primitives);
-   - tokens [ev_tok.(i) .. ev_tok.(i+1)) hold the event's datums (a
-     primitive's arguments in order, then its result) as a preorder
-     token stream.
+   - datums [ev_dat.(i) .. ev_dat.(i+1)) are the event's top-level
+     datums (a primitive's arguments in order, then its result; none
+     for calls and returns).  Datum d is the preorder token span
+     [dat_tok.(d) .. dat_tok.(d+1)) and [dat_hash.(d)] is the hash of
+     that span, folded in as the decoder pushes each token — so a
+     consumer reads a datum's bounds and hash without walking it.
 
-   Token tags: 0 nil; 1 sym (value = intern index); 2 int (value,
-   zigzag already undone); 3 str (value = intern index); 4 proper list
-   (value = car count >= 1, the cars follow as trees); 5 improper
-   spine (value = car count >= 1, cars then an explicit tail tree).
-   The stream is canonical for writer-produced files, so two datums
-   are structurally equal iff their token spans are identical — which
-   is what lets preprocessing assign list identities without ever
-   building datums for repeat arguments. *)
+   Tokens are interleaved [tag, val] pairs in [toks].  Token tags:
+   0 nil; 1 sym (value = intern index); 2 int (value, zigzag already
+   undone); 3 str (value = intern index); 4 proper list (value = car
+   count >= 1, the cars follow as trees); 5 improper spine (value =
+   car count >= 1, cars then an explicit tail tree).  The stream is
+   canonical for writer-produced files, so two datums are structurally
+   equal iff their token spans are identical — which is what lets
+   preprocessing assign list identities without ever building datums
+   for repeat arguments. *)
+
+let hash_init = 0x811c9dc5
+let[@inline] mix h x = (h lxor x) * 16777619 land max_int
 
 module Batch = struct
   type t = {
     mutable n : int;
     mutable tags : int array;
     mutable names : int array;
-    mutable ev_tok : int array;    (* n + 1 entries *)
+    mutable ev_dat : int array;    (* n + 1 entries *)
+    mutable ndat : int;
+    mutable dat_tok : int array;   (* ndat + 1 entries *)
+    mutable dat_hash : int array;
     mutable ntok : int;
-    mutable tok_tag : int array;
-    mutable tok_val : int array;
+    mutable toks : int array;      (* 2 * ntok: tag, val, tag, val ... *)
+    mutable hash : int;            (* running hash of the current datum *)
     tbl : table;
   }
 
@@ -376,64 +392,73 @@ module Batch = struct
   let ttag_list = 4
   let ttag_improper = 5
 
+  (* sized for a small chunk; the first large chunk grows it *)
   let create tbl =
-    { n = 0; tags = Array.make 1024 0; names = Array.make 1024 (-1);
-      ev_tok = Array.make 1025 0; ntok = 0; tok_tag = Array.make 4096 0;
-      tok_val = Array.make 4096 0; tbl }
+    { n = 0; tags = Array.make 256 0; names = Array.make 256 (-1);
+      ev_dat = Array.make 257 0; ndat = 0; dat_tok = Array.make 512 0;
+      dat_hash = Array.make 512 0; ntok = 0; toks = Array.make 2048 0;
+      hash = hash_init; tbl }
 
   let grow a n = let g = Array.make (max n (2 * Array.length a)) 0 in
     Array.blit a 0 g 0 (Array.length a); g
 
   let reserve_events b n =
-    if n + 1 > Array.length b.ev_tok then begin
+    if n + 1 > Array.length b.ev_dat then begin
       b.tags <- grow b.tags (n + 1);
       b.names <- grow b.names (n + 1);
-      b.ev_tok <- grow b.ev_tok (n + 2)
+      b.ev_dat <- grow b.ev_dat (n + 2)
     end
 
-  let push_tok b tag v =
-    if b.ntok = Array.length b.tok_tag then begin
-      b.tok_tag <- grow b.tok_tag 0;
-      b.tok_val <- grow b.tok_val 0
+  let clear b =
+    b.n <- 0;
+    b.ndat <- 0;
+    b.ntok <- 0;
+    b.ev_dat.(0) <- 0;
+    b.dat_tok.(0) <- 0
+
+  let[@inline] push_tok b tag v =
+    let j = 2 * b.ntok in
+    if j = Array.length b.toks then b.toks <- grow b.toks 0;
+    let toks = b.toks in
+    Array.unsafe_set toks j tag;
+    Array.unsafe_set toks (j + 1) v;
+    b.ntok <- b.ntok + 1;
+    b.hash <- mix (mix b.hash tag) v
+
+  (* Close the datum whose tokens were pushed since the last call. *)
+  let end_datum b =
+    let d = b.ndat in
+    if d + 2 > Array.length b.dat_tok then begin
+      b.dat_tok <- grow b.dat_tok (d + 2);
+      b.dat_hash <- grow b.dat_hash (d + 2)
     end;
-    b.tok_tag.(b.ntok) <- tag;
-    b.tok_val.(b.ntok) <- v;
-    b.ntok <- b.ntok + 1
+    b.dat_hash.(d) <- b.hash;
+    b.dat_tok.(d + 1) <- b.ntok;
+    b.ndat <- d + 1;
+    b.hash <- hash_init
 
   let length b = b.n
   let kind b i = b.tags.(i) land 7
   let nargs b i = b.tags.(i) lsr 3
   let name b i = b.tbl.strs.(b.names.(i))
-  let tok_start b i = b.ev_tok.(i)
-  let tok_stop b i = b.ev_tok.(i + 1)
-  let tok_tag b k = b.tok_tag.(k)
-  let tok_val b k = b.tok_val.(k)
-  let tok_str b k = b.tbl.strs.(b.tok_val.(k))
-
-  let rec skip_tree b k =
-    match b.tok_tag.(k) with
-    | 4 ->
-      let count = b.tok_val.(k) in
-      let k = ref (k + 1) in
-      for _ = 1 to count do k := skip_tree b !k done;
-      !k
-    | 5 ->
-      let count = b.tok_val.(k) in
-      let k = ref (k + 1) in
-      for _ = 1 to count + 1 do k := skip_tree b !k done;
-      !k
-    | _ -> k + 1
+  let first_datum b i = b.ev_dat.(i)
+  let datum_start b d = b.dat_tok.(d)
+  let datum_hash b d = b.dat_hash.(d)
+  let tokens b = b.toks
+  let tok_tag b k = b.toks.(2 * k)
+  let tok_val b k = b.toks.(2 * k + 1)
+  let tok_str b k = b.tbl.strs.(tok_val b k)
 
   (* Materialise the datum rooted at token [k]; returns it and the next
      token index.  Only adapters and cold paths use this. *)
   let rec datum b k : Sexp.Datum.t * int =
-    match b.tok_tag.(k) with
+    match tok_tag b k with
     | 0 -> (Nil, k + 1)
-    | 1 -> (Sym b.tbl.strs.(b.tok_val.(k)), k + 1)
-    | 2 -> (Int b.tok_val.(k), k + 1)
-    | 3 -> (Str b.tbl.strs.(b.tok_val.(k)), k + 1)
+    | 1 -> (Sym (tok_str b k), k + 1)
+    | 2 -> (Int (tok_val b k), k + 1)
+    | 3 -> (Str (tok_str b k), k + 1)
     | tag ->
-      let count = b.tok_val.(k) in
+      let count = tok_val b k in
       let cars = Array.make count Sexp.Datum.Nil in
       let k = ref (k + 1) in
       for i = 0 to count - 1 do
@@ -459,7 +484,7 @@ module Batch = struct
     | 1 -> Return { name = name b i }
     | kd ->
       let prim = Option.get (prim_of_tag_opt kd) in
-      let k = ref (tok_start b i) in
+      let k = ref (datum_start b (first_datum b i)) in
       let args =
         List.init na (fun _ ->
             let d, k' = datum b !k in
@@ -472,12 +497,12 @@ end
 
 (* ---- chunk decoding into a batch ---- *)
 
-let get_varint_src src ~limit pos what =
-  let n = ref 0 and shift = ref 0 and continue = ref true in
+let varint_tail buf ~limit pos what first =
+  let n = ref (first land 0x7f) and shift = ref 7 and continue = ref true in
   while !continue do
     if !pos >= limit then corrupt_at !pos (what ^ ": varint past end");
     if !shift > Sys.int_size - 1 then corrupt_at !pos (what ^ ": varint too long");
-    let c = sbyte src !pos in
+    let c = sbyte buf !pos in
     incr pos;
     n := !n lor ((c land 0x7f) lsl !shift);
     shift := !shift + 7;
@@ -485,12 +510,21 @@ let get_varint_src src ~limit pos what =
   done;
   !n
 
-let get_string_id src ~limit pos tbl =
-  let r = get_varint_src src ~limit pos "string ref" in
+(* One-byte values (the common case) take the fast path; the past-end
+   check guards both. *)
+let[@inline] get_varint_src buf ~limit pos what =
+  let p = !pos in
+  if p >= limit then corrupt_at p (what ^ ": varint past end");
+  let c = sbyte buf p in
+  pos := p + 1;
+  if c < 0x80 then c else varint_tail buf ~limit pos what c
+
+let get_string_id buf ~limit pos tbl =
+  let r = get_varint_src buf ~limit pos "string ref" in
   if r = 0 then begin
-    let len = get_varint_src src ~limit pos "string length" in
+    let len = get_varint_src buf ~limit pos "string length" in
     if len < 0 || !pos + len > limit then corrupt_at !pos "string past chunk end";
-    let s = ssub src !pos len in
+    let s = ssub buf !pos len in
     pos := !pos + len;
     ignore (table_add tbl s : string);
     tbl.len - 1
@@ -498,68 +532,72 @@ let get_string_id src ~limit pos tbl =
   else if r - 1 < tbl.len then r - 1
   else corrupt_at !pos "string reference out of range"
 
-let rec decode_datum_tokens src ~limit pos (b : Batch.t) =
-  if !pos >= limit then corrupt_at !pos "datum past chunk end";
-  let tag = sbyte src !pos in
-  incr pos;
-  match tag with
-  | 0 -> Batch.push_tok b Batch.ttag_nil 0
-  | 1 -> Batch.push_tok b Batch.ttag_sym (get_string_id src ~limit pos b.Batch.tbl)
-  | 2 ->
-    Batch.push_tok b Batch.ttag_int
-      (unzigzag (get_varint_src src ~limit pos "int datum"))
-  | 3 -> Batch.push_tok b Batch.ttag_str (get_string_id src ~limit pos b.Batch.tbl)
-  | 5 | 6 ->
-    let count = get_varint_src src ~limit pos "list length" in
-    (* every car costs at least one byte, so a sane count fits the chunk *)
-    if count < 0 || count > limit - !pos then corrupt_at !pos "list longer than chunk";
-    (* normalise degenerate spines so token streams stay canonical *)
-    if count = 0 then begin
-      if tag = 5 then Batch.push_tok b Batch.ttag_nil 0
-      else decode_datum_tokens src ~limit pos b
-    end
-    else begin
-      Batch.push_tok b (if tag = 5 then Batch.ttag_list else Batch.ttag_improper) count;
-      for _ = 1 to count do
-        decode_datum_tokens src ~limit pos b
-      done;
-      if tag = 6 then decode_datum_tokens src ~limit pos b
-    end
-  | t when t >= small_sym_base ->
-    let id = t - small_sym_base in
+let rec decode_datum_tokens buf ~limit pos (b : Batch.t) =
+  let p = !pos in
+  if p >= limit then corrupt_at p "datum past chunk end";
+  let tag = sbyte buf p in
+  pos := p + 1;
+  if tag >= small_sym_base then begin
+    let id = tag - small_sym_base in
     if id < b.Batch.tbl.len then Batch.push_tok b Batch.ttag_sym id
     else corrupt_at !pos "symbol index out of range"
-  | t -> corrupt_at (!pos - 1) (Printf.sprintf "datum tag %d" t)
+  end
+  else
+    match tag with
+    | 0 -> Batch.push_tok b Batch.ttag_nil 0
+    | 1 -> Batch.push_tok b Batch.ttag_sym (get_string_id buf ~limit pos b.Batch.tbl)
+    | 2 ->
+      Batch.push_tok b Batch.ttag_int
+        (unzigzag (get_varint_src buf ~limit pos "int datum"))
+    | 3 -> Batch.push_tok b Batch.ttag_str (get_string_id buf ~limit pos b.Batch.tbl)
+    | 5 | 6 ->
+      let count = get_varint_src buf ~limit pos "list length" in
+      (* every car costs at least one byte, so a sane count fits the chunk *)
+      if count < 0 || count > limit - !pos then corrupt_at !pos "list longer than chunk";
+      (* normalise degenerate spines so token streams stay canonical *)
+      if count = 0 then begin
+        if tag = 5 then Batch.push_tok b Batch.ttag_nil 0
+        else decode_datum_tokens buf ~limit pos b
+      end
+      else begin
+        Batch.push_tok b (if tag = 5 then Batch.ttag_list else Batch.ttag_improper) count;
+        for _ = 1 to count do
+          decode_datum_tokens buf ~limit pos b
+        done;
+        if tag = 6 then decode_datum_tokens buf ~limit pos b
+      end
+    | t -> corrupt_at (!pos - 1) (Printf.sprintf "datum tag %d" t)
 
-let decode_event src ~limit pos (b : Batch.t) =
+let decode_event buf ~limit pos (b : Batch.t) =
   if !pos >= limit then corrupt_at !pos "event past chunk end";
-  let tag = sbyte src !pos in
+  let tag = sbyte buf !pos in
   incr pos;
   let i = b.Batch.n in
   (match tag with
    | 0 ->
-     let id = get_string_id src ~limit pos b.Batch.tbl in
-     let nargs = get_varint_src src ~limit pos "call arity" in
+     let id = get_string_id buf ~limit pos b.Batch.tbl in
+     let nargs = get_varint_src buf ~limit pos "call arity" in
      b.Batch.tags.(i) <- 0 lor (nargs lsl 3);
      b.Batch.names.(i) <- id
    | 1 ->
-     let id = get_string_id src ~limit pos b.Batch.tbl in
+     let id = get_string_id buf ~limit pos b.Batch.tbl in
      b.Batch.tags.(i) <- 1;
      b.Batch.names.(i) <- id
    | 2 | 3 | 4 | 5 | 6 ->
-     let nargs = get_varint_src src ~limit pos "argument count" in
+     let nargs = get_varint_src buf ~limit pos "argument count" in
      (* each argument costs at least one byte *)
      if nargs < 0 || nargs > limit - !pos then
        corrupt_at !pos "argument count past chunk end";
-     for _ = 1 to nargs do
-       decode_datum_tokens src ~limit pos b
+     (* the arguments, then the result: one top-level datum each *)
+     for _ = 0 to nargs do
+       decode_datum_tokens buf ~limit pos b;
+       Batch.end_datum b
      done;
-     decode_datum_tokens src ~limit pos b;
      b.Batch.tags.(i) <- tag lor (nargs lsl 3);
      b.Batch.names.(i) <- -1
    | t -> corrupt_at (!pos - 1) (Printf.sprintf "event tag %d" t));
   b.Batch.n <- i + 1;
-  b.Batch.ev_tok.(i + 1) <- b.Batch.ntok
+  b.Batch.ev_dat.(i + 1) <- b.Batch.ndat
 
 (* ---- batched replay reader ---- *)
 
@@ -576,7 +614,7 @@ let read_source src =
   { src;
     batch = Batch.create tbl;
     pos = String.length magic;
-    hash = fnv_span src fnv_init 0 (String.length magic);
+    hash = fnv_span src.buf fnv_init 0 (String.length magic);
     finished = false }
 
 (* Read a header varint, folding its bytes into the stream hash. *)
@@ -586,7 +624,7 @@ let header_varint r what =
   while !continue do
     if r.pos >= limit then corrupt_at r.pos ("truncated " ^ what);
     if !shift > Sys.int_size - 1 then corrupt_at r.pos (what ^ ": varint too long");
-    let c = sbyte r.src r.pos in
+    let c = sbyte r.src.buf r.pos in
     r.pos <- r.pos + 1;
     r.hash <- fnv_byte r.hash c;
     n := !n lor ((c land 0x7f) lsl !shift);
@@ -600,9 +638,9 @@ let header_varint r what =
    the channel reader always did.) *)
 let check_trailer r =
   if r.src.slen - r.pos < trailer_length then corrupt_at r.pos "truncated checksum trailer";
-  if ssub r.src r.pos (String.length checksum_tag) <> checksum_tag then
+  if ssub r.src.buf r.pos (String.length checksum_tag) <> checksum_tag then
     corrupt_at r.pos "bad checksum trailer";
-  if ssub r.src (r.pos + String.length checksum_tag) 8 <> hash_to_string r.hash then
+  if ssub r.src.buf (r.pos + String.length checksum_tag) 8 <> hash_to_string r.hash then
     corrupt_at r.pos "checksum mismatch"
 
 (* Decode the next chunk into the reader's reused batch.  [decode:false]
@@ -622,7 +660,7 @@ let next_chunk ~decode r =
       if r.pos + 8 > r.src.slen then corrupt_at r.pos "truncated chunk header";
       let expected = ref 0L in
       for _ = 1 to 8 do
-        let c = sbyte r.src r.pos in
+        let c = sbyte r.src.buf r.pos in
         r.pos <- r.pos + 1;
         r.hash <- fnv_byte r.hash c;
         expected := Int64.logor (Int64.shift_left !expected 8) (Int64.of_int c)
@@ -633,19 +671,17 @@ let next_chunk ~decode r =
         corrupt_at r.pos "chunk length past end of file";
       if count > len then corrupt_at r.pos "more events than payload bytes";
       let payload = r.pos in
-      if decode && fnv_span r.src fnv_init payload len <> !expected then
+      if decode && fnv_span r.src.buf fnv_init payload len <> !expected then
         corrupt_at payload "chunk checksum mismatch";
       r.pos <- payload + len;
       if decode then begin
         let b = r.batch in
-        b.Batch.n <- 0;
-        b.Batch.ntok <- 0;
+        Batch.clear b;
         Batch.reserve_events b count;
-        b.Batch.ev_tok.(0) <- 0;
         let p = ref payload in
         let limit = payload + len in
         for _ = 1 to count do
-          decode_event r.src ~limit p b
+          decode_event r.src.buf ~limit p b
         done;
         if !p <> limit then corrupt_at !p "chunk length mismatch"
       end;
@@ -699,9 +735,9 @@ let header_stats src =
         let p = ref before in
         let n = ref 0 in
         (* count varint *)
-        while sbyte src !p land 0x80 <> 0 do incr p; incr n done;
+        while sbyte src.buf !p land 0x80 <> 0 do incr p; incr n done;
         incr p; incr n;
-        while sbyte src !p land 0x80 <> 0 do incr p; incr n done;
+        while sbyte src.buf !p land 0x80 <> 0 do incr p; incr n done;
         !n + 1 + 8
       in
       payload := !payload + (r.pos - before - header_len);

@@ -50,24 +50,25 @@ val close_writer : writer -> unit
 
 (** {1 Zero-copy sources}
 
-    A {!source} exposes a whole stream as random-access bytes — an
-    [mmap]ed region when possible, an in-memory copy otherwise — so
-    replay starts without reading or materialising the file. *)
+    A {!source} exposes a whole stream as one random-access byte view
+    — an [mmap]ed region when possible, an in-memory [Bigarray] copy
+    otherwise — so replay starts without reading or materialising the
+    file. *)
 
 type source
 
-(** [source_of_path path] memory-maps the file ([Bytes] fallback when
+(** [source_of_path path] memory-maps the file (an in-memory copy when
     mmap is unavailable or [~mmap:false] forces it).  O(1) in the file
-    size on the mapped path.  @raise Corrupt if the magic is missing. *)
+    size on the mapped path.  A copy suits a caller that reads every
+    byte once: the GC frees it like any buffer, while a mapping's
+    resident pages stay until the GC finalises it.
+    @raise Corrupt if the magic is missing. *)
 val source_of_path : ?mmap:bool -> string -> source
 
 (** @raise Corrupt if the magic is missing. *)
 val source_of_string : string -> source
 
 val source_length : source -> int
-
-(** Whether the source is an mmapped region (vs. the [Bytes] fallback). *)
-val source_mapped : source -> bool
 
 (** {1 Flat event batches}
 
@@ -92,12 +93,6 @@ module Batch : sig
   (** Function name of a call/return event. *)
   val name : t -> int -> string
 
-  (** Token span of event [i]: a primitive's arguments in order, then
-      its result, as preorder trees.  Empty for calls and returns. *)
-  val tok_start : t -> int -> int
-
-  val tok_stop : t -> int -> int
-
   (** Token tags: 0 nil; 1 sym; 2 int; 3 str; 4 proper list (value =
       car count >= 1); 5 improper spine (value = car count >= 1,
       followed by an explicit tail tree).  The stream is canonical:
@@ -111,8 +106,22 @@ module Batch : sig
   (** The interned string behind a sym/str token. *)
   val tok_str : t -> int -> string
 
-  (** Index just past the tree rooted at token [k]. *)
-  val skip_tree : t -> int -> int
+  (** Top-level datums.  A primitive's arguments in order, then its
+      result, are datums [first_datum b i .. first_datum b (i+1)); a
+      call or return has none.  Datum [d] is the token span
+      [datum_start b d .. datum_start b (d+1)), and [datum_hash b d] is
+      a non-negative hash of that span's (tag, value) pairs, computed
+      by the decoder as it pushed the tokens: identical spans have
+      equal hashes. *)
+  val first_datum : t -> int -> int
+
+  val datum_start : t -> int -> int
+
+  val datum_hash : t -> int -> int
+
+  (** The live token array, valid until the next batch is decoded:
+      token [k]'s tag is at [2k], its value at [2k+1]. *)
+  val tokens : t -> int array
 
   (** Materialise the datum rooted at token [k] (cold paths only). *)
   val datum : t -> int -> Sexp.Datum.t * int

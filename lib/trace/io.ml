@@ -126,13 +126,17 @@ type loaded =
   | Sexp_capture of Capture.t
 
 (* [open_path] sniffs the format and, for binary traces, opens a
-   zero-copy mapped source instead of materialising events — the cheap
+   random-access source instead of materialising events — the cheap
    entry point for stats, analysis and preprocessing over trace files.
-   Damage in either format surfaces as {!Corrupt} carrying the path and
-   byte offset. *)
+   Every such caller reads each byte once, so the source is an owned
+   copy, not a mapping: the GC frees a copy like any buffer, while a
+   mapping's resident pages stay until the GC finalises it, and under a
+   steady stream of cold service jobs those held more memory than a
+   copy.  Damage in either format surfaces as {!Corrupt} carrying the
+   path and byte offset. *)
 let open_path path =
   if probe_is_binary path then
-    try Binary_source (Binary.source_of_path path)
+    try Binary_source (Binary.source_of_path ~mmap:false path)
     with Binary.Corrupt { offset; reason } -> raise (Corrupt { path; offset; reason })
   else begin
     let ic = open_in_bin path in
@@ -141,7 +145,7 @@ let open_path path =
   end
 
 (* [load] serves either format as a whole capture; binary traces decode
-   through the mapped source. *)
+   through the source. *)
 let load path =
   match open_path path with
   | Sexp_capture c -> c

@@ -46,12 +46,13 @@ type loaded =
   | Binary_source of Binary.source
   | Sexp_capture of Capture.t
 
-(** [open_path path] auto-detects the format; binary traces open as a
-    mapped source in O(1) without decoding any event.
+(** [open_path path] auto-detects the format; a binary trace is read
+    into an owned in-memory source without decoding any event (a
+    mapping is {!Binary.source_of_path}'s default).
     @raise Corrupt on a missing magic or garbage sexp input. *)
 val open_path : string -> loaded
 
 (** [load path] auto-detects the format from the file's first bytes and
-    decodes everything (binary traces via the mapped source).
+    decodes everything (binary traces via their source).
     @raise Corrupt on truncated or garbage input in either format. *)
 val load : string -> Capture.t

@@ -88,9 +88,9 @@ let run capture =
    [scan_source].  The token stream of a batch is canonical — two datums
    are structurally equal iff their token spans are identical (intern
    ids are first-occurrence indices, fixed for the whole stream) — so
-   list identity can be assigned from span equality alone, and a datum
-   is materialised here only when a list shape is seen for the first
-   time (its (n, p) metrics need the tree).
+   list identity is assigned from span equality alone and no datum is
+   ever built: the decoder hands over each argument's span bounds and
+   hash, and a fresh id's (n, p) is counted off its tokens.
 
    Per event one callback fires on the live batch.  A primitive reports
    its wire kind, argument count and the previous primitive's list
@@ -101,92 +101,126 @@ let run capture =
    id's metrics into its slot of the returned id-indexed table. *)
 let scan ~entry ~call ~return_ ~prim src =
   let module B = Binary.Batch in
-  (* Open-addressing span -> latest-id table, replacing {!Dtbl}.  Keys
-     are the token span copied as an interleaved [tag, val, ...] int
-     array; probes compare the live span against stored keys without
-     allocating. *)
-  let cap = ref 4096 in
+  (* Open-addressing span -> latest-id table, replacing {!Dtbl}.  Slot
+     s is three ints at [3s] of one flat array: the span's full hash
+     ([-1]: empty), its latest id, and where its key is ([block lsl 17
+     lor offset]).  A key is the span's interleaved [tag, val, ...]
+     tokens, stored as [len; tokens] in an append-only arena of 64k-int
+     blocks, so a key is written once and never copied (a single
+     doubling array allocated half as much again per scan, and raised a
+     cold service's peak RSS by a tenth).  A probe compares stored
+     hashes, reads a key only on a hash match, and then compares it
+     exactly. *)
+  let cap = ref 1024 in
   let mask = ref (!cap - 1) in
-  let keys = ref (Array.make !cap [||]) in
-  let kids = ref (Array.make !cap 0) in
+  let slots = ref (Array.make (3 * !cap) (-1)) in
+  let blocks = ref [||] and nblocks = ref 0 and used = ref 0 in
   let filled = ref 0 in
-  let mix h x = (h lxor x) * 16777619 land max_int in
-  let hash_key key = Array.fold_left mix 0x811c9dc5 key in
-  let hash_span b k stop =
-    let h = ref 0x811c9dc5 in
-    for i = k to stop - 1 do
-      h := mix (mix !h (B.tok_tag b i)) (B.tok_val b i)
-    done;
-    !h
-  in
-  let key_matches key b k stop =
-    Array.length key = 2 * (stop - k)
+  let key_matches toks kref k0 stop =
+    let key = !blocks.(kref lsr 17) and off = kref land 0x1ffff in
+    let len = 2 * (stop - k0) in
+    key.(off) = len
     && (let ok = ref true and j = ref 0 in
-        let i = ref k in
-        while !ok && !i < stop do
-          if key.(!j) <> B.tok_tag b !i || key.(!j + 1) <> B.tok_val b !i then
+        let base = 2 * k0 and off = off + 1 in
+        while !ok && !j < len do
+          if Array.unsafe_get key (off + !j) <> Array.unsafe_get toks (base + !j) then
             ok := false;
-          incr i;
-          j := !j + 2
+          incr j
         done;
         !ok)
   in
-  let find_slot b k stop =
-    let s = ref (hash_span b k stop land !mask) in
+  let find_slot toks k0 stop h =
+    let slots = !slots and mask = !mask in
+    let s = ref (h land mask) in
     let continue = ref true in
     while !continue do
-      let key = !keys.(!s) in
-      if Array.length key = 0 || key_matches key b k stop then continue := false
-      else s := (!s + 1) land !mask
+      let i = 3 * !s in
+      let sh = slots.(i) in
+      if sh = -1 || (sh = h && key_matches toks slots.(i + 2) k0 stop) then
+        continue := false
+      else s := (!s + 1) land mask
     done;
-    !s
+    3 * !s
   in
   let grow () =
     let ncap = 2 * !cap in
     let nmask = ncap - 1 in
-    let nkeys = Array.make ncap [||] and nids = Array.make ncap 0 in
-    Array.iteri
-      (fun i key ->
-         if Array.length key > 0 then begin
-           let s = ref (hash_key key land nmask) in
-           while Array.length nkeys.(!s) > 0 do
-             s := (!s + 1) land nmask
-           done;
-           nkeys.(!s) <- key;
-           nids.(!s) <- !kids.(i)
-         end)
-      !keys;
-    keys := nkeys;
-    kids := nids;
+    let nslots = Array.make (3 * ncap) (-1) in
+    let old = !slots in
+    for i = 0 to !cap - 1 do
+      let h = old.(3 * i) in
+      if h <> -1 then begin
+        let s = ref (h land nmask) in
+        while nslots.(3 * !s) <> -1 do
+          s := (!s + 1) land nmask
+        done;
+        Array.blit old (3 * i) nslots (3 * !s) 3
+      end
+    done;
+    slots := nslots;
     cap := ncap;
     mask := nmask
   in
-  let key_of_span b k stop =
-    let a = Array.make (2 * (stop - k)) 0 in
-    let j = ref 0 in
-    for i = k to stop - 1 do
-      a.(!j) <- B.tok_tag b i;
-      a.(!j + 1) <- B.tok_val b i;
-      j := !j + 2
-    done;
-    a
+  (* store the key of a span in slot [i]; a key longer than a block
+     gets a block of its own, at offset 0 *)
+  let add_key i toks k0 stop =
+    let len = 2 * (stop - k0) in
+    if !nblocks = 0 || !used + len + 1 > Array.length !blocks.(!nblocks - 1) then begin
+      if !nblocks = Array.length !blocks then begin
+        let g = Array.make (max 16 (2 * !nblocks)) [||] in
+        Array.blit !blocks 0 g 0 !nblocks;
+        blocks := g
+      end;
+      !blocks.(!nblocks) <- Array.make (max 65536 (len + 1)) 0;
+      incr nblocks;
+      used := 0
+    end;
+    let key = !blocks.(!nblocks - 1) in
+    key.(!used) <- len;
+    Array.blit toks (2 * k0) key (!used + 1) len;
+    !slots.(i + 2) <- ((!nblocks - 1) lsl 17) lor !used;
+    used := !used + len + 1
+  in
+  (* (n, p) of §3.3.1 off the tokens of the list at [k]: atoms add to
+     n, nested lists to p, and the list tail of an improper spine
+     continues that spine — the counts {!Sexp.Metrics.np} gives for the
+     datum. *)
+  let n_acc = ref 0 and p_acc = ref 0 in
+  let rec np_tree toks k =
+    match toks.(2 * k) with
+    | 0 -> k + 1
+    | 1 | 2 | 3 -> incr n_acc; k + 1
+    | _ -> incr p_acc; np_spine toks k
+  and np_spine toks k =
+    let count = toks.(2 * k + 1) in
+    let improper = toks.(2 * k) = 5 in
+    let k = ref (k + 1) in
+    for _ = 1 to count do k := np_tree toks !k done;
+    if not improper then !k
+    else
+      match toks.(2 * !k) with
+      | 4 | 5 -> np_spine toks !k
+      | _ -> np_tree toks !k
   in
   let table = ref [||] in
   let next = ref 0 in
   (* Same replace semantics as [run]: a fresh id always advances the
      counter and takes over its shape's table slot. *)
-  let fresh_id b k stop =
+  let fresh_id toks k0 stop h =
     if 2 * (!filled + 1) >= !cap then grow ();
     let id = !next in
     incr next;
-    let slot = find_slot b k stop in
-    if Array.length !keys.(slot) = 0 then begin
-      !keys.(slot) <- key_of_span b k stop;
+    let i = find_slot toks k0 stop h in
+    if !slots.(i) = -1 then begin
+      !slots.(i) <- h;
+      add_key i toks k0 stop;
       incr filled
     end;
-    !kids.(slot) <- id;
-    let n, p = Sexp.Metrics.np (fst (B.datum b k)) in
-    let e = entry ~n ~p in
+    !slots.(i + 1) <- id;
+    n_acc := 0;
+    p_acc := 0;
+    ignore (np_spine toks k0 : int);
+    let e = entry ~n:!n_acc ~p:!p_acc in
     if id = Array.length !table then begin
       let g = Array.make (max 1024 (2 * id)) e in
       Array.blit !table 0 g 0 id;
@@ -195,13 +229,14 @@ let scan ~entry ~call ~return_ ~prim src =
     !table.(id) <- e;
     id
   in
-  let id_of b k stop =
-    let slot = find_slot b k stop in
-    if Array.length !keys.(slot) = 0 then fresh_id b k stop else !kids.(slot)
+  let id_of toks k0 stop h =
+    let i = find_slot toks k0 stop h in
+    if !slots.(i) = -1 then fresh_id toks k0 stop h else !slots.(i + 1)
   in
-  let ids = ref (Array.make 8 (-1)) and toks = ref (Array.make 8 0) in
+  let ids = ref (Array.make 8 (-1)) and starts = ref (Array.make 8 0) in
   let prev_result = ref (-1) in
   Binary.iter_batches src (fun b ->
+      let toks = B.tokens b in
       for i = 0 to B.length b - 1 do
         match B.kind b i with
         | 0 -> call b i
@@ -210,50 +245,51 @@ let scan ~entry ~call ~return_ ~prim src =
           let nargs = B.nargs b i in
           if nargs >= Array.length !ids then begin
             ids := Array.make (2 * nargs + 1) (-1);
-            toks := Array.make (2 * nargs + 1) 0
+            starts := Array.make (2 * nargs + 1) 0
           end;
-          let ids = !ids and toks = !toks in
-          let k = ref (B.tok_start b i) in
+          let ids = !ids and starts = !starts in
+          let d0 = B.first_datum b i in
           for j = 0 to nargs do
-            let k0 = !k in
-            let stop = B.skip_tree b k0 in
-            k := stop;
-            toks.(j) <- k0;
+            let d = d0 + j in
+            let k0 = B.datum_start b d in
+            starts.(j) <- k0;
             ids.(j) <-
-              (match B.tok_tag b k0 with
+              (match toks.(2 * k0) with
                | 4 | 5 ->
+                 let stop = B.datum_start b (d + 1) and h = B.datum_hash b d in
                  (* a cons/rplac result is a fresh cell, however familiar
                     its shape — mirrors [classify_result] *)
-                 if j = nargs && kind >= 4 then fresh_id b k0 stop
-                 else id_of b k0 stop
+                 if j = nargs && kind >= 4 then fresh_id toks k0 stop h
+                 else id_of toks k0 stop h
                | _ -> -1)
           done;
           let prev = !prev_result in
           prev_result := ids.(nargs);
-          prim b ~kind ~nargs ~prev ids toks
+          prim b ~kind ~nargs ~prev ids starts
       done);
   Array.sub !table 0 !next
 
 let run_source src =
   let module B = Binary.Batch in
-  (* growable pevent accumulator (total event count is not known until
-     the last chunk header) *)
-  let evs = ref (Array.make 1024 (Preturn { name = "" })) in
+  (* the chunk headers give the event count up front *)
+  let total = (Binary.header_stats src).Binary.h_events in
+  let evs = Array.make total (Preturn { name = "" }) in
   let n_ev = ref 0 in
   let push e =
-    if !n_ev = Array.length !evs then begin
-      let g = Array.make (2 * !n_ev) e in
-      Array.blit !evs 0 g 0 !n_ev;
-      evs := g
-    end;
-    !evs.(!n_ev) <- e;
+    if !n_ev < total then evs.(!n_ev) <- e;
     incr n_ev
   in
   let functions = ref 0 and primitives = ref 0 in
   let depth = ref 0 and max_depth = ref 0 in
+  let atom b k : Sexp.Datum.t =
+    match B.tok_tag b k with
+    | 0 -> Nil
+    | 1 -> Sym (B.tok_str b k)
+    | 2 -> Int (B.tok_val b k)
+    | _ -> Str (B.tok_str b k)
+  in
   let arg b ids toks j ~chained =
-    if ids.(j) < 0 then Atom (fst (B.datum b toks.(j)))
-    else List { id = ids.(j); chained }
+    if ids.(j) < 0 then Atom (atom b toks.(j)) else List { id = ids.(j); chained }
   in
   let rec args b ids toks ~prev j nargs =
     if j = nargs then []
@@ -285,8 +321,10 @@ let run_source src =
           let args = args b ids toks ~prev 0 nargs in
           push (Pprim { prim; args; result = arg b ids toks nargs ~chained:false }))
   in
+  if !n_ev <> total then
+    raise (Binary.Corrupt { offset = 0; reason = "event count changed while reading" });
   {
-    events = Array.sub !evs 0 !n_ev;
+    events = evs;
     distinct_lists = Array.length np_by_id;
     stats =
       { Capture.functions = !functions;
@@ -295,27 +333,15 @@ let run_source src =
     np_by_id;
   }
 
-(* [scan_source] folds each primitive's ids into positional bitmasks
-   over its argument list, so a consumer can build a flat representation
-   without any [arg list] existing; only the drawable sizes survive as
-   data, in the same id order as [run]/[run_source] produce. *)
+(* [scan_source] reports each primitive's list ids as they are
+   assigned; only the drawable sizes survive as data, in the same id
+   order as [run]/[run_source] produce. *)
 let scan_source ~call ~return_ ~prim src =
   scan src
     ~entry:(fun ~n ~p -> max 1 (n + p))
     ~call:(fun b i -> call ~nargs:(Binary.Batch.nargs b i))
     ~return_:(fun _ _ -> return_ ())
-    ~prim:(fun _ ~kind ~nargs ~prev ids _ ->
-        if nargs > 24 then
-          invalid_arg "Preprocess.scan_source: more than 24 arguments";
-        let list_mask = ref 0 and chained_mask = ref 0 in
-        for j = 0 to nargs - 1 do
-          if ids.(j) >= 0 then begin
-            list_mask := !list_mask lor (1 lsl j);
-            if ids.(j) = prev then chained_mask := !chained_mask lor (1 lsl j)
-          end
-        done;
-        prim ~kind ~arity:nargs ~list_mask:!list_mask
-          ~chained_mask:!chained_mask ~result_list:(ids.(nargs) >= 0))
+    ~prim:(fun _ ~kind ~nargs ~prev ids _ -> prim ~kind ~nargs ~prev ids)
 
 let prim_refs t =
   let refs = ref [] in

@@ -34,29 +34,26 @@ val run : Capture.t -> t
 (** [run_source src] preprocesses a binary trace directly off its flat
     event batches: identical output to
     [run (Binary.capture_of_source src)] — same ids, chaining flags,
-    statistics and (n, p) table — but no [Event.t] is built and a datum
-    is materialised only for atoms and first-seen list shapes. *)
+    statistics and (n, p) table — but no [Event.t] is built and only
+    atoms are materialised as datums. *)
 val run_source : Binary.source -> t
 
 (** [scan_source ~call ~return_ ~prim src] runs the id-assignment pass of
     {!run_source} without building any [pevent]: per event one callback
-    fires with packed scalars.  [call]/[return_] mirror [Pcall]/[Preturn]
-    (names dropped); [prim] reports the wire kind (2 car, 3 cdr, 4 cons,
-    5 rplaca, 6 rplacd), the positional argument count, bitmask of
-    list-valued argument positions, bitmask of chained positions (set
-    only on list positions), and whether the result is a list.  Ids,
-    chaining flags and the (n, p) table are computed exactly as in
+    fires with scalars.  [call]/[return_] mirror [Pcall]/[Preturn]
+    (names dropped); [prim ~kind ~nargs ~prev ids] reports the wire kind
+    (2 car, 3 cdr, 4 cons, 5 rplaca, 6 rplacd), the argument count, the
+    previous primitive's list result id ([-1] for none) and a scratch
+    array, valid only during the call, whose slot [j < nargs] is
+    argument [j]'s list id and slot [nargs] the result's ([-1] for an
+    atom).  An argument is chained iff its id equals [prev].  Ids,
+    chaining and the (n, p) table are computed exactly as in
     {!run_source}; the returned array maps each id to its drawable size
-    [max 1 (n + p)] — the only per-id datum the simulator consumes.
-
-    @raise Invalid_argument if a primitive has more than 24 arguments
-    (positions would not fit the masks; real traces have at most 2). *)
+    [max 1 (n + p)] — the only per-id datum the simulator consumes. *)
 val scan_source :
   call:(nargs:int -> unit) ->
   return_:(unit -> unit) ->
-  prim:
-    (kind:int -> arity:int -> list_mask:int -> chained_mask:int ->
-     result_list:bool -> unit) ->
+  prim:(kind:int -> nargs:int -> prev:int -> int array -> unit) ->
   Binary.source -> int array
 
 (** [prim_refs t] extracts the flat stream of list-object references made

@@ -60,6 +60,42 @@ let encode ?(chunk_events = 4096) capture =
        close_in ic;
        Buffer.contents buf)
 
+(* FNV-1a 64 and the framing, to hand-build streams the writer never
+   produces and to re-seal damaged ones. *)
+let fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+let be64 h =
+  String.init 8 (fun i ->
+      Char.chr (Int64.to_int (Int64.shift_right_logical h (8 * (7 - i))) land 0xff))
+
+(* Header end, payload start and payload length of a one-chunk stream. *)
+let payload_span data =
+  let varint pos =
+    let rec go pos shift acc =
+      let c = Char.code data.[pos] in
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+    in
+    go pos 0 0
+  in
+  let _count, p = varint (String.length B.magic) in
+  let len, p = varint p in
+  (p, p + 8, len)
+
+(* Recompute the checksums of a one-chunk stream, so a damaged payload
+   passes verification and reaches the decoder. *)
+let reseal data =
+  let header_end, start, len = payload_span data in
+  let payload = String.sub data start len in
+  let header = String.sub data 0 header_end ^ be64 (fnv64 payload) in
+  header ^ payload ^ "\x00" ^ "SMCK" ^ be64 (fnv64 (header ^ "\x00"))
+
 (* ---- reader equivalence ---- *)
 
 let check_all_readers name capture data =
@@ -225,6 +261,30 @@ let prop_readers_equivalent =
           && captures_equal c (via_string data)
           && captures_equal c (via_channel path)))
 
+let preprocessed_equal (a : Trace.Preprocess.t) (b : Trace.Preprocess.t) =
+  a.Trace.Preprocess.events = b.Trace.Preprocess.events
+  && a.Trace.Preprocess.distinct_lists = b.Trace.Preprocess.distinct_lists
+  && a.Trace.Preprocess.stats = b.Trace.Preprocess.stats
+  && a.Trace.Preprocess.np_by_id = b.Trace.Preprocess.np_by_id
+
+(* The scanning consumers of a possibly damaged stream: [pack_source]
+   and [run_source] must each raise the typed Corrupt or return exactly
+   what the clean stream [data] gives.  [None] when both hold, else
+   what went wrong. *)
+let typed_or_clean data src =
+  let clean = B.source_of_string data in
+  let check name f same =
+    match f (src ()) with
+    | r -> if same r (f clean) then None else Some (name ^ ": silent misread")
+    | exception B.Corrupt _ -> None
+    | exception e -> Some (name ^ " raised " ^ Printexc.to_string e)
+  in
+  match
+    check "pack_source" Core.Simulator.pack_source (fun a b -> compare a b = 0)
+  with
+  | Some _ as failure -> failure
+  | None -> check "run_source" Trace.Preprocess.run_source preprocessed_equal
+
 (* Byte-flips and truncations of a valid stream, decoded through the
    mapped reader: must yield a typed Corrupt or a valid capture — never
    another exception, crash or hang.  Exercises both the mmap and
@@ -253,10 +313,12 @@ let prop_mapped_fuzz_corruption =
         | None -> Bytes.to_string b
       in
       with_temp_trace mutated (fun path ->
-          match B.capture_of_source (B.source_of_path ~mmap:use_mmap path) with
-          | (_ : Trace.Capture.t) -> true
-          | exception B.Corrupt _ -> true
-          | exception _ -> false))
+          let src () = B.source_of_path ~mmap:use_mmap path in
+          (match B.capture_of_source (src ()) with
+           | (_ : Trace.Capture.t) -> true
+           | exception B.Corrupt _ -> true
+           | exception _ -> false)
+          && typed_or_clean data src = None))
 
 (* Every single-bit flip in a v2 stream must be caught by the mapped
    reader (per-chunk FNV for payloads, the structural trailer for
@@ -274,6 +336,86 @@ let test_mapped_checksum_catches_bitflip () =
   done;
   Alcotest.(check int) "every bit-flip detected" 0 !clean;
   Alcotest.(check bool) "some flips exercised" true (!caught > 0)
+
+(* The same battery through the scanning consumers, whose decoder reads
+   bytes unchecked behind its own bounds checks: every byte flip and
+   every truncation of a stream, over a mapped file, a file read into
+   memory and a string, must give the typed Corrupt or the clean
+   result. *)
+let test_scanners_flip_and_cut () =
+  let c = Trace.Synth.generate { Trace.Synth.default with length = 80; seed = 3 } in
+  let data = encode c in
+  let path = Filename.temp_file "scanfuzz" ".smtb" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let tried = ref 0 in
+  let check label mutated =
+    write_file path mutated;
+    List.iter
+      (fun (view, src) ->
+         incr tried;
+         match typed_or_clean data src with
+         | None -> ()
+         | Some what -> Alcotest.failf "%s (%s): %s" label view what)
+      [ ("mapped", fun () -> B.source_of_path path);
+        ("read", fun () -> B.source_of_path ~mmap:false path);
+        ("string", fun () -> B.source_of_string mutated) ]
+  in
+  for pos = 0 to String.length data - 1 do
+    let b = Bytes.of_string data in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+    check (Printf.sprintf "flip at %d" pos) (Bytes.to_string b)
+  done;
+  for cut = 0 to String.length data - 1 do
+    check (Printf.sprintf "cut at %d" cut) (String.sub data 0 cut)
+  done;
+  Alcotest.(check int) "every damaged stream scanned" (6 * String.length data) !tried;
+  (* re-sealed payload flips get past the checksums: the scanners must
+     fail typed, or agree with the independent channel reader *)
+  Alcotest.(check string) "reseal is the identity on a clean stream" data (reseal data);
+  let _, start, len = payload_span data in
+  let decoded = ref 0 in
+  for pos = start to start + len - 1 do
+    let b = Bytes.of_string data in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+    let mutated = reseal (Bytes.to_string b) in
+    write_file path mutated;
+    (* a flipped argument count may exceed the packed kernel's 24
+       positions: a documented refusal, on both sides alike *)
+    let outcome f =
+      match f () with
+      | r -> Ok r
+      | exception B.Corrupt _ -> Error "corrupt"
+      | exception Invalid_argument m when m = "Simulator.pack: primitive arity beyond 24 unsupported" ->
+        Error "too wide"
+    in
+    let channel =
+      let ic = open_in_bin path in
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      outcome (fun () -> Trace.Preprocess.run (B.read_channel ic))
+    in
+    let agree what got want same =
+      match got (), want with
+      | Ok r, Ok r' -> incr decoded; same r r'
+      | Error e, Error e' -> e = e'
+      | _ -> false
+      | exception e ->
+        Alcotest.failf "re-sealed flip at %d: %s raised %s" pos what (Printexc.to_string e)
+    in
+    List.iter
+      (fun (view, src) ->
+         if not
+             (agree "run_source" (fun () -> outcome (fun () -> Trace.Preprocess.run_source (src ())))
+                (Result.map_error (fun _ -> "corrupt") channel) preprocessed_equal
+              && agree "pack_source"
+                   (fun () -> outcome (fun () -> Core.Simulator.pack_source (src ())))
+                   (Result.bind channel (fun pre -> outcome (fun () -> Core.Simulator.pack pre)))
+                   (fun a b -> compare a b = 0))
+         then Alcotest.failf "re-sealed flip at %d (%s): differs from the channel reader" pos view)
+      [ ("mapped", fun () -> B.source_of_path path);
+        ("in memory", fun () -> B.source_of_string mutated) ]
+  done;
+  Alcotest.(check bool) "some re-sealed flips decode" true (!decoded > 0)
 
 (* The lib/fault battery against the mapped reader: a torn write (a
    lying disk landing a strict prefix, injected at site "trace.save")
@@ -296,12 +438,6 @@ let test_torn_write_detected_by_mapped_reader () =
   Alcotest.(check int) "every torn write detected" 20 !detected
 
 (* ---- preprocessing determinism ---- *)
-
-let preprocessed_equal (a : Trace.Preprocess.t) (b : Trace.Preprocess.t) =
-  a.Trace.Preprocess.events = b.Trace.Preprocess.events
-  && a.Trace.Preprocess.distinct_lists = b.Trace.Preprocess.distinct_lists
-  && a.Trace.Preprocess.stats = b.Trace.Preprocess.stats
-  && a.Trace.Preprocess.np_by_id = b.Trace.Preprocess.np_by_id
 
 let test_run_source_matches_run_synth () =
   let check label c =
@@ -335,6 +471,101 @@ let prop_run_source_matches_run =
       let data = encode ~chunk_events c in
       preprocessed_equal (Trace.Preprocess.run c)
         (Trace.Preprocess.run_source (B.source_of_string data)))
+
+(* ---- the scanner's replacements for datum oracles ---- *)
+
+(* A fresh id's (n, p) is counted off its tokens; it must equal
+   [Sexp.Metrics.np] of the datum those tokens materialise to.  Each
+   list is a cons argument and a cons result, so it takes two fresh
+   ids. *)
+let gen_list =
+  QCheck.Gen.(
+    map2
+      (fun elems tail -> List.fold_right D.cons elems tail)
+      (list_size (int_range 1 5) gen_datum)
+      (oneof [ return D.Nil; map D.int (int_range (-9) 9); return (D.sym "t") ]))
+
+let prop_token_np =
+  QCheck.Test.make ~name:"token (n, p) = Metrics.np of the datum" ~count:200
+    (QCheck.make ~print:Sexp.Printer.to_string gen_list)
+    (fun d ->
+      let data = encode (mk_capture [ prim E.Cons [ d ] d ]) in
+      let src () = B.source_of_string data in
+      let expected =
+        match Trace.Capture.events (B.capture_of_source (src ())) with
+        | [| E.Prim { result; _ } |] -> Sexp.Metrics.np result
+        | _ -> QCheck.Test.fail_report "one event expected"
+      in
+      let pre = Trace.Preprocess.run_source (src ()) in
+      pre.Trace.Preprocess.np_by_id = [| expected; expected |]
+      && expected = Sexp.Metrics.np d)
+
+(* One chunk of [count] events with [payload] (single-byte varints). *)
+let framed ~count payload =
+  let structure = Printf.sprintf "%s%c%c%s\x00" B.magic (Char.chr count)
+      (Char.chr (String.length payload)) (be64 (fnv64 payload)) in
+  let header = String.sub structure 0 (String.length structure - 1) in
+  header ^ payload ^ "\x00" ^ "SMCK" ^ be64 (fnv64 structure)
+
+(* Improper spines whose explicit tail is itself a list: the tail
+   continues the spine, so its elements count at the spine's level. *)
+let test_token_np_list_tail () =
+  List.iter
+    (fun (label, datum_bytes, np) ->
+       (* cons with no arguments, the hand-built datum as its result *)
+       let data = framed ~count:1 ("\x04\x00" ^ datum_bytes) in
+       let pre = Trace.Preprocess.run_source (B.source_of_string data) in
+       Alcotest.(check (array (pair int int))) (label ^ ": token (n, p)")
+         [| np |] pre.Trace.Preprocess.np_by_id;
+       let oracle = Trace.Preprocess.run (B.capture_of_source (B.source_of_string data)) in
+       Alcotest.(check bool) (label ^ ": run_source = run . capture") true
+         (preprocessed_equal oracle pre);
+       Alcotest.(check bool) (label ^ ": pack_source = pack . run") true
+         (compare (Core.Simulator.pack oracle)
+            (Core.Simulator.pack_source (B.source_of_string data)) = 0))
+    [ (* (1 . (2 3)) = (1 2 3) *)
+      ("proper list tail", "\x06\x01\x02\x02\x05\x02\x02\x04\x02\x06", (3, 0));
+      (* (1 . ((2) . 3)) = (1 (2) . 3) *)
+      ("improper list tail", "\x06\x01\x02\x02\x06\x01\x05\x01\x02\x04\x02\x06",
+       (3, 1)) ]
+
+(* Synthetic traces plus events that intern more than 127 strings
+   (multi-byte string references, symbols past the one-byte tags) and
+   carry large ints (multi-byte varints), repeating each such list so
+   it is also looked up, not only inserted. *)
+let gen_wide_trace =
+  QCheck.Gen.(
+    map3
+      (fun (length, seed) extra big ->
+         let synth = Trace.Synth.generate { Trace.Synth.default with length; seed } in
+         let wide i =
+           let l = D.list [ D.sym (Printf.sprintf "s%d" i); D.int (big + i);
+                            D.list [ D.str (Printf.sprintf "t%d" i); D.int (-big - i) ] ] in
+           [ E.Call { name = Printf.sprintf "fn%d" i; nargs = 1 };
+             prim E.Cons [ D.int max_int; D.nil ] l;
+             prim E.Car [ l ] (D.sym (Printf.sprintf "s%d" i));
+             E.Return { name = Printf.sprintf "fn%d" i } ]
+         in
+         let events = Array.to_list (Trace.Capture.events synth) in
+         let every = max 1 (List.length events / extra) in
+         mk_capture
+           (List.concat
+              (List.mapi
+                 (fun j e -> if j mod every = 0 then e :: wide (j / every) else [ e ])
+                 events)))
+      (pair (int_range 200 1500) (int_range 0 1000))
+      (int_range 130 300)
+      (oneofl [ 1 lsl 20; 1 lsl 40; max_int / 2; min_int / 2 ]))
+
+let prop_scanners_match_oracles =
+  QCheck.Test.make ~name:"pack_source = pack . run, run_source = run (wide traces)"
+    ~count:25 (QCheck.make gen_wide_trace)
+    (fun c ->
+      let data = encode ~chunk_events:512 c in
+      let oracle = Trace.Preprocess.run c in
+      preprocessed_equal oracle (Trace.Preprocess.run_source (B.source_of_string data))
+      && compare (Core.Simulator.pack oracle)
+           (Core.Simulator.pack_source (B.source_of_string data)) = 0)
 
 (* The end-to-end determinism regression: simulator output over a binary
    trace is identical whichever pipeline fed it. *)
@@ -381,14 +612,19 @@ let () =
        [ Alcotest.test_case "mapped path catches bit-flips" `Quick
            test_mapped_checksum_catches_bitflip;
          Alcotest.test_case "torn writes detected" `Quick
-           test_torn_write_detected_by_mapped_reader ]);
+           test_torn_write_detected_by_mapped_reader;
+         Alcotest.test_case "scanners: every flip and cut" `Quick
+           test_scanners_flip_and_cut ]);
       ("determinism",
        [ Alcotest.test_case "run_source = run (synth)" `Quick
            test_run_source_matches_run_synth;
          Alcotest.test_case "simulator identical" `Quick
            test_simulator_identical_over_source;
-         Alcotest.test_case "prim mix parity" `Quick test_prim_mix_parity ]);
+         Alcotest.test_case "prim mix parity" `Quick test_prim_mix_parity;
+         Alcotest.test_case "token (n, p) of list tails" `Quick test_token_np_list_tail ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_readers_equivalent;
          QCheck_alcotest.to_alcotest prop_mapped_fuzz_corruption;
-         QCheck_alcotest.to_alcotest prop_run_source_matches_run ]) ]
+         QCheck_alcotest.to_alcotest prop_run_source_matches_run;
+         QCheck_alcotest.to_alcotest prop_token_np;
+         QCheck_alcotest.to_alcotest prop_scanners_match_oracles ]) ]

@@ -440,6 +440,38 @@ let test_service_matches_direct_runs () =
       ("simulate", Server.Job.Simulate (sim_config 5));
       ("knee", Server.Job.Knee (sim_config 5)) ]
 
+(* A primitive wider than the packed kernel's 24 position bits: stats
+   never reads the position masks, so it answers on the binary file
+   exactly as on the sexp-lines file; simulate still refuses the trace
+   with a typed job error, not a crash. *)
+let test_wide_primitive_stats () =
+  let l i = D.list [ D.int i; D.int (i + 1) ] in
+  let wide = List.init 25 (fun i -> if i mod 2 = 0 then D.int i else l i) in
+  let c = Trace.Capture.create () in
+  List.iter (Trace.Capture.record c)
+    [ Trace.Event.Call { name = "f"; nargs = 1 };
+      Trace.Event.Prim { prim = Trace.Event.Cons; args = [ D.int 0; l 1 ]; result = l 0 };
+      Trace.Event.Prim { prim = Trace.Event.Car; args = wide; result = D.int 1 };
+      Trace.Event.Return { name = "f" } ];
+  let save format suffix =
+    let path = Filename.temp_file "wide" suffix in
+    Trace.Io.save ~format path c;
+    path
+  in
+  let bin = save Trace.Io.Binary ".smtb" and sexp = save Trace.Io.Sexp_lines ".trace" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ bin; sexp ])
+  @@ fun () ->
+  with_service @@ fun svc ->
+  let run path spec = ok (Server.Service.run_job svc (file_job path spec)) in
+  Alcotest.(check string) "stats: binary file byte-identical to sexp-lines file"
+    (result_bytes (run sexp Server.Job.Stats))
+    (result_bytes (run bin Server.Job.Stats));
+  match (run bin (Server.Job.Simulate (sim_config 1))).Server.Service.outcome with
+  | Error (Server.Service.Exec_failed _) -> ()
+  | Ok _ -> Alcotest.fail "simulate accepted a 25-argument primitive"
+  | Error _ -> Alcotest.fail "simulate failed with an unexpected outcome"
+
 let test_service_cache_hit () =
   let dir = temp_dir "svccache" in
   let first =
@@ -641,6 +673,7 @@ let () =
       ("exec", [ Alcotest.test_case "output sexp roundtrip" `Quick test_output_sexp_roundtrip ]);
       ("service",
        [ Alcotest.test_case "matches direct runs" `Quick test_service_matches_direct_runs;
+         Alcotest.test_case "wide primitive stats" `Quick test_wide_primitive_stats;
          Alcotest.test_case "cache hit" `Quick test_service_cache_hit;
          Alcotest.test_case "wire handling" `Quick test_handle_line ]);
       ("wire",
