@@ -945,7 +945,9 @@ let () =
        what [Trace.Io.load] did before mmap);
      - mapped: [source_of_path] (mmap, O(1)) and flat batch iteration —
        startup is the time to the first decoded batch, replay never
-       materialises an event.
+       materialises an event;
+     - owned read: [Trace.Io.open_path], the file read into an owned
+       buffer by the word-wide copy (the CLI's entry point).
      SMALLSIM_BENCH_SMOKE=1 (CI) shrinks the trace, and then a mapped
      replay slower than the legacy reader fails the bench; with
      SMALLSIM_BENCH_REPLAY_OUT=FILE the measurements land as JSON (the
@@ -1036,6 +1038,7 @@ let () =
   let batch_alloc = alloc_of batch_replay in
   let header_stats () = ignore (Trace.Binary.header_stats (Trace.Binary.source_of_path path)) in
   let stats_s = best_of reps header_stats in
+  let owned_read_s = best_of reps (fun () -> ignore (Trace.Io.open_path path)) in
   let pre_reps = if smoke then 1 else 2 in
   let pre_run_s = best_of pre_reps (fun () -> ignore (Trace.Preprocess.run capture)) in
   let pre_src_s =
@@ -1060,6 +1063,7 @@ let () =
     startup_s legacy_s startup_speedup stats_s;
   Printf.printf "preprocess: run %.4fs vs run_source %.4fs (%.2fx)\n"
     pre_run_s pre_src_s (pre_run_s /. Float.max pre_src_s 1e-9);
+  Printf.printf "owned read (Trace.Io.open_path): %.6fs\n" owned_read_s;
   (match Sys.getenv_opt "SMALLSIM_BENCH_REPLAY_OUT" with
    | None -> ()
    | Some file ->
@@ -1070,9 +1074,10 @@ let () =
        \ \"mapped_startup_s\": %.6f, \"startup_speedup\": %.1f,\n\
        \ \"batch_replay_s\": %.6f, \"batch_alloc_mb\": %.2f, \"replay_speedup\": %.2f,\n\
        \ \"header_stats_s\": %.6f,\n\
-       \ \"preprocess_run_s\": %.6f, \"preprocess_run_source_s\": %.6f}\n"
+       \ \"preprocess_run_s\": %.6f, \"preprocess_run_source_s\": %.6f,\n\
+       \ \"owned_read_s\": %.6f}\n"
        smoke events file_bytes legacy_s (mb legacy_alloc) startup_s startup_speedup
-       replay_s (mb batch_alloc) replay_speedup stats_s pre_run_s pre_src_s;
+       replay_s (mb batch_alloc) replay_speedup stats_s pre_run_s pre_src_s owned_read_s;
      close_out oc;
      Printf.printf "wrote %s\n" file);
   if smoke && replay_s > legacy_s then
@@ -1091,9 +1096,14 @@ let () =
      than the reference, and must stay under the per-event minor-allocation
      ceiling (16 words); [pack_source] must allocate at most half the
      bytes per event it did before the decoder hashed as it went (201.4
-     B/event on the smoke trace, so the ceiling is 100.7).  With
-     SMALLSIM_BENCH_SIM_OUT=FILE the measurements land as JSON (the
-     BENCH_sim.json trajectory). *)
+     B/event on the smoke trace, so the ceiling is 100.7).  A repeat of
+     the service's cold path in the same domain — the file read into
+     the domain's kept buffer, then [pack_source] over its kept span
+     table — must allocate at most half the OCaml-heap bytes per event
+     of [pack_source] before that memory was kept (74.9 B/event on the
+     smoke trace, so the ceiling is 37.45), and must leave the kept
+     memory as large as it found it.  With SMALLSIM_BENCH_SIM_OUT=FILE
+     the measurements land as JSON (the BENCH_sim.json trajectory). *)
   let smoke = Sys.getenv_opt "SMALLSIM_BENCH_SMOKE" <> None in
   let length = if smoke then 60_000 else 400_000 in
   let capture = Trace.Synth.generate { Trace.Synth.default with length } in
@@ -1126,7 +1136,7 @@ let () =
   (* end-to-end off a binary file: pack_source + replay, no pevent array;
      and pack_source alone, the cold-miss preprocessing step *)
   let path = Filename.temp_file "smallsim-simbench" ".smtb" in
-  let src_s, pack_source_s, pack_alloc =
+  let src_s, pack_source_s, pack_alloc, (repeat_s, repeat_alloc, kept, kept_after) =
     Fun.protect
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () ->
@@ -1144,7 +1154,26 @@ let () =
          let before = Gc.allocated_bytes () in
          ignore (pack_src ());
          let alloc = (Gc.allocated_bytes () -. before) /. float_of_int (max 1 events) in
-         (best_of reps run_src, best_of reps (fun () -> ignore (pack_src ())), alloc))
+         (* [Gc.allocated_bytes] sees the OCaml heap only: the kept
+            memory is [Bigarray] storage, reported on its own *)
+         let scoped_pack () =
+           Trace.Io.with_path path (fun _ loaded ->
+               match loaded with
+               | Trace.Io.Binary_source src -> Core.Simulator.pack_source src
+               | Trace.Io.Sexp_capture _ -> failwith "sim.hotloop: binary trace expected")
+         in
+         ignore (scoped_pack ());
+         let kept = Trace.Scratch.retained_bytes () in
+         let before = Gc.allocated_bytes () in
+         let repeat = scoped_pack () in
+         let repeat_alloc =
+           (Gc.allocated_bytes () -. before) /. float_of_int (max 1 events)
+         in
+         if compare repeat packed <> 0 then
+           failwith "sim.hotloop: repeat pack_source diverges from pack";
+         let kept_after = Trace.Scratch.retained_bytes () in
+         (best_of reps run_src, best_of reps (fun () -> ignore (pack_src ())), alloc,
+          (best_of reps (fun () -> ignore (scoped_pack ())), repeat_alloc, kept, kept_after)))
   in
   (* per-primitive-event minor allocation of the flat kernel (the
      reference allocates stack items, options and draws per event) *)
@@ -1172,6 +1201,9 @@ let () =
   Printf.printf "pack: %.4fs once per trace; run_source end-to-end: %.4fs\n"
     pack_s src_s;
   Printf.printf "pack_source: %.4fs, %.1f B/event allocated\n" pack_source_s pack_alloc;
+  Printf.printf
+    "pack_source repeat (kept memory): %.4fs, %.1f B/event allocated, %d B kept\n"
+    repeat_s repeat_alloc kept_after;
   (match Sys.getenv_opt "SMALLSIM_BENCH_SIM_OUT" with
    | None -> ()
    | Some file ->
@@ -1182,9 +1214,10 @@ let () =
        \ \"flat_run_s\": %.6f, \"flat_alloc_b_per_prim\": %.2f,\n\
        \ \"speedup\": %.2f, \"pack_s\": %.6f, \"run_source_s\": %.6f,\n\
        \ \"flat_prims_per_s\": %.0f, \"pack_source_s\": %.6f,\n\
-       \ \"pack_alloc_b_per_event\": %.2f}\n"
+       \ \"pack_alloc_b_per_event\": %.2f, \"pack_repeat_s\": %.6f,\n\
+       \ \"pack_repeat_alloc_b_per_event\": %.2f, \"scratch_bytes\": %d}\n"
        smoke events prims ref_s ref_alloc flat_s flat_alloc speedup pack_s src_s
-       (eps flat_s) pack_source_s pack_alloc;
+       (eps flat_s) pack_source_s pack_alloc repeat_s repeat_alloc kept_after;
      close_out oc;
      Printf.printf "wrote %s\n" file);
   (* 16 words = 128 bytes on 64-bit: the issue's steady-state ceiling *)
@@ -1197,6 +1230,15 @@ let () =
     failwith
       (Printf.sprintf
          "sim.hotloop: pack_source allocates %.1f B/event (ceiling 100.7)" pack_alloc);
+  if smoke && repeat_alloc > 37.45 then
+    failwith
+      (Printf.sprintf
+         "sim.hotloop: repeat pack_source allocates %.1f B/event (ceiling 37.45)"
+         repeat_alloc);
+  if smoke && kept_after > kept then
+    failwith
+      (Printf.sprintf "sim.hotloop: kept memory grew on a repeat (%d -> %d bytes)"
+         kept kept_after);
   if smoke && flat_s > ref_s then
     failwith
       (Printf.sprintf

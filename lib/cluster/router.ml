@@ -82,8 +82,8 @@ type t = {
   cv : Condition.t;                  (* new work / state change *)
   (* key -> shard whose result cache holds this key's value *)
   owners_tbl : (string, string) Hashtbl.t;
-  (* trace-file path -> (dev, inode, size, mtime, ctime), digest *)
-  digests : (string, (int * int * int * float * float) * string) Hashtbl.t;
+  (* trace-file path -> stamp, digest *)
+  digests : (string, Trace.Io.stamp * string) Hashtbl.t;
   dm : Mutex.t;                           (* digest memo lock *)
   next_id : int Atomic.t;
   inflight_tbl : (int, item) Hashtbl.t;   (* router id -> live job item *)
@@ -1135,10 +1135,7 @@ let placement_key t (job : Server.Job.t) =
   let trace_digest () =
     match job.source with
     | Server.Job.Trace_file path ->
-      let st = Unix.stat path in
-      let stamp =
-        Unix.(st.st_dev, st.st_ino, st.st_size, st.st_mtime, st.st_ctime)
-      in
+      let stamp = Trace.Io.stamp path in
       Mutex.lock t.dm;
       let memo = Hashtbl.find_opt t.digests path in
       Mutex.unlock t.dm;

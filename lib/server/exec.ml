@@ -61,30 +61,47 @@ let trace_digest = function
        Hashtbl.replace workload_digests w d;
        d)
 
-(* [of_source s ~binary ~pre] hands a binary trace file to [binary] as
-   its source (no capture), and anything else to [pre] as its
-   preprocessed form: a workload's is memoised by the registry, a
-   sexp-lines file (no random-access form) goes through a capture. *)
-let of_source s ~binary ~pre =
+exception Source_changed of string
+
+let () =
+  Printexc.register_printer (function
+    | Source_changed p -> Some (p ^ ": trace file changed after it was hashed")
+    | _ -> None)
+
+let source_stamp = function
+  | Job.Trace_file p -> Some (Trace.Io.stamp p)
+  | Job.Workload _ -> None
+
+(* [of_source ~expect s ~binary ~pre] hands a binary trace file to
+   [binary] as its source (no capture), and anything else to [pre] as
+   its preprocessed form: a workload's is memoised by the registry, a
+   sexp-lines file (no random-access form) goes through a capture.  A
+   file is read in the worker's kept buffer, so [binary] must not let
+   the source escape.  With [expect], a file whose stamp differs is
+   refused before any of it is used. *)
+let of_source ~expect s ~binary ~pre =
   match s with
   | Job.Workload w ->
     (match Workloads.Registry.find w with
      | Some w -> pre (Workloads.Registry.preprocessed w)
      | None -> invalid_arg ("Server.Exec: unknown workload " ^ w))
   | Job.Trace_file p ->
-    (match Trace.Io.open_path p with
-     | Trace.Io.Binary_source src ->
-       (try binary src
-        with Trace.Binary.Corrupt { offset; reason } ->
-          raise (Trace.Io.Corrupt { path = p; offset; reason }))
-     | Trace.Io.Sexp_capture c -> pre (Trace.Preprocess.run c))
+    Trace.Io.with_path p @@ fun stamp loaded ->
+    (match expect with
+     | Some e when e <> stamp -> raise (Source_changed p)
+     | Some _ | None -> ());
+    match loaded with
+    | Trace.Io.Binary_source src -> binary src
+    | Trace.Io.Sexp_capture c -> pre (Trace.Preprocess.run c)
 
-let preprocessed_of_source s =
-  of_source s ~binary:Trace.Preprocess.run_source ~pre:Fun.id
+let preprocessed_of_source ~expect s =
+  of_source ~expect s ~binary:Trace.Preprocess.run_source ~pre:Fun.id
 
 (* A binary trace file packs in one scan: no [pevent] array. *)
-let packed_of_source s =
-  of_source s ~binary:Core.Simulator.pack_source ~pre:Core.Simulator.pack
+let packed ~expect s =
+  of_source ~expect s ~binary:Core.Simulator.pack_source ~pre:Core.Simulator.pack
+
+let packed_of_source = packed ~expect:None
 
 let stats_of_preprocessed (pre : Trace.Preprocess.t) =
   let st = pre.stats in
@@ -122,19 +139,21 @@ let stats_of_binary src =
       distinct_lists = Array.length sizes;
       mix = mix.counts }
 
-let stats_of_source s =
-  of_source s ~binary:stats_of_binary ~pre:stats_of_preprocessed
+let stats ~expect s =
+  of_source ~expect s ~binary:stats_of_binary ~pre:stats_of_preprocessed
+
+let stats_of_source = stats ~expect:None
 
 (* ---- execution ---- *)
 
 let check should_stop = if should_stop () then raise Scheduler.Stop
 
-let run ?(should_stop = fun () -> false) (job : Job.t) =
+let run ?(should_stop = fun () -> false) ~expect (job : Job.t) =
   check should_stop;
   match job.spec with
-  | Job.Stats -> stats_of_source job.source
+  | Job.Stats -> stats ~expect job.source
   | Job.Analyze { separation } ->
-    let pre = preprocessed_of_source job.source in
+    let pre = preprocessed_of_source ~expect job.source in
     check should_stop;
     let np = Analysis.Np_stats.analyze pre in
     let part = Analysis.List_sets.partition ~separation pre in
@@ -158,11 +177,11 @@ let run ?(should_stop = fun () -> false) (job : Job.t) =
         car_chain_pct = Analysis.Chaining.car_pct ch;
         cdr_chain_pct = Analysis.Chaining.cdr_pct ch }
   | Job.Simulate config ->
-    let packed = packed_of_source job.source in
+    let packed = packed ~expect job.source in
     check should_stop;
     Simulate_out (Core.Simulator.run_packed config packed)
   | Job.Knee config ->
-    let packed = packed_of_source job.source in
+    let packed = packed ~expect job.source in
     check should_stop;
     let size, stats = Core.Simulator.min_table_size config packed in
     Knee_out { size; stats }

@@ -43,7 +43,8 @@ val capture_of_source : Job.source -> Trace.Capture.t
 
 (** [packed_of_source s] is the packed trace a simulate or knee job
     replays.  A binary trace file packs in one scan of its source
-    ({!Core.Simulator.pack_source}: no [pevent] array, no capture); a
+    ({!Core.Simulator.pack_source}: no [pevent] array, no capture), read
+    into the calling domain's kept buffer ({!Trace.Io.with_path}); a
     workload or sexp-lines file packs its preprocessed form.
     @raise Trace.Io.Corrupt on a damaged binary file. *)
 val packed_of_source : Job.source -> Core.Simulator.packed
@@ -59,11 +60,24 @@ val stats_of_source : Job.source -> output
     bytes. *)
 val trace_digest : Job.source -> string
 
-(** [run ?should_stop job] executes the job in the calling domain.
-    [should_stop] is polled between pipeline stages (a simulation in
-    flight is not interrupted); when it turns true, {!Scheduler.Stop}
-    is raised. *)
-val run : ?should_stop:(unit -> bool) -> Job.t -> output
+(** Raised by {!run} when a trace file's stamp differs from the one
+    expected: the file changed since it was hashed.  Carries the
+    path. *)
+exception Source_changed of string
+
+(** The stamp of a job's trace file ([None] for a workload), taken
+    before its {!trace_digest} so that {!run} can check it read the
+    bytes that were hashed.
+    @raise Unix.Unix_error when the file cannot be stat'ed. *)
+val source_stamp : Job.source -> Trace.Io.stamp option
+
+(** [run ?should_stop ~expect job] executes the job in the calling
+    domain.  [should_stop] is polled between pipeline stages (a
+    simulation in flight is not interrupted); when it turns true,
+    {!Scheduler.Stop} is raised.  With [expect = Some stamp], a trace
+    file whose descriptor stamps differently raises {!Source_changed}
+    before anything is computed from it. *)
+val run : ?should_stop:(unit -> bool) -> expect:Trace.Io.stamp option -> Job.t -> output
 
 val output_to_sexp : output -> Sexp.Datum.t
 val output_of_sexp : Sexp.Datum.t -> (output, string) result

@@ -13,7 +13,8 @@ type response = {
 }
 
 type t = {
-  scheduler : Exec.output Scheduler.t;
+  scheduler : (Exec.output, string) result Scheduler.t;
+                                    (* Error: the trace changed after hashing *)
   result_cache : Result_cache.t;
   fault : Fault.Plan.t option;
   retries : int;
@@ -114,13 +115,17 @@ let observe_response t (r : response) =
 (* ---- the cache-aware submit path ---- *)
 
 (* An injected fault hits each ATTEMPT: a crashed thunk that the
-   scheduler retries draws again, so a retry can genuinely recover. *)
-let wrap_thunk t job ~should_stop =
+   scheduler retries draws again, so a retry can genuinely recover.  A
+   trace file that changed after it was hashed is not retried: the
+   job's key names bytes that are gone. *)
+let wrap_thunk t job ~expect ~should_stop =
   (match Option.bind t.fault (fun p -> Fault.Plan.on_job p ~site:"sched.job") with
    | Some Fault.Plan.Crash -> raise (Fault.Plan.Injected_crash "sched.job")
    | Some (Fault.Plan.Delay s) -> Unix.sleepf s
    | None -> ());
-  Exec.run ~should_stop job
+  match Exec.run ~should_stop ~expect job with
+  | out -> Ok out
+  | exception (Exec.Source_changed _ as e) -> Error (Printexc.to_string e)
 
 (* Wire-cancel plumbing: while a job with an [(id N)] clause is in the
    scheduler, its id maps to a cancel thunk; a [(cancel N)] line read by
@@ -158,8 +163,12 @@ let submit t (job : Job.t) =
            { job; cached = false; elapsed = 0.; outcome = Error Timed_out })
   | _ ->
   match
+    (* the stamp comes first: a rewrite after it, even one before the
+       hash, fails the job instead of caching new bytes' result under
+       the old key *)
+    let stamp = Exec.source_stamp job.source in
     let trace_digest = Exec.trace_digest job.source in
-    Result_cache.key ~trace_digest ~job_digest:(Job.digest job)
+    (stamp, Result_cache.key ~trace_digest ~job_digest:(Job.digest job))
   with
   | exception e ->
     (* an unreadable source fails without occupying the queue *)
@@ -168,7 +177,7 @@ let submit t (job : Job.t) =
       (fun () ->
          observe_response t
            { job; cached = false; elapsed = 0.; outcome = Error failure })
-  | key ->
+  | expect, key ->
     match Result_cache.find t.result_cache key with
     | Some stored ->
       let outcome =
@@ -183,7 +192,7 @@ let submit t (job : Job.t) =
            observe_response t
              { job; cached = true; elapsed = now () -. started; outcome })
     | None ->
-      let run = wrap_thunk t job in
+      let run = wrap_thunk t job ~expect in
       let deadline = Option.map (fun d -> started +. d) job.deadline in
       let sched_submit () =
         Scheduler.submit t.scheduler ~priority:job.priority ?timeout:job.timeout
@@ -212,7 +221,8 @@ let submit t (job : Job.t) =
            (fun () ->
               let outcome =
                 match Scheduler.await t.scheduler ticket with
-                | Scheduler.Done out ->
+                | Scheduler.Done (Error msg) -> Error (Source_error msg)
+                | Scheduler.Done (Ok out) ->
                   Mutex.lock t.lock;
                   t.jobs_executed <- t.jobs_executed + 1;
                   Mutex.unlock t.lock;

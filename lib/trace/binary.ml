@@ -219,23 +219,68 @@ let writer ?chunk_events oc = writer_of_sink ?chunk_events (channel_sink oc)
 
 (* ---- shared reader state ---- *)
 
-(* The intern table persists across chunks, mirroring the writer's. *)
+(* The intern table persists across chunks, mirroring the writer's.
+   Every inline definition takes the next index, as the writer counts
+   them, but [canon.(i)] is the first index holding the same string:
+   a stream that defines a string twice still names it one way.
+   [index] finds a string's first index: open addressing over ints,
+   [0] for an empty slot, else [1 +] a first index; it holds each
+   distinct string once, at most half full. *)
 type table = {
   mutable strs : string array;
+  mutable canon : int array;
   mutable len : int;
+  mutable index : int array;
 }
 
-let table_create () = { strs = Array.make 64 ""; len = 0 }
+let table_create () =
+  { strs = Array.make 64 ""; canon = Array.make 64 0; len = 0; index = Array.make 128 0 }
 
+(* Empty the table for another stream, keeping its storage. *)
+let table_reset tbl =
+  Array.fill tbl.strs 0 tbl.len "";
+  Array.fill tbl.index 0 (Array.length tbl.index) 0;
+  tbl.len <- 0
+
+(* The slot of [s] in [index]: the one holding it, or the empty one
+   where it belongs. *)
+let index_slot index strs s =
+  let mask = Array.length index - 1 in
+  let rec probe k =
+    let j = index.(k) in
+    if j = 0 || String.equal strs.(j - 1) s then k else probe ((k + 1) land mask)
+  in
+  probe (Hashtbl.hash s land mask)
+
+(* Appends [s]; returns its canonical index. *)
 let table_add tbl s =
   if tbl.len = Array.length tbl.strs then begin
-    let grown = Array.make (max 64 (2 * tbl.len)) "" in
-    Array.blit tbl.strs 0 grown 0 tbl.len;
-    tbl.strs <- grown
+    let n = 2 * tbl.len in
+    let strs = Array.make n "" and canon = Array.make n 0 in
+    Array.blit tbl.strs 0 strs 0 tbl.len;
+    Array.blit tbl.canon 0 canon 0 tbl.len;
+    tbl.strs <- strs;
+    tbl.canon <- canon
   end;
+  if 2 * (tbl.len + 1) > Array.length tbl.index then begin
+    let index = Array.make (2 * Array.length tbl.index) 0 in
+    for i = 0 to tbl.len - 1 do
+      if tbl.canon.(i) = i then index.(index_slot index tbl.strs tbl.strs.(i)) <- i + 1
+    done;
+    tbl.index <- index
+  end;
+  let k = index_slot tbl.index tbl.strs s in
+  let c =
+    if tbl.index.(k) > 0 then tbl.index.(k) - 1
+    else begin
+      tbl.index.(k) <- tbl.len + 1;
+      tbl.len
+    end
+  in
   tbl.strs.(tbl.len) <- s;
+  tbl.canon.(tbl.len) <- c;
   tbl.len <- tbl.len + 1;
-  s
+  c
 
 let prim_of_tag_opt = function
   | 2 -> Some Event.Car
@@ -250,9 +295,11 @@ let prim_of_tag_opt = function
    A [source] is the whole stream as one random-access byte view: an
    mmapped [Bigarray] (O(1) startup, the file never fully materialises
    in the OCaml heap), or a [Bigarray] copy for inputs that cannot be
-   mapped (strings, filesystems without mmap, [~mmap:false]).  There is
-   one view, so every byte read below is an inlined unchecked load;
-   each read is guarded by the caller's [limit] check.  Offsets in
+   mapped (strings, filesystems without mmap, [~mmap:false]), or the
+   calling domain's kept file buffer for the length of a scoped read.
+   There is one view, so every byte read below is an inlined unchecked
+   load; each read is guarded by the caller's [limit] check, against
+   [slen] (a kept buffer may be longer than its stream).  Offsets in
    [Corrupt] are absolute stream positions. *)
 
 type bigbytes = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -260,9 +307,14 @@ type bigbytes = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.A
 type source = {
   buf : bigbytes;
   slen : int;
+  mutable live : bool;   (* false once a scoped read has returned *)
 }
 
-let source_length s = s.slen
+let check_live src =
+  if not src.live then
+    invalid_arg "Trace.Binary: source used after its scoped read returned"
+
+let source_length s = check_live s; s.slen
 
 let corrupt_at offset reason = raise (Corrupt { offset; reason })
 
@@ -293,13 +345,25 @@ let magic_error probe =
 let source_of_buf buf slen =
   let probe = ssub buf 0 (min slen (String.length magic)) in
   if probe <> magic then corrupt_at 0 (magic_error probe);
-  { buf; slen }
+  { buf; slen; live = true }
 
 let bigbytes_create len = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len
 
-(* Copy [b.[0 .. len)] into [buf] at [off]. *)
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bigstring_set64u : bigbytes -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+(* Copy [b.[0 .. len)] into [buf] at [off], eight bytes a move (the
+   compiler inlines both primitives, unchecked and unboxed), then the
+   last [len mod 8] one at a time.  The caller guarantees both
+   ranges. *)
 let blit_in b (buf : bigbytes) off len =
-  for i = 0 to len - 1 do
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    bigstring_set64u buf (off + !i) (bytes_get64u b !i);
+    i := !i + 8
+  done;
+  for i = words to len - 1 do
     Bigarray.Array1.unsafe_set buf (off + i) (Bytes.unsafe_get b i)
   done
 
@@ -309,8 +373,8 @@ let source_of_string s =
   blit_in (Bytes.unsafe_of_string s) buf 0 len;
   source_of_buf buf len
 
-let read_fd_to_bigbytes fd len =
-  let buf = bigbytes_create len in
+(* Read [len] bytes of [fd] into [buf] (at least [len] long). *)
+let read_fd_into fd (buf : bigbytes) len =
   let scratch = Bytes.create 65536 in
   let rec fill off =
     if off >= len then ()
@@ -321,7 +385,11 @@ let read_fd_to_bigbytes fd len =
         blit_in scratch buf off k;
         fill (off + k)
   in
-  fill 0;
+  fill 0
+
+let read_fd_to_bigbytes fd len =
+  let buf = bigbytes_create len in
+  read_fd_into fd buf len;
   buf
 
 (* Memory-map [path] (an in-heap copy on any mmap failure, or when
@@ -342,6 +410,16 @@ let source_of_path ?(mmap = true) path =
   in
   source_of_buf buf len
 
+(* Each domain keeps the buffer of its last scoped read for the next. *)
+let file_buffers = Scratch.create Bigarray.char
+
+let with_fd_source fd len f =
+  if len < String.length magic then corrupt_at 0 "bad magic";
+  Scratch.use file_buffers len @@ fun l ->
+  read_fd_into fd l.buf len;
+  let src = source_of_buf l.buf len in
+  Fun.protect ~finally:(fun () -> src.live <- false) (fun () -> f src)
+
 (* ---- flat event batches ----
 
    One chunk decodes into one reusable batch: a struct-of-arrays form
@@ -361,11 +439,16 @@ let source_of_path ?(mmap = true) path =
    0 nil; 1 sym (value = intern index); 2 int (value, zigzag already
    undone); 3 str (value = intern index); 4 proper list (value = car
    count >= 1, the cars follow as trees); 5 improper spine (value =
-   car count >= 1, cars then an explicit tail tree).  The stream is
-   canonical for writer-produced files, so two datums are structurally
-   equal iff their token spans are identical — which is what lets
+   car count >= 1, the cars then an atom tail).  The stream is
+   canonical for every accepted encoding: a spine's nil tail ends a
+   proper list, a list tail continues the spine, a degenerate spine
+   becomes its tail, and a string carries its first intern index
+   however often it was defined.  So two datums are structurally equal
+   iff their token spans are identical — which is what lets
    preprocessing assign list identities without ever building datums
-   for repeat arguments. *)
+   for repeat arguments.  A list header's hash is folded in after its
+   cars, once its tag and count are final: the hash stays a function
+   of the span. *)
 
 let hash_init = 0x811c9dc5
 let[@inline] mix h x = (h lxor x) * 16777619 land max_int
@@ -409,21 +492,37 @@ module Batch = struct
       b.ev_dat <- grow b.ev_dat (n + 2)
     end
 
+  (* Also resets the running hash, which a chunk that failed mid-datum
+     leaves behind in a batch kept for the next stream. *)
   let clear b =
     b.n <- 0;
     b.ndat <- 0;
     b.ntok <- 0;
     b.ev_dat.(0) <- 0;
-    b.dat_tok.(0) <- 0
+    b.dat_tok.(0) <- 0;
+    b.hash <- hash_init
 
-  let[@inline] push_tok b tag v =
+  let[@inline] push_raw b tag v =
     let j = 2 * b.ntok in
     if j = Array.length b.toks then b.toks <- grow b.toks 0;
     let toks = b.toks in
     Array.unsafe_set toks j tag;
     Array.unsafe_set toks (j + 1) v;
-    b.ntok <- b.ntok + 1;
+    b.ntok <- b.ntok + 1
+
+  let[@inline] push_tok b tag v =
+    push_raw b tag v;
     b.hash <- mix (mix b.hash tag) v
+
+  (* A list header: reserved before its cars, set and hashed after. *)
+  let open_spine b =
+    push_raw b 0 0;
+    b.ntok - 1
+
+  let close_spine b k tag count =
+    b.toks.(2 * k) <- tag;
+    b.toks.(2 * k + 1) <- count;
+    b.hash <- mix (mix b.hash tag) count
 
   (* Close the datum whose tokens were pushed since the last call. *)
   let end_datum b =
@@ -526,11 +625,16 @@ let get_string_id buf ~limit pos tbl =
     if len < 0 || !pos + len > limit then corrupt_at !pos "string past chunk end";
     let s = ssub buf !pos len in
     pos := !pos + len;
-    ignore (table_add tbl s : string);
-    tbl.len - 1
+    table_add tbl s
   end
-  else if r - 1 < tbl.len then r - 1
+  else if r - 1 < tbl.len then tbl.canon.(r - 1)
   else corrupt_at !pos "string reference out of range"
+
+let list_count buf ~limit pos =
+  let count = get_varint_src buf ~limit pos "list length" in
+  (* every car costs at least one byte, so a sane count fits the chunk *)
+  if count < 0 || count > limit - !pos then corrupt_at !pos "list longer than chunk";
+  count
 
 let rec decode_datum_tokens buf ~limit pos (b : Batch.t) =
   let p = !pos in
@@ -539,7 +643,7 @@ let rec decode_datum_tokens buf ~limit pos (b : Batch.t) =
   pos := p + 1;
   if tag >= small_sym_base then begin
     let id = tag - small_sym_base in
-    if id < b.Batch.tbl.len then Batch.push_tok b Batch.ttag_sym id
+    if id < b.Batch.tbl.len then Batch.push_tok b Batch.ttag_sym b.Batch.tbl.canon.(id)
     else corrupt_at !pos "symbol index out of range"
   end
   else
@@ -551,22 +655,44 @@ let rec decode_datum_tokens buf ~limit pos (b : Batch.t) =
         (unzigzag (get_varint_src buf ~limit pos "int datum"))
     | 3 -> Batch.push_tok b Batch.ttag_str (get_string_id buf ~limit pos b.Batch.tbl)
     | 5 | 6 ->
-      let count = get_varint_src buf ~limit pos "list length" in
-      (* every car costs at least one byte, so a sane count fits the chunk *)
-      if count < 0 || count > limit - !pos then corrupt_at !pos "list longer than chunk";
-      (* normalise degenerate spines so token streams stay canonical *)
+      let count = list_count buf ~limit pos in
+      (* a degenerate spine is its tail: nil, or the explicit tail *)
       if count = 0 then begin
         if tag = 5 then Batch.push_tok b Batch.ttag_nil 0
         else decode_datum_tokens buf ~limit pos b
       end
       else begin
-        Batch.push_tok b (if tag = 5 then Batch.ttag_list else Batch.ttag_improper) count;
+        let k = Batch.open_spine b in
         for _ = 1 to count do
           decode_datum_tokens buf ~limit pos b
         done;
-        if tag = 6 then decode_datum_tokens buf ~limit pos b
+        if tag = 5 then Batch.close_spine b k Batch.ttag_list count
+        else begin
+          let t = spine_tail buf ~limit pos b count in
+          Batch.close_spine b k
+            (if t land 1 = 1 then Batch.ttag_list else Batch.ttag_improper) (t lsr 1)
+        end
       end
     | t -> corrupt_at (!pos - 1) (Printf.sprintf "datum tag %d" t)
+
+(* The explicit tail of a spine of [cars] cars so far: a nil ends a
+   proper list, a list continues the spine (its cars count too), and
+   anything else is the spine's atom tail.  Returns [2 * cars + 1] for
+   a proper list, [2 * cars] for an atom tail — no allocation.  Reads
+   and errors are those of decoding the tail as a datum. *)
+and spine_tail buf ~limit pos b cars =
+  let p = !pos in
+  if p >= limit then corrupt_at p "datum past chunk end";
+  match sbyte buf p with
+  | 0 -> pos := p + 1; (2 * cars) + 1
+  | (5 | 6) as tag ->
+    pos := p + 1;
+    let count = list_count buf ~limit pos in
+    for _ = 1 to count do
+      decode_datum_tokens buf ~limit pos b
+    done;
+    if tag = 5 then (2 * (cars + count)) + 1 else spine_tail buf ~limit pos b (cars + count)
+  | _ -> decode_datum_tokens buf ~limit pos b; 2 * cars
 
 let decode_event buf ~limit pos (b : Batch.t) =
   if !pos >= limit then corrupt_at !pos "event past chunk end";
@@ -609,13 +735,15 @@ type reader = {
   mutable finished : bool;
 }
 
-let read_source src =
-  let tbl = table_create () in
+let reader_of src batch =
+  check_live src;
   { src;
-    batch = Batch.create tbl;
+    batch;
     pos = String.length magic;
     hash = fnv_span src.buf fnv_init 0 (String.length magic);
     finished = false }
+
+let read_source src = reader_of src (Batch.create (table_create ()))
 
 (* Read a header varint, folding its bytes into the stream hash. *)
 let header_varint r what =
@@ -647,6 +775,7 @@ let check_trailer r =
    (the header-only path) skips payload decoding and verification and
    returns an empty batch whose event count is reported separately. *)
 let next_chunk ~decode r =
+  check_live r.src;
   if r.finished then None
   else begin
     let count = header_varint r "chunk header" in
@@ -694,14 +823,29 @@ let next_batch r =
   | Some _ -> Some r.batch
   | None -> None
 
+(* Each domain keeps the batch of its last [iter_batches] for the next,
+   so a scan decodes into arrays, and an intern table, that earlier
+   streams already sized.  The table is emptied when the batch is
+   kept, so it pins no strings.  The cell is empty while a batch is
+   out, so a nested iteration decodes into a batch of its own. *)
+let kept_batch = Domain.DLS.new_key (fun () -> ref None)
+
 let iter_batches src f =
-  let r = read_source src in
+  let cell = Domain.DLS.get kept_batch in
+  let batch =
+    match !cell with
+    | Some b -> cell := None; b
+    | None -> Batch.create (table_create ())
+  in
+  let r = reader_of src batch in
   let rec go () =
     match next_batch r with
     | Some b -> f b; go ()
     | None -> ()
   in
-  go ()
+  Fun.protect go ~finally:(fun () ->
+      table_reset batch.Batch.tbl;
+      cell := Some batch)
 
 let iter_source src f =
   iter_batches src (fun b ->
@@ -799,7 +943,8 @@ let get_string_ref tbl b pos =
     if len < 0 || !pos + len > Bytes.length b then corrupt "string past chunk end";
     let s = Bytes.sub_string b !pos len in
     pos := !pos + len;
-    table_add tbl s
+    ignore (table_add tbl s : int);
+    s
   end
   else if r - 1 < tbl.len then tbl.strs.(r - 1)
   else corrupt "string reference out of range"

@@ -52,8 +52,11 @@ val close_writer : writer -> unit
 
     A {!source} exposes a whole stream as one random-access byte view
     — an [mmap]ed region when possible, an in-memory [Bigarray] copy
-    otherwise — so replay starts without reading or materialising the
-    file. *)
+    otherwise, or the calling domain's kept buffer during a scoped read
+    ({!with_fd_source}) — so replay starts without materialising the
+    file on the OCaml heap.  Every function taking a source, or a
+    reader over one, raises [Invalid_argument] once the scoped read
+    that made the source has returned. *)
 
 type source
 
@@ -67,6 +70,15 @@ val source_of_path : ?mmap:bool -> string -> source
 
 (** @raise Corrupt if the magic is missing. *)
 val source_of_string : string -> source
+
+(** [with_fd_source fd len f] reads [len] bytes of [fd] into the
+    calling domain's kept buffer and runs [f] on them as a source,
+    valid only until [f] returns.  The buffer is kept for the domain's
+    next scoped read; see {!Scratch.use} for when it is replaced and
+    for nested reads.
+    @raise Corrupt if the magic is missing or the file is shorter than
+    [len]. *)
+val with_fd_source : Unix.file_descr -> int -> (source -> 'a) -> 'a
 
 val source_length : source -> int
 
@@ -95,9 +107,11 @@ module Batch : sig
 
   (** Token tags: 0 nil; 1 sym; 2 int; 3 str; 4 proper list (value =
       car count >= 1); 5 improper spine (value = car count >= 1,
-      followed by an explicit tail tree).  The stream is canonical:
-      token spans are identical iff the datums are structurally
-      equal. *)
+      followed by its non-nil atom tail).  The stream is canonical for
+      every accepted encoding (list tails merge into their spine, a nil
+      tail makes a proper list, a string re-defined inline keeps its
+      first intern index): token spans are identical iff the datums are
+      structurally equal. *)
   val tok_tag : t -> int -> int
 
   (** Sym/str: intern index.  Int: the value.  Lists: the car count. *)

@@ -144,6 +144,47 @@ let open_path path =
     Sexp_capture (read_sexp_channel ~path ic)
   end
 
+type stamp = { dev : int; ino : int; size : int; mtime : float; ctime : float }
+
+let stamp_of_stats (st : Unix.stats) =
+  { dev = st.st_dev; ino = st.st_ino; size = st.st_size; mtime = st.st_mtime;
+    ctime = st.st_ctime }
+
+let stamp path = stamp_of_stats (Unix.stat path)
+
+(* [probe_is_binary] on an open descriptor, which it leaves at
+   offset 0. *)
+let fd_is_binary fd =
+  let n = String.length Binary.family in
+  let b = Bytes.create n in
+  let rec fill off =
+    if off < n then match Unix.read fd b off (n - off) with 0 -> off | k -> fill (off + k)
+    else off
+  in
+  let binary = fill 0 = n && Bytes.unsafe_to_string b = Binary.family in
+  ignore (Unix.lseek fd 0 Unix.SEEK_SET : int);
+  binary
+
+(* [with_path] is [open_path] for a caller whose use of the trace ends
+   with one function: the file is opened once, stamped with [fstat],
+   and a binary trace is read into the domain's kept buffer rather than
+   a fresh copy.  A second [fstat] after the read catches a file
+   rewritten in place while it was read. *)
+let with_path path f =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let st = Unix.fstat fd in
+  let stamp = stamp_of_stats st in
+  if fd_is_binary fd then
+    try
+      Binary.with_fd_source fd st.st_size (fun src ->
+          if stamp_of_stats (Unix.fstat fd) <> stamp then
+            raise (Binary.Corrupt { offset = 0; reason = "file changed while reading" });
+          f stamp (Binary_source src))
+    with Binary.Corrupt { offset; reason } -> raise (Corrupt { path; offset; reason })
+  else f stamp (Sexp_capture (read_sexp_channel ~path (Unix.in_channel_of_descr fd)))
+
 (* [load] serves either format as a whole capture; binary traces decode
    through the source. *)
 let load path =

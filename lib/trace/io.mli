@@ -52,6 +52,28 @@ type loaded =
     @raise Corrupt on a missing magic or garbage sexp input. *)
 val open_path : string -> loaded
 
+(** A file's identity and version: device, inode, size, modification
+    and status-change times.  A rewrite in place or by rename changes
+    it. *)
+type stamp = { dev : int; ino : int; size : int; mtime : float; ctime : float }
+
+(** [stamp path] is the stamp of one [Unix.stat].
+    @raise Unix.Unix_error if [path] cannot be stat'ed. *)
+val stamp : string -> stamp
+
+(** [with_path path f] is [f stamp loaded] for the file at [path], read
+    once: [stamp] is the [fstat] of the descriptor read, and a binary
+    trace is read into the calling domain's kept buffer (see
+    {!Binary.with_fd_source}) instead of an owned copy.  The source is
+    valid only until [f] returns; a later use raises [Invalid_argument].
+    A use nested in another gets a buffer of its own.  A
+    {!Binary.Corrupt} from the read or from [f] surfaces as {!Corrupt}
+    with [path].  [open_path] stays the entry point for a source that
+    must outlive the call.
+    @raise Corrupt on a missing magic, garbage sexp input, or a file
+    that changed while it was read. *)
+val with_path : string -> (stamp -> loaded -> 'a) -> 'a
+
 (** [load path] auto-detects the format from the file's first bytes and
     decodes everything (binary traces via their source).
     @raise Corrupt on truncated or garbage input in either format. *)

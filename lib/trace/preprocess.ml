@@ -83,6 +83,13 @@ let run capture =
     np_by_id = Array.of_list (List.rev !nps);
   }
 
+(* The span table's storage: kept per domain between scans, off the
+   OCaml heap (see {!Scratch}). *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let slot_pool = Scratch.create Bigarray.int
+let key_pool = Scratch.create Bigarray.int
+
 (* [scan] is the id-assignment pass of [run] off the flat batches of a
    mapped binary trace — the one implementation behind [run_source] and
    [scan_source].  The token stream of a batch is canonical — two datums
@@ -101,42 +108,54 @@ let run capture =
    id's metrics into its slot of the returned id-indexed table. *)
 let scan ~entry ~call ~return_ ~prim src =
   let module B = Binary.Batch in
+  let module A = Bigarray.Array1 in
   (* Open-addressing span -> latest-id table, replacing {!Dtbl}.  Slot
-     s is three ints at [3s] of one flat array: the span's full hash
-     ([-1]: empty), its latest id, and where its key is ([block lsl 17
-     lor offset]).  A key is the span's interleaved [tag, val, ...]
-     tokens, stored as [len; tokens] in an append-only arena of 64k-int
-     blocks, so a key is written once and never copied (a single
-     doubling array allocated half as much again per scan, and raised a
-     cold service's peak RSS by a tenth).  A probe compares stored
+     s is three ints at [3s] of the slot storage: the span's full hash
+     ([-1]: empty), its latest id, and the offset of its key.  A key is
+     the span's interleaved [tag, val, ...] tokens, stored as
+     [len; tokens] in an append-only arena.  A probe compares stored
      hashes, reads a key only on a hash match, and then compares it
-     exactly. *)
-  let cap = ref 1024 in
+     exactly.
+
+     Both stores are the domain's kept storage: a scan clears the slots
+     and rewinds the arena, starting at the capacity the last scan
+     reached.  The source length bounds what a scan can need — every
+     list costs at least two bytes, every token one — so a scan of a
+     far smaller trace lets {!Scratch.use} replace the kept storage by
+     storage that fits. *)
+  let slen = Binary.source_length src in
+  let rec pow2 c = if c >= slen then c else pow2 (2 * c) in
+  let start kept bound default = if kept = 0 then default else min kept bound in
+  Scratch.use slot_pool (3 * start (Scratch.kept_length slot_pool / 3) (pow2 1024) 1024)
+  @@ fun sl ->
+  Scratch.use key_pool (start (Scratch.kept_length key_pool) (3 * slen + 1) 65536)
+  @@ fun kl ->
+  A.fill sl.buf (-1);
+  let cap = ref (A.dim sl.buf / 3) in
   let mask = ref (!cap - 1) in
-  let slots = ref (Array.make (3 * !cap) (-1)) in
-  let blocks = ref [||] and nblocks = ref 0 and used = ref 0 in
+  let used = ref 0 in
   let filled = ref 0 in
-  let key_matches toks kref k0 stop =
-    let key = !blocks.(kref lsr 17) and off = kref land 0x1ffff in
+  let key_matches toks koff k0 stop =
+    let key : ints = kl.buf in
     let len = 2 * (stop - k0) in
-    key.(off) = len
+    A.get key koff = len
     && (let ok = ref true and j = ref 0 in
-        let base = 2 * k0 and off = off + 1 in
+        let base = 2 * k0 and off = koff + 1 in
         while !ok && !j < len do
-          if Array.unsafe_get key (off + !j) <> Array.unsafe_get toks (base + !j) then
+          if A.unsafe_get key (off + !j) <> Array.unsafe_get toks (base + !j) then
             ok := false;
           incr j
         done;
         !ok)
   in
   let find_slot toks k0 stop h =
-    let slots = !slots and mask = !mask in
+    let slots : ints = sl.buf and mask = !mask in
     let s = ref (h land mask) in
     let continue = ref true in
     while !continue do
       let i = 3 * !s in
-      let sh = slots.(i) in
-      if sh = -1 || (sh = h && key_matches toks slots.(i + 2) k0 stop) then
+      let sh = A.unsafe_get slots i in
+      if sh = -1 || (sh = h && key_matches toks (A.unsafe_get slots (i + 2)) k0 stop) then
         continue := false
       else s := (!s + 1) land mask
     done;
@@ -145,46 +164,46 @@ let scan ~entry ~call ~return_ ~prim src =
   let grow () =
     let ncap = 2 * !cap in
     let nmask = ncap - 1 in
-    let nslots = Array.make (3 * ncap) (-1) in
-    let old = !slots in
+    let old : ints = sl.buf in
+    let nslots : ints = A.create Bigarray.int Bigarray.c_layout (3 * ncap) in
+    A.fill nslots (-1);
     for i = 0 to !cap - 1 do
-      let h = old.(3 * i) in
+      let h = A.get old (3 * i) in
       if h <> -1 then begin
         let s = ref (h land nmask) in
-        while nslots.(3 * !s) <> -1 do
+        while A.get nslots (3 * !s) <> -1 do
           s := (!s + 1) land nmask
         done;
-        Array.blit old (3 * i) nslots (3 * !s) 3
+        for f = 0 to 2 do
+          A.set nslots ((3 * !s) + f) (A.get old ((3 * i) + f))
+        done
       end
     done;
-    slots := nslots;
+    sl.buf <- nslots;
     cap := ncap;
     mask := nmask
   in
-  (* store the key of a span in slot [i]; a key longer than a block
-     gets a block of its own, at offset 0 *)
+  (* store the key of a span in slot [i], doubling the arena when full *)
   let add_key i toks k0 stop =
     let len = 2 * (stop - k0) in
-    if !nblocks = 0 || !used + len + 1 > Array.length !blocks.(!nblocks - 1) then begin
-      if !nblocks = Array.length !blocks then begin
-        let g = Array.make (max 16 (2 * !nblocks)) [||] in
-        Array.blit !blocks 0 g 0 !nblocks;
-        blocks := g
-      end;
-      !blocks.(!nblocks) <- Array.make (max 65536 (len + 1)) 0;
-      incr nblocks;
-      used := 0
+    let need = !used + len + 1 in
+    if need > A.dim kl.buf then begin
+      let g : ints = A.create Bigarray.int Bigarray.c_layout (max need (2 * A.dim kl.buf)) in
+      A.blit (A.sub kl.buf 0 !used) (A.sub g 0 !used);
+      kl.buf <- g
     end;
-    let key = !blocks.(!nblocks - 1) in
-    key.(!used) <- len;
-    Array.blit toks (2 * k0) key (!used + 1) len;
-    !slots.(i + 2) <- ((!nblocks - 1) lsl 17) lor !used;
-    used := !used + len + 1
+    let key : ints = kl.buf and base = 2 * k0 and off = !used + 1 in
+    A.set key !used len;
+    for j = 0 to len - 1 do
+      A.unsafe_set key (off + j) (Array.unsafe_get toks (base + j))
+    done;
+    A.set sl.buf (i + 2) !used;
+    used := need
   in
   (* (n, p) of §3.3.1 off the tokens of the list at [k]: atoms add to
-     n, nested lists to p, and the list tail of an improper spine
-     continues that spine — the counts {!Sexp.Metrics.np} gives for the
-     datum. *)
+     n, nested lists to p, and an improper spine's tail — an atom in
+     the canonical stream — to n: the counts {!Sexp.Metrics.np} gives
+     for the datum. *)
   let n_acc = ref 0 and p_acc = ref 0 in
   let rec np_tree toks k =
     match toks.(2 * k) with
@@ -192,15 +211,11 @@ let scan ~entry ~call ~return_ ~prim src =
     | 1 | 2 | 3 -> incr n_acc; k + 1
     | _ -> incr p_acc; np_spine toks k
   and np_spine toks k =
-    let count = toks.(2 * k + 1) in
     let improper = toks.(2 * k) = 5 in
+    let count = toks.(2 * k + 1) in
     let k = ref (k + 1) in
     for _ = 1 to count do k := np_tree toks !k done;
-    if not improper then !k
-    else
-      match toks.(2 * !k) with
-      | 4 | 5 -> np_spine toks !k
-      | _ -> np_tree toks !k
+    if improper then begin incr n_acc; !k + 1 end else !k
   in
   let table = ref [||] in
   let next = ref 0 in
@@ -211,12 +226,12 @@ let scan ~entry ~call ~return_ ~prim src =
     let id = !next in
     incr next;
     let i = find_slot toks k0 stop h in
-    if !slots.(i) = -1 then begin
-      !slots.(i) <- h;
+    if A.get sl.buf i = -1 then begin
+      A.set sl.buf i h;
       add_key i toks k0 stop;
       incr filled
     end;
-    !slots.(i + 1) <- id;
+    A.set sl.buf (i + 1) id;
     n_acc := 0;
     p_acc := 0;
     ignore (np_spine toks k0 : int);
@@ -231,7 +246,7 @@ let scan ~entry ~call ~return_ ~prim src =
   in
   let id_of toks k0 stop h =
     let i = find_slot toks k0 stop h in
-    if !slots.(i) = -1 then fresh_id toks k0 stop h else !slots.(i + 1)
+    if A.get sl.buf i = -1 then fresh_id toks k0 stop h else A.get sl.buf (i + 1)
   in
   let ids = ref (Array.make 8 (-1)) and starts = ref (Array.make 8 0) in
   let prev_result = ref (-1) in

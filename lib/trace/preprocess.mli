@@ -49,7 +49,10 @@ val run_source : Binary.source -> t
     atom).  An argument is chained iff its id equals [prev].  Ids,
     chaining and the (n, p) table are computed exactly as in
     {!run_source}; the returned array maps each id to its drawable size
-    [max 1 (n + p)] — the only per-id datum the simulator consumes. *)
+    [max 1 (n + p)] — the only per-id datum the simulator consumes.
+    Both scans keep their span table in the calling domain's
+    {!Scratch} storage between calls; a scan started from a callback
+    gets storage of its own. *)
 val scan_source :
   call:(nargs:int -> unit) ->
   return_:(unit -> unit) ->

@@ -9,3 +9,4 @@ module Preprocess = Preprocess
 module Io = Io
 module Binary = Binary
 module Synth = Synth
+module Scratch = Scratch

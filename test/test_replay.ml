@@ -529,6 +529,204 @@ let test_token_np_list_tail () =
       ("improper list tail", "\x06\x01\x02\x02\x06\x01\x05\x01\x02\x04\x02\x06",
        (3, 1)) ]
 
+(* Encodings the writer never produces but the decoder accepts, each
+   next to a twin with the same datum: the token stream must not tell
+   them apart, or one list gets two ids.  Two [car] events in one
+   chunk, both with result 1. *)
+let test_canonical_tokens () =
+  let canonical = "\x05\x03\x02\x02\x02\x04\x02\x06" in
+  List.iter
+    (fun (label, first, second) ->
+       let car arg = "\x02\x01" ^ arg ^ "\x02\x02" in
+       let data = framed ~count:2 (car first ^ car second) in
+       let src () = B.source_of_string data in
+       let oracle = Trace.Preprocess.run (B.capture_of_source (src ())) in
+       Alcotest.(check int) (label ^ ": one list") 1 oracle.Trace.Preprocess.distinct_lists;
+       Alcotest.(check bool) (label ^ ": run_source = run . capture") true
+         (preprocessed_equal oracle (Trace.Preprocess.run_source (src ())));
+       Alcotest.(check bool) (label ^ ": pack_source = pack . run") true
+         (compare (Core.Simulator.pack oracle) (Core.Simulator.pack_source (src ())) = 0))
+    [ (* (1 . (2 3)) = (1 2 3) *)
+      ("list tail", canonical, "\x06\x01\x02\x02\x05\x02\x02\x04\x02\x06");
+      (* (1 2 3 . ()) = (1 2 3) *)
+      ("nil tail", canonical, "\x06\x03\x02\x02\x02\x04\x02\x06\x00");
+      (* (foo) with "foo" defined inline in both events *)
+      ("string defined twice", "\x05\x01\x01\x00\x03foo", "\x05\x01\x01\x00\x03foo") ]
+
+(* ---- working memory kept between jobs ---- *)
+
+let pack_oracle c = Core.Simulator.pack (Trace.Preprocess.run c)
+
+(* [pack_source] over a file read through the scoped entry point. *)
+let scoped_pack path =
+  Trace.Io.with_path path (fun _ loaded ->
+      match loaded with
+      | Trace.Io.Binary_source src -> Core.Simulator.pack_source src
+      | Trace.Io.Sexp_capture c -> Core.Simulator.pack (Trace.Preprocess.run c))
+
+let with_trace_files captures f =
+  let paths =
+    List.map
+      (fun c ->
+         let path = Filename.temp_file "scoped" ".smtb" in
+         write_file path (encode ~chunk_events:256 c);
+         path)
+      captures
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
+    (fun () -> f paths)
+
+(* One domain serves a large trace, a small one, the large one again, a
+   stream that fails mid-scan and the small one again: whatever the
+   kept buffers held before, every answer is the oracle's.  A chunk
+   that fails in the middle of a datum is followed by a trace whose
+   first datum is a list it uses twice, so a kept batch that carried
+   any of the failed datum's state into the next stream would give
+   that list two ids. *)
+let test_reuse_sequence () =
+  let large = Trace.Synth.generate { Trace.Synth.default with length = 30_000; seed = 5 } in
+  let small = Trace.Synth.generate { Trace.Synth.default with length = 300; seed = 6 } in
+  let damaged =
+    let b = Bytes.of_string (encode ~chunk_events:256 large) in
+    let pos = Bytes.length b - 200 in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+    Bytes.to_string b
+  in
+  let twice =
+    let l = D.list [ D.int 1; D.int 2 ] in
+    mk_capture [ prim E.Car [ l ] (D.int 1); prim E.Car [ l ] (D.int 1) ]
+  in
+  with_trace_files [ large; small; twice ] @@ fun paths ->
+  let lp, sp, tp = match paths with [ l; s; t ] -> (l, s, t) | _ -> assert false in
+  let check label path c =
+    Alcotest.(check bool) label true (compare (scoped_pack path) (pack_oracle c) = 0)
+  in
+  check "large" lp large;
+  let kept = Trace.Scratch.retained_bytes () in
+  Alcotest.(check bool) "working memory is kept" true (kept > 0);
+  check "large again" lp large;
+  Alcotest.(check int) "a repeat keeps the same memory" kept (Trace.Scratch.retained_bytes ());
+  check "small" sp small;
+  Alcotest.(check bool) "a far smaller job lets the large buffers go" true
+    (Trace.Scratch.retained_bytes () < kept);
+  check "large after small" lp large;
+  with_temp_trace damaged (fun dp ->
+      match scoped_pack dp with
+      | _ -> Alcotest.fail "a damaged chunk was accepted"
+      | exception Trace.Io.Corrupt { reason; _ } ->
+        Alcotest.(check string) "fails mid-scan" "chunk checksum mismatch" reason);
+  check "small after a failed scan" sp small;
+  check "large after a failed scan" lp large;
+  (* a car whose list argument ends after its first car *)
+  with_temp_trace (framed ~count:1 "\x02\x01\x05\x02\x02\x02\x01") (fun dp ->
+      match scoped_pack dp with
+      | _ -> Alcotest.fail "a truncated datum was accepted"
+      | exception Trace.Io.Corrupt { reason; _ } ->
+        Alcotest.(check string) "fails mid-datum" "string ref: varint past end" reason);
+  check "a list used twice, after a mid-datum failure" tp twice
+
+(* A scan started from inside another scan's callback gets storage of
+   its own: both results are exact. *)
+let test_nested_scan () =
+  let outer = Trace.Synth.generate { Trace.Synth.default with length = 4000; seed = 7 } in
+  let inner = Trace.Synth.generate { Trace.Synth.default with length = 3000; seed = 8 } in
+  with_trace_files [ outer; inner ] @@ fun paths ->
+  let op, ip = match paths with [ o; i ] -> (o, i) | _ -> assert false in
+  let nested = ref None in
+  let sizes =
+    Trace.Io.with_path op (fun _ loaded ->
+        match loaded with
+        | Trace.Io.Sexp_capture _ -> Alcotest.fail "binary trace expected"
+        | Trace.Io.Binary_source src ->
+          Trace.Preprocess.scan_source src ~call:(fun ~nargs:_ -> ()) ~return_:ignore
+            ~prim:(fun ~kind:_ ~nargs:_ ~prev:_ _ ->
+                if !nested = None then nested := Some (scoped_pack ip)))
+  in
+  Alcotest.(check bool) "outer scan exact" true
+    (sizes
+     = Array.map (fun (n, p) -> max 1 (n + p))
+         (Trace.Preprocess.run outer).Trace.Preprocess.np_by_id);
+  Alcotest.(check bool) "nested scan exact" true
+    (compare !nested (Some (pack_oracle inner)) = 0)
+
+(* Two domains, each with its own kept memory, packing different traces
+   in turn. *)
+let test_two_domains () =
+  let a = Trace.Synth.generate { Trace.Synth.default with length = 5000; seed = 9 } in
+  let b = Trace.Synth.generate { Trace.Synth.default with length = 2000; seed = 10 } in
+  with_trace_files [ a; b ] @@ fun paths ->
+  let work = List.combine paths [ pack_oracle a; pack_oracle b ] in
+  let worker order () =
+    List.for_all (fun i -> let p, want = List.nth work i in compare (scoped_pack p) want = 0) order
+  in
+  let d1 = Domain.spawn (worker [ 0; 1; 0; 1; 1; 0 ]) in
+  let d2 = Domain.spawn (worker [ 1; 0; 0; 1; 0; 1 ]) in
+  Alcotest.(check bool) "domain 1 exact" true (Domain.join d1);
+  Alcotest.(check bool) "domain 2 exact" true (Domain.join d2)
+
+(* A scoped source, or a reader over it, used after [with_path]
+   returns. *)
+let test_use_after_scope () =
+  let c = Trace.Synth.generate { Trace.Synth.default with length = 500; seed = 11 } in
+  with_trace_files [ c ] @@ fun paths ->
+  let path = List.hd paths in
+  let escape f =
+    Trace.Io.with_path path (fun _ loaded ->
+        match loaded with
+        | Trace.Io.Binary_source src -> f src
+        | Trace.Io.Sexp_capture _ -> Alcotest.fail "binary trace expected")
+  in
+  let refused label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: used after its scope" label
+    | exception Invalid_argument _ -> ()
+  in
+  let src = escape Fun.id in
+  refused "source_length" (fun () -> B.source_length src);
+  refused "iter_batches" (fun () -> B.iter_batches src ignore);
+  refused "pack_source" (fun () -> Core.Simulator.pack_source src);
+  let r = escape B.read_source in
+  refused "next_batch" (fun () -> B.next_batch r)
+
+(* The every-byte flip and truncation battery through the scoped read,
+   all in one domain, so each case starts on the memory the last one
+   (clean, damaged or failed) left behind. *)
+let test_scoped_flip_and_cut () =
+  let c = Trace.Synth.generate { Trace.Synth.default with length = 80; seed = 3 } in
+  let data = encode c in
+  let want_pack = pack_oracle c and want_pre = Trace.Preprocess.run c in
+  let path = Filename.temp_file "scopedfuzz" ".smtb" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let check label mutated =
+    write_file path mutated;
+    let typed_or_exact what f same want =
+      match Trace.Io.with_path path (fun _ loaded -> f loaded) with
+      | r -> if not (same r want) then Alcotest.failf "%s: %s: silent misread" label what
+      | exception Trace.Io.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "%s: %s raised %s" label what (Printexc.to_string e)
+    in
+    let binary f = function
+      | Trace.Io.Binary_source src -> f src
+      | Trace.Io.Sexp_capture _ -> Alcotest.failf "%s: read as sexp lines" label
+    in
+    typed_or_exact "pack_source" (binary Core.Simulator.pack_source)
+      (fun a b -> compare a b = 0) want_pack;
+    typed_or_exact "run_source" (binary Trace.Preprocess.run_source)
+      preprocessed_equal want_pre
+  in
+  for pos = 0 to String.length data - 1 do
+    let b = Bytes.of_string data in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+    check (Printf.sprintf "flip at %d" pos) (Bytes.to_string b);
+    check "clean between cases" data
+  done;
+  (* from 1: an empty file is an empty sexp-lines trace *)
+  for cut = 1 to String.length data - 1 do
+    check (Printf.sprintf "cut at %d" cut) (String.sub data 0 cut)
+  done
+
 (* Synthetic traces plus events that intern more than 127 strings
    (multi-byte string references, symbols past the one-byte tags) and
    carry large ints (multi-byte varints), repeating each such list so
@@ -621,7 +819,14 @@ let () =
          Alcotest.test_case "simulator identical" `Quick
            test_simulator_identical_over_source;
          Alcotest.test_case "prim mix parity" `Quick test_prim_mix_parity;
-         Alcotest.test_case "token (n, p) of list tails" `Quick test_token_np_list_tail ]);
+         Alcotest.test_case "token (n, p) of list tails" `Quick test_token_np_list_tail;
+         Alcotest.test_case "canonical tokens" `Quick test_canonical_tokens ]);
+      ("kept memory",
+       [ Alcotest.test_case "large, small, failed, again" `Quick test_reuse_sequence;
+         Alcotest.test_case "nested scan" `Quick test_nested_scan;
+         Alcotest.test_case "two domains" `Quick test_two_domains;
+         Alcotest.test_case "use after scope" `Quick test_use_after_scope;
+         Alcotest.test_case "scoped: every flip and cut" `Quick test_scoped_flip_and_cut ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_readers_equivalent;
          QCheck_alcotest.to_alcotest prop_mapped_fuzz_corruption;

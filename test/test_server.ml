@@ -472,6 +472,38 @@ let test_wide_primitive_stats () =
   | Ok _ -> Alcotest.fail "simulate accepted a 25-argument primitive"
   | Error _ -> Alcotest.fail "simulate failed with an unexpected outcome"
 
+(* A trace file rewritten while its job waits: the job fails with a
+   source error and stores nothing, so once the old bytes are back they
+   are answered by a fresh run — not by the rewritten bytes' result
+   filed under the old bytes' key.  The wait is a fault-plan delay
+   before the worker reads the file. *)
+let test_rewrite_while_queued () =
+  let path = Filename.temp_file "rewrite" ".smtb" in
+  let save seed =
+    Trace.Io.save ~format:Trace.Io.Binary path
+      (Trace.Synth.generate { Trace.Synth.default with length = 2000; seed })
+  in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  save 1;
+  let job = file_job path (Server.Job.Simulate (sim_config 1)) in
+  let fresh = with_service (fun svc -> result_bytes (ok (Server.Service.run_job svc job))) in
+  let fault =
+    Fault.Plan.create { Fault.Plan.default with delay = 1.0; delay_s = 0.3 }
+  in
+  let svc = Server.Service.create ~fault ~workers:1 ~queue_capacity:8 () in
+  Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+  let join = ok (Server.Service.submit svc job) in
+  save 2;
+  (match (join ()).Server.Service.outcome with
+   | Error (Server.Service.Source_error _) -> ()
+   | Ok _ -> Alcotest.fail "the job answered over rewritten bytes"
+   | Error _ -> Alcotest.fail "the job failed, but not with a source error");
+  save 1;
+  let r = ok (Server.Service.run_job svc job) in
+  Alcotest.(check bool) "restored bytes are not a cache hit" false r.Server.Service.cached;
+  Alcotest.(check string) "restored bytes answer as a fresh service" fresh (result_bytes r)
+
 let test_service_cache_hit () =
   let dir = temp_dir "svccache" in
   let first =
@@ -675,6 +707,7 @@ let () =
        [ Alcotest.test_case "matches direct runs" `Quick test_service_matches_direct_runs;
          Alcotest.test_case "wide primitive stats" `Quick test_wide_primitive_stats;
          Alcotest.test_case "cache hit" `Quick test_service_cache_hit;
+         Alcotest.test_case "file rewritten while queued" `Quick test_rewrite_while_queued;
          Alcotest.test_case "wire handling" `Quick test_handle_line ]);
       ("wire",
        [ Alcotest.test_case "ping and shard field" `Quick test_ping_and_shard_field;
