@@ -187,8 +187,10 @@ let trace_cmd =
       Printf.printf "saved to %s%s\n" path (if binary then " (binary)" else "")
     | None -> ()
   in
-  (* The whole-capture path: workloads and sexp-lines traces. *)
-  let summarise_capture capture out binary show_stats =
+  (* The whole-capture path: workloads and sexp-lines traces.  [digest]
+     gives the cache key: memoised by the registry for a workload, the
+     capture's encoding for a sexp-lines file. *)
+  let summarise_capture ~digest capture out binary show_stats =
     let st = Trace.Capture.stats capture in
     Printf.printf "events: %d (%d primitives, %d function calls, max depth %d)\n"
       (Trace.Capture.length capture) st.Trace.Capture.primitives
@@ -197,7 +199,7 @@ let trace_cmd =
     if show_stats then begin
       let pre = Trace.Preprocess.run capture in
       Printf.printf "unique list objects: %d\n" pre.Trace.Preprocess.distinct_lists;
-      Printf.printf "digest: %s\n" (Trace.Binary.digest capture)
+      Printf.printf "digest: %s\n" (digest ())
     end;
     save_to capture out binary
   in
@@ -235,12 +237,14 @@ let trace_cmd =
     match workload, file with
     | None, None -> Error (`Msg "need --workload or --trace")
     | Some w, _ ->
-      summarise_capture (Workloads.Registry.trace w) out binary show_stats;
+      summarise_capture ~digest:(fun () -> Workloads.Registry.digest w)
+        (Workloads.Registry.trace w) out binary show_stats;
       Ok ()
     | None, Some path ->
       (match Trace.Io.open_path path with
        | Trace.Io.Sexp_capture capture ->
-         summarise_capture capture out binary show_stats
+         summarise_capture ~digest:(fun () -> Trace.Binary.digest capture)
+           capture out binary show_stats
        | Trace.Io.Binary_source src ->
          summarise_source path src out binary show_stats);
       Ok ()

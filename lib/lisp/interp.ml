@@ -180,7 +180,7 @@ let apply_prim t name args =
 
 let rec value_to_list = function
   | Value.Nil -> []
-  | Value.Pair { car; cdr } -> car :: value_to_list cdr
+  | Value.Pair { car; cdr; _ } -> car :: value_to_list cdr
   | v -> fail "expected a proper list, got %s" (Value.to_string v)
 
 let params_of = function
@@ -202,10 +202,10 @@ let rec eval t (v : Value.t) : Value.t =
     (match Env.lookup_opt t.env s with
      | Some v -> v
      | None -> fail "unbound variable %s" s)
-  | Value.Pair { car = head; cdr = rest } ->
+  | Value.Pair { car = head; cdr = rest; _ } ->
     (match head with
      | Value.Sym s -> eval_form t s rest
-     | Value.Pair { car = Value.Sym "lambda"; cdr = lam } ->
+     | Value.Pair { car = Value.Sym "lambda"; cdr = lam; _ } ->
        (* ((lambda (params) body...) args...) *)
        let lambda = parse_lambda lam in
        let args = List.map (eval t) (value_to_list rest) in
@@ -292,7 +292,7 @@ and eval_form t s rest =
     (match value_to_list rest with
      | [ Value.Sym name; lam ] ->
        (match lam with
-        | Value.Pair { car = Value.Sym "lambda"; cdr = body } ->
+        | Value.Pair { car = Value.Sym "lambda"; cdr = body; _ } ->
           Hashtbl.replace t.fns name (parse_lambda body);
           Value.Sym name
         | _ -> fail "def: expected (def name (lambda ...))")
@@ -309,7 +309,7 @@ and eval_form t s rest =
     (* (function (lambda ...)) or (function name): capture the current
        referencing context with the function — a funarg (§2.2.1) *)
     (match value_to_list rest with
-     | [ Value.Pair { car = Value.Sym "lambda"; cdr = lam } ] ->
+     | [ Value.Pair { car = Value.Sym "lambda"; cdr = lam; _ } ] ->
        make_funarg t (parse_lambda lam)
      | [ Value.Sym name ] ->
        (match Hashtbl.find_opt t.fns name with

@@ -9,7 +9,7 @@ type t =
   | Lambda of lambda
   | Funarg of int   (* key into the interpreter's funarg table *)
 
-and pair = { mutable car : t; mutable cdr : t }
+and pair = { mutable car : t; mutable cdr : t; mutable on_path : bool }
 
 and lambda = {
   params : string list;
@@ -20,7 +20,7 @@ let nil = Nil
 let t_ = T
 let sym s = Sym s
 let int n = Int n
-let cons a d = Pair { car = a; cdr = d }
+let cons a d = Pair { car = a; cdr = d; on_path = false }
 
 let list vs = List.fold_right cons vs Nil
 
@@ -34,8 +34,10 @@ let rec of_datum (d : Sexp.Datum.t) : t =
   | Cons (a, x) -> cons (of_datum a) (of_datum x)
 
 let to_datum v =
-  (* Cycle-safe: cut when revisiting a pair already on the current path. *)
-  let rec go path (v : t) : Sexp.Datum.t =
+  (* Cycle-safe: cut when revisiting a pair already on the current path.
+     A pair's [on_path] flag is set while its subtree converts, so the
+     check is O(1) however long the spine. *)
+  let rec go (v : t) : Sexp.Datum.t =
     match v with
     | Nil -> Nil
     | T -> Sym "t"
@@ -46,10 +48,26 @@ let to_datum v =
     | Lambda _ -> Sym "#lambda"
     | Funarg k -> Sym (Printf.sprintf "#funarg%d" k)
     | Pair p ->
-      if List.memq p path then Sym "<cycle>"
-      else Cons (go (p :: path) p.car, go (p :: path) p.cdr)
+      if p.on_path then Sym "<cycle>"
+      else begin
+        p.on_path <- true;
+        let car = go p.car in
+        let cdr = go p.cdr in
+        p.on_path <- false;
+        Cons (car, cdr)
+      end
   in
-  go [] v
+  (* If the conversion is cut short, the flagged pairs are a path from
+     [v]: clear them so that no later conversion sees a false cycle. *)
+  let rec clear = function
+    | Pair p when p.on_path -> p.on_path <- false; clear p.car; clear p.cdr
+    | _ -> ()
+  in
+  try go v
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    clear v;
+    Printexc.raise_with_backtrace e bt
 
 let truthy = function
   | Nil -> false

@@ -17,7 +17,12 @@ type t =
   | Funarg of int              (** a function-environment pair (§2.2.1),
                                    keyed into the interpreter's table *)
 
-and pair = { mutable car : t; mutable cdr : t }
+and pair = {
+  mutable car : t;
+  mutable cdr : t;
+  mutable on_path : bool;      (** set only while {!to_datum} converts the
+                                   pair's subtree (its cycle check) *)
+}
 
 and lambda = {
   params : string list;

@@ -31,35 +31,17 @@ type output =
 
 (* ---- sources ---- *)
 
-let capture_of_source = function
-  | Job.Workload w ->
-    (match Workloads.Registry.find w with
-     | Some w -> Workloads.Registry.trace w
-     | None -> invalid_arg ("Server.Exec: unknown workload " ^ w))
-  | Job.Trace_file p -> Trace.Io.load p
-
-(* Workload digests are memoised: the registry already memoises the
-   capture, but the binary encoding of a large trace is itself worth
-   computing once.  File digests are over the raw bytes (cheap, and
-   sensitive to the format on disk — re-encoding a trace re-keys it). *)
-let digest_lock = Mutex.create ()
-let workload_digests : (string, string) Hashtbl.t = Hashtbl.create 8
+(* A workload's digest is memoised by the registry, over the encoding it
+   keeps.  File digests are over the raw bytes (cheap, and sensitive to
+   the format on disk — re-encoding a trace re-keys it). *)
+let workload name =
+  match Workloads.Registry.find name with
+  | Some w -> w
+  | None -> invalid_arg ("Server.Exec: unknown workload " ^ name)
 
 let trace_digest = function
   | Job.Trace_file p -> Digest.to_hex (Digest.file p)
-  | Job.Workload w ->
-    Mutex.lock digest_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock digest_lock) @@ fun () ->
-    (match Hashtbl.find_opt workload_digests w with
-     | Some d -> d
-     | None ->
-       let d =
-         match Workloads.Registry.find w with
-         | Some wl -> Trace.Binary.digest (Workloads.Registry.trace wl)
-         | None -> invalid_arg ("Server.Exec: unknown workload " ^ w)
-       in
-       Hashtbl.replace workload_digests w d;
-       d)
+  | Job.Workload w -> Workloads.Registry.digest (workload w)
 
 exception Source_changed of string
 
@@ -81,10 +63,7 @@ let source_stamp = function
    refused before any of it is used. *)
 let of_source ~expect s ~binary ~pre =
   match s with
-  | Job.Workload w ->
-    (match Workloads.Registry.find w with
-     | Some w -> pre (Workloads.Registry.preprocessed w)
-     | None -> invalid_arg ("Server.Exec: unknown workload " ^ w))
+  | Job.Workload w -> pre (Workloads.Registry.preprocessed (workload w))
   | Job.Trace_file p ->
     Trace.Io.with_path p @@ fun stamp loaded ->
     (match expect with

@@ -36,11 +36,6 @@ type output =
       stats : Core.Simulator.stats;
     }
 
-(** [capture_of_source s] traces the workload (memoised by the registry)
-    or loads the file (either {!Trace.Io} format).
-    @raise Sys_error / Invalid_argument on an unreadable source. *)
-val capture_of_source : Job.source -> Trace.Capture.t
-
 (** [packed_of_source s] is the packed trace a simulate or knee job
     replays.  A binary trace file packs in one scan of its source
     ({!Core.Simulator.pack_source}: no [pevent] array, no capture), read
@@ -56,8 +51,8 @@ val packed_of_source : Job.source -> Core.Simulator.packed
 val stats_of_source : Job.source -> output
 
 (** The trace half of the result-cache key: for a workload, the MD5 of
-    its binary encoding (memoised); for a file, the MD5 of the file
-    bytes. *)
+    its binary encoding ({!Workloads.Registry.digest}, memoised); for a
+    file, the MD5 of the file bytes. *)
 val trace_digest : Job.source -> string
 
 (** Raised by {!run} when a trace file's stamp differs from the one

@@ -1093,15 +1093,17 @@ let capture_of_source src =
   iter_source src (Capture.record capture);
   capture
 
-let to_string capture =
+let encode produce =
   let buf = Buffer.create 65536 in
   let w =
     writer_of_sink
       { put = Buffer.add_string buf; put_buf = (fun b -> Buffer.add_buffer buf b) }
   in
-  Array.iter (write_event w) (Capture.events capture);
+  produce (write_event w);
   close_writer w;
   Buffer.contents buf
+
+let to_string capture = encode (fun emit -> Array.iter emit (Capture.events capture))
 
 let digest capture = Digest.to_hex (Digest.string (to_string capture))
 

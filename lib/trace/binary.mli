@@ -210,7 +210,13 @@ val save : ?fault:Fault.Plan.t -> string -> Capture.t -> unit
 (** Loads through a mapped source.  @raise Corrupt on a damaged file. *)
 val load : string -> Capture.t
 
-(** [to_string capture] is the full encoded stream in memory. *)
+(** [encode produce] is the full encoded stream, in memory, of the
+    events [produce] passes to the emit function it is given, in order
+    (default 4096-event chunks).  No capture is built: a tracer can
+    stream straight into the encoding. *)
+val encode : ((Event.t -> unit) -> unit) -> string
+
+(** [to_string capture] is [encode] over the capture's events. *)
 val to_string : Capture.t -> string
 
 (** [digest capture] is the MD5 hex digest of the binary encoding — the

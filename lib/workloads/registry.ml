@@ -19,7 +19,7 @@ let all =
 
 let find name = List.find_opt (fun w -> w.name = name) all
 
-(* One lock guards both caches: bench sections now run under
+(* One lock guards every cache: bench sections run under
    [Util.Parallel], so concurrent first requests for a workload must not
    race the tables (or trace the same program twice).  The lock is held
    across the fill, serialising cache misses; hits after warm-up only
@@ -30,27 +30,43 @@ let with_cache_lock f =
   Mutex.lock cache_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
 
+let memo tbl w fill =
+  match Hashtbl.find_opt tbl w.name with
+  | Some x -> x
+  | None ->
+    let x = fill () in
+    Hashtbl.replace tbl w.name x;
+    x
+
+(* What is kept of a traced run is its binary encoding, off the OCaml
+   heap, and that encoding's MD5: the tracer streams into the encoder,
+   so no capture is ever built, and the encoded string is dropped once
+   both are made.  [trace] and [preprocessed] are derived from the
+   source on demand. *)
+type encoded = { digest : string; source : Trace.Binary.source }
+
+let encodings : (string, encoded) Hashtbl.t = Hashtbl.create 8
+
+let encoded_unlocked w =
+  memo encodings w @@ fun () ->
+  let bytes = Lisp.Tracer.encode_program ~input:w.input w.source in
+  { digest = Digest.to_hex (Digest.string bytes);
+    source = Trace.Binary.source_of_string bytes }
+
+let digest w = with_cache_lock (fun () -> (encoded_unlocked w).digest)
+
 let trace_cache : (string, Trace.Capture.t) Hashtbl.t = Hashtbl.create 8
 
-let trace_unlocked w =
-  match Hashtbl.find_opt trace_cache w.name with
-  | Some c -> c
-  | None ->
-    let c = Lisp.Tracer.trace_program ~input:w.input w.source in
-    Hashtbl.replace trace_cache w.name c;
-    c
-
-let trace w = with_cache_lock (fun () -> trace_unlocked w)
+let trace w =
+  with_cache_lock @@ fun () ->
+  memo trace_cache w @@ fun () -> Trace.Binary.capture_of_source (encoded_unlocked w).source
 
 let prep_cache : (string, Trace.Preprocess.t) Hashtbl.t = Hashtbl.create 8
 
+(* Straight off the source, never through [trace]: a service preprocesses
+   a workload without holding its capture. *)
 let preprocessed w =
-  with_cache_lock (fun () ->
-      match Hashtbl.find_opt prep_cache w.name with
-      | Some p -> p
-      | None ->
-        let p = Trace.Preprocess.run (trace_unlocked w) in
-        Hashtbl.replace prep_cache w.name p;
-        p)
+  with_cache_lock @@ fun () ->
+  memo prep_cache w @@ fun () -> Trace.Preprocess.run_source (encoded_unlocked w).source
 
 let simulation_suite () = List.filter (fun w -> w.name <> "pearl") all

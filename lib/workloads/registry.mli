@@ -1,6 +1,6 @@
 (** The benchmark suite: the five workloads of §3.3.1 by name, with
     cached traces (tracing an interpreted run is the expensive step; every
-    analysis and simulation reuses the same capture). *)
+    analysis and simulation reuses the same encoded trace). *)
 
 type workload = {
   name : string;
@@ -14,12 +14,21 @@ val all : workload list
 
 val find : string -> workload option
 
-(** [trace w] runs the workload under the instrumented interpreter
-    (memoised per workload). *)
+(** [digest w] is the MD5 hex digest of the workload's binary trace
+    encoding ({!Trace.Binary.to_string} of its trace, byte for byte),
+    the content address that keys the server's result cache.  The first
+    use runs the workload under the instrumented interpreter, streaming
+    its events into the encoding; the registry keeps that encoding off
+    the OCaml heap, and [trace] and [preprocessed] are derived from it
+    (all three memoised per workload). *)
+val digest : workload -> string
+
+(** [trace w] is the workload's captured trace, decoded from its
+    encoding. *)
 val trace : workload -> Trace.Capture.t
 
-(** [preprocessed w] is the §5.2.1 preprocessing of [trace w]
-    (memoised). *)
+(** [preprocessed w] is the §5.2.1 preprocessing of [trace w], built
+    from the encoding without decoding the capture. *)
 val preprocessed : workload -> Trace.Preprocess.t
 
 (** The four simulation traces of Table 5.1 (everything but pearl, whose

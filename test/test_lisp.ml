@@ -334,9 +334,66 @@ let prop_interp_append_length =
       let r = Lisp.Interp.run_program i "(length (append (read) (read)))" in
       V.to_datum r = D.Int (D.length a + D.length b))
 
+(* The path-list cycle check [to_datum] used before the [on_path] flag:
+   quadratic along a spine, kept here as the oracle. *)
+let to_datum_memq v =
+  let rec go path (v : V.t) : D.t =
+    match v with
+    | V.Nil -> D.Nil
+    | V.T -> D.Sym "t"
+    | V.Sym s -> D.Sym s
+    | V.Int n -> D.Int n
+    | V.Str s -> D.Str s
+    | V.Subr name -> D.Sym ("#subr:" ^ name)
+    | V.Lambda _ -> D.Sym "#lambda"
+    | V.Funarg k -> D.Sym (Printf.sprintf "#funarg%d" k)
+    | V.Pair p ->
+      if List.memq p path then D.Sym "<cycle>"
+      else D.Cons (go (p :: path) p.V.car, go (p :: path) p.V.cdr)
+  in
+  go [] v
+
+(* A pair graph: [n] fresh pairs, then a list of rplaca/rplacd edits.
+   An edit [(i, on_car, j)] points pair [i]'s car (or cdr) at pair [j]
+   when [j < n], else at the atom [j]: edits back to an ancestor make
+   cycles, two edits to one pair share substructure. *)
+let gen_graph =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    list_size (int_range 0 24) (triple (int_bound (n - 1)) bool (int_bound (n + 3)))
+    >>= fun edits -> return (n, edits))
+
+let print_graph (n, edits) =
+  Printf.sprintf "%d pairs; %s" n
+    (String.concat " "
+       (List.map
+          (fun (i, on_car, j) -> Printf.sprintf "(%s %d %d)" (if on_car then "rplaca" else "rplacd") i j)
+          edits))
+
+let build_graph (n, edits) =
+  let pairs = Array.init n (fun i -> V.cons (V.int i) V.nil) in
+  List.iter
+    (fun (i, on_car, j) ->
+       let target = if j < n then pairs.(j) else V.int j in
+       match pairs.(i) with
+       | V.Pair p -> if on_car then p.V.car <- target else p.V.cdr <- target
+       | _ -> assert false)
+    edits;
+  pairs
+
+let prop_to_datum_cycles =
+  QCheck.Test.make ~name:"to_datum on cyclic and shared graphs = path-list oracle"
+    ~count:500 (QCheck.make ~print:print_graph gen_graph) (fun g ->
+      let pairs = build_graph g in
+      (* converting every root in turn also checks that each conversion
+         leaves no pair flagged for the next *)
+      Array.for_all (fun v -> D.equal (to_datum_memq v) (V.to_datum v)) pairs
+      && Array.for_all (fun v -> D.equal (to_datum_memq v) (V.to_datum v)) pairs)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_value_roundtrip; prop_interp_reverse_involution; prop_interp_append_length ]
+    [ prop_value_roundtrip; prop_to_datum_cycles; prop_interp_reverse_involution;
+      prop_interp_append_length ]
 
 let () =
   Alcotest.run "lisp"

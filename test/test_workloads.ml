@@ -167,6 +167,45 @@ let test_list_sets_on_real_trace () =
   Alcotest.(check bool) "stack depth 4 captures most accesses" true
     (Analysis.Lru_stack.hit_fraction lru 4 > 0.6)
 
+(* ---- cache keys and derived forms ---- *)
+
+(* The result-cache keys of the five workloads.  A change to the tracer,
+   the encoder or the interpreter that moves one of these re-keys every
+   stored result for that workload. *)
+let golden_digests =
+  [ ("lyra", "dfd7d98f6eac2135d762a4b8077d1e44");
+    ("plagen", "bc98b8146c0750c0797f341b90ccdfda");
+    ("slang", "8c97c483e3907f57062a33dfe548a216");
+    ("editor", "6193a161ec0b780e4fc5dba57b2d6b79");
+    ("pearl", "a69b863a5fb02ef7232a8d1affb5f262") ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, digest) ->
+       let w = Option.get (Workloads.Registry.find name) in
+       Alcotest.(check string) (name ^ " registry digest") digest (Workloads.Registry.digest w);
+       Alcotest.(check string) (name ^ " cache key") digest
+         (Server.Exec.trace_digest (Server.Job.Workload name)))
+    golden_digests
+
+(* The registry keeps only a streamed encoding; everything derived from
+   it must equal what the capture path gives.  Lyra is covered by its
+   golden digest alone, for test time. *)
+let test_derived_forms () =
+  List.iter
+    (fun name ->
+       let w = Option.get (Workloads.Registry.find name) in
+       let input = w.Workloads.Registry.input and source = w.Workloads.Registry.source in
+       let capture = Lisp.Tracer.trace_program ~input source in
+       Alcotest.(check bool) (name ^ ": streamed encoding = encoded capture") true
+         (String.equal (Lisp.Tracer.encode_program ~input source)
+            (Trace.Binary.to_string capture));
+       Alcotest.(check bool) (name ^ ": registry trace = traced capture") true
+         (Trace.Capture.events (Workloads.Registry.trace w) = Trace.Capture.events capture);
+       Alcotest.(check bool) (name ^ ": registry preprocessed = preprocessed capture") true
+         (Workloads.Registry.preprocessed w = Trace.Preprocess.run capture))
+    [ "plagen"; "slang"; "editor"; "pearl" ]
+
 let () =
   Alcotest.run "workloads"
     [ ("programs",
@@ -181,4 +220,7 @@ let () =
          Alcotest.test_case "editor n/p outlier" `Slow test_editor_np_outlier ]);
       ("pipeline",
        [ Alcotest.test_case "simulation" `Slow test_simulation_pipeline;
-         Alcotest.test_case "list sets" `Slow test_list_sets_on_real_trace ]) ]
+         Alcotest.test_case "list sets" `Slow test_list_sets_on_real_trace ]);
+      ("encoding",
+       [ Alcotest.test_case "golden digests" `Slow test_golden_digests;
+         Alcotest.test_case "derived forms" `Slow test_derived_forms ]) ]
