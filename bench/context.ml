@@ -10,7 +10,24 @@ let chapter3_suite () = Workloads.Registry.all
 let chapter5_suite () = Workloads.Registry.simulation_suite ()
 
 let trace name = Workloads.Registry.trace (workload name)
-let pre name = Workloads.Registry.preprocessed (workload name)
+
+(* The registry rebuilds a preprocessed form on every call and keeps
+   none; the sections reuse one per workload, kept here.  Sections run
+   under [Util.Parallel], hence the lock. *)
+let pre_cache : (string, Trace.Preprocess.t) Hashtbl.t = Hashtbl.create 8
+let pre_lock = Mutex.create ()
+
+let preprocessed (w : Workloads.Registry.workload) =
+  Mutex.lock pre_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock pre_lock) @@ fun () ->
+  match Hashtbl.find_opt pre_cache w.name with
+  | Some p -> p
+  | None ->
+    let p = Workloads.Registry.preprocessed w in
+    Hashtbl.replace pre_cache w.name p;
+    p
+
+let pre name = preprocessed (workload name)
 
 let pct x = Printf.sprintf "%.2f" x
 let pct1 x = Printf.sprintf "%.1f" x

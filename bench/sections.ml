@@ -33,7 +33,7 @@ let () =
   let rows =
     List.map
       (fun w ->
-         let np = Analysis.Np_stats.analyze (Workloads.Registry.preprocessed w) in
+         let np = Analysis.Np_stats.analyze (Context.preprocessed w) in
          [ w.Workloads.Registry.name;
            Context.pct (Analysis.Np_stats.mean_n np);
            Context.pct (Analysis.Np_stats.mean_p np) ])
@@ -47,7 +47,7 @@ let () =
   let series_of extract label =
     List.map
       (fun w ->
-         let np = Analysis.Np_stats.analyze (Workloads.Registry.preprocessed w) in
+         let np = Analysis.Np_stats.analyze (Context.preprocessed w) in
          Util.Series.make ~label:(w.Workloads.Registry.name ^ label)
            (List.filteri (fun i _ -> i mod 3 = 0) (extract np)))
       (Context.chapter3_suite ())
@@ -61,7 +61,7 @@ let partition_all separation =
   Util.Parallel.map
     (fun w ->
        (w.Workloads.Registry.name,
-        Analysis.List_sets.partition ~separation (Workloads.Registry.preprocessed w)))
+        Analysis.List_sets.partition ~separation (Context.preprocessed w)))
     (Context.chapter3_suite ())
 
 let () =
@@ -139,7 +139,7 @@ let () =
          (fun w ->
             let stream =
               Analysis.List_sets.set_id_stream ~separation:0.10
-                (Workloads.Registry.preprocessed w)
+                (Context.preprocessed w)
             in
             let lru = Analysis.Lru_stack.analyze stream in
             let name = w.Workloads.Registry.name in
@@ -161,7 +161,7 @@ let () =
     ~header:[ "trace"; "CAR%"; "CDR%" ]
     (List.map
        (fun w ->
-          let r = Analysis.Chaining.analyze (Workloads.Registry.preprocessed w) in
+          let r = Analysis.Chaining.analyze (Context.preprocessed w) in
           [ w.Workloads.Registry.name; Context.pct (Analysis.Chaining.car_pct r);
             Context.pct (Analysis.Chaining.cdr_pct r) ])
        (Context.chapter3_suite ()))
@@ -221,7 +221,7 @@ let () =
     List.fold_left
       (fun acc w ->
          min acc
-           (Array.length (Trace.Preprocess.prim_refs (Workloads.Registry.preprocessed w))))
+           (Array.length (Trace.Preprocess.prim_refs (Context.preprocessed w))))
       max_int suite
   in
   let window = max 1 (shortest / 10) in
@@ -233,7 +233,7 @@ let () =
     ~header:[ "trace"; "refs"; "sets"; "for 80%"; "window as % of trace" ]
     (Util.Parallel.map
        (fun w ->
-          let pre = Workloads.Registry.preprocessed w in
+          let pre = Context.preprocessed w in
           let refs = Array.length (Trace.Preprocess.prim_refs pre) in
           let r = Analysis.List_sets.partition_abs ~window pre in
           [ w.Workloads.Registry.name; Context.int_s refs;
@@ -336,7 +336,7 @@ let () =
     ~header:[ "trace"; "Refops"; "Gets"; "Frees"; "RecRefops"; "increase" ]
     (Util.Parallel.map
        (fun w ->
-          let pre = Workloads.Registry.preprocessed w in
+          let pre = Context.preprocessed w in
           let lazy_ = Core.Simulator.run Core.Simulator.default_config pre in
           let eager =
             Core.Simulator.run
@@ -360,7 +360,7 @@ let () =
     ~header:[ "trace"; "Refops Then"; "Refops Now"; "reduction"; "MaxCount Then"; "MaxCount Now" ]
     (Util.Parallel.map
        (fun w ->
-          let pre = Workloads.Registry.preprocessed w in
+          let pre = Context.preprocessed w in
           let plain = Core.Simulator.run Core.Simulator.default_config pre in
           let split =
             Core.Simulator.run
@@ -386,7 +386,7 @@ let () =
     List.concat_map
       (fun w ->
          let name = w.Workloads.Registry.name in
-         let pre = Workloads.Registry.preprocessed w in
+         let pre = Context.preprocessed w in
          Util.Parallel.map
            (fun size ->
               let stats =

@@ -187,9 +187,8 @@ let trace_cmd =
       Printf.printf "saved to %s%s\n" path (if binary then " (binary)" else "")
     | None -> ()
   in
-  (* The whole-capture path: workloads and sexp-lines traces.  [digest]
-     gives the cache key: memoised by the registry for a workload, the
-     capture's encoding for a sexp-lines file. *)
+  (* The whole-capture path, for sexp-lines traces: [digest] gives the
+     cache key, the capture's encoding. *)
   let summarise_capture ~digest capture out binary show_stats =
     let st = Trace.Capture.stats capture in
     Printf.printf "events: %d (%d primitives, %d function calls, max depth %d)\n"
@@ -203,50 +202,62 @@ let trace_cmd =
     end;
     save_to capture out binary
   in
-  (* Binary trace files summarise off the mapped source: the event
-     count comes from the chunk headers alone, the mix and depth from
-     the flat batches, and the digest from the raw file bytes (the
-     server's cache key for trace files) — no event is materialised
-     unless [-o] asks for a re-encode. *)
-  let summarise_source path src out binary show_stats =
-    let guard f =
-      try f ()
-      with Trace.Binary.Corrupt { offset; reason } ->
-        raise (Trace.Io.Corrupt { path; offset; reason })
-    in
-    let hs = guard (fun () -> Trace.Binary.header_stats src) in
-    let st = guard (fun () -> Trace.Binary.scan_stats src) in
+  (* A binary trace summarises off its source: the event count comes
+     from the chunk headers alone, the mix and depth from the flat
+     batches, and [digest] is the server's cache key — no event is
+     materialised unless [-o] asks for a re-encode ([capture]).  A
+     file also reports its framing ([file_info]). *)
+  let summarise_source ~file_info ~job_source ~digest ~capture src out binary
+      show_stats =
+    let hs = Trace.Binary.header_stats src in
+    let st = Trace.Binary.scan_stats src in
     Printf.printf "events: %d (%d primitives, %d function calls, max depth %d)\n"
       hs.Trace.Binary.h_events st.Trace.Capture.primitives
       st.Trace.Capture.functions st.Trace.Capture.max_depth;
-    Printf.printf "binary: %d chunks, %d bytes (%d payload)\n"
-      hs.Trace.Binary.h_chunks hs.Trace.Binary.h_bytes
-      hs.Trace.Binary.h_payload_bytes;
-    print_mix (guard (fun () -> Analysis.Prim_mix.analyze_source src));
+    if file_info then
+      Printf.printf "binary: %d chunks, %d bytes (%d payload)\n"
+        hs.Trace.Binary.h_chunks hs.Trace.Binary.h_bytes
+        hs.Trace.Binary.h_payload_bytes;
+    print_mix (Analysis.Prim_mix.analyze_source src);
     if show_stats then begin
-      (match Server.Exec.stats_of_source (Server.Job.Trace_file path) with
+      (match Server.Exec.stats_of_source job_source with
        | Server.Exec.Stats_out { distinct_lists; _ } ->
          Printf.printf "unique list objects: %d\n" distinct_lists
        | _ -> assert false);
-      Printf.printf "digest: %s\n" (Digest.to_hex (Digest.file path))
+      Printf.printf "digest: %s\n" (digest ())
     end;
-    if out <> None then
-      save_to (guard (fun () -> Trace.Binary.capture_of_source src)) out binary
+    if out <> None then save_to (capture ()) out binary
+  in
+  let summarise_file path src out binary show_stats =
+    try
+      summarise_source ~file_info:true ~job_source:(Server.Job.Trace_file path)
+        ~digest:(fun () -> Digest.to_hex (Digest.file path))
+        ~capture:(fun () -> Trace.Binary.capture_of_source src)
+        src out binary show_stats
+    with Trace.Binary.Corrupt { offset; reason } ->
+      raise (Trace.Io.Corrupt { path; offset; reason })
+  in
+  (* A workload summarises off the registry's kept encoding, in the
+     lines a capture summary prints. *)
+  let summarise_workload w =
+    summarise_source ~file_info:false
+      ~job_source:(Server.Job.Workload w.Workloads.Registry.name)
+      ~digest:(fun () -> Workloads.Registry.digest w)
+      ~capture:(fun () -> Workloads.Registry.trace w)
+      (Workloads.Registry.source w)
   in
   let action workload file out binary show_stats =
     match workload, file with
     | None, None -> Error (`Msg "need --workload or --trace")
     | Some w, _ ->
-      summarise_capture ~digest:(fun () -> Workloads.Registry.digest w)
-        (Workloads.Registry.trace w) out binary show_stats;
+      summarise_workload w out binary show_stats;
       Ok ()
     | None, Some path ->
       (match Trace.Io.open_path path with
        | Trace.Io.Sexp_capture capture ->
          summarise_capture ~digest:(fun () -> Trace.Binary.digest capture)
            capture out binary show_stats
-       | Trace.Io.Binary_source src ->
-         summarise_source path src out binary show_stats);
+       | Trace.Io.Binary_source src -> summarise_file path src out binary show_stats);
       Ok ()
   in
   let term =

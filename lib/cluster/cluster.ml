@@ -5,6 +5,7 @@
     [smallsim loadgen]. *)
 
 module Ring = Ring
+module Reply = Reply
 module Router = Router
 module Health = Health
 module Loadgen = Loadgen

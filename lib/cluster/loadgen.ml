@@ -59,26 +59,6 @@ let sampler ~theta ~n =
     done;
     !lo
 
-(* ---- reply classification ---- *)
-
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
-
-let shard_of reply =
-  let marker = "\"shard\":\"" in
-  let mn = String.length marker in
-  let rec find i =
-    if i + mn > String.length reply then None
-    else if String.sub reply i mn = marker then
-      let j = ref (i + mn) in
-      while !j < String.length reply && reply.[!j] <> '"' do incr j done;
-      Some (String.sub reply (i + mn) (!j - (i + mn)))
-    else find (i + 1)
-  in
-  find 0
-
 (* ---- per-client tallies, merged at the end ---- *)
 
 type tally = {
@@ -99,23 +79,22 @@ let tally () =
     t_timeout = 0; t_cancelled = 0; t_failed = 0; t_sum = 0.0;
     shards = Hashtbl.create 8 }
 
+(* One walk of the reply's header gives its status, cache flag and
+   shard. *)
 let classify ty reply dt =
   ty.t_issued <- ty.t_issued + 1;
   ty.t_sum <- ty.t_sum +. dt;
-  if contains reply "\"status\":\"ok\"" then begin
-    ty.t_ok <- ty.t_ok + 1;
-    if contains reply "\"cached\":true" then ty.t_cached <- ty.t_cached + 1
-  end
-  else if contains reply "\"status\":\"overloaded\"" then
-    ty.t_overloaded <- ty.t_overloaded + 1
-  else if contains reply "\"status\":\"shard_down\"" then
-    ty.t_shard_down <- ty.t_shard_down + 1
-  else if contains reply "\"status\":\"timeout\"" then
-    ty.t_timeout <- ty.t_timeout + 1
-  else if contains reply "\"status\":\"cancelled\"" then
-    ty.t_cancelled <- ty.t_cancelled + 1
-  else ty.t_failed <- ty.t_failed + 1;
-  match shard_of reply with
+  let h = Reply.read reply in
+  (match h.status with
+   | `Ok ->
+     ty.t_ok <- ty.t_ok + 1;
+     if h.cached then ty.t_cached <- ty.t_cached + 1
+   | `Overloaded -> ty.t_overloaded <- ty.t_overloaded + 1
+   | `Shard_down -> ty.t_shard_down <- ty.t_shard_down + 1
+   | `Timeout -> ty.t_timeout <- ty.t_timeout + 1
+   | `Cancelled -> ty.t_cancelled <- ty.t_cancelled + 1
+   | `Error | `Shed | `Other | `Absent -> ty.t_failed <- ty.t_failed + 1);
+  match Reply.shard h reply with
   | None -> ()
   | Some sid ->
     Hashtbl.replace ty.shards sid

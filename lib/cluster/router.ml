@@ -113,11 +113,6 @@ let max_resends = 3
 
 (* ---- wire helpers ---- *)
 
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
-
 let error_line msg =
   Server.Json.to_string
     (Server.Json.Obj
@@ -157,30 +152,6 @@ let pong_line ?id () =
   in
   Server.Json.to_string (Server.Json.Obj fields)
 
-(* Shard replies lead with the echoed wire id: [{"id":N,...].  [reply_id]
-   reads it, [strip_id] removes it so routed replies stay byte-identical
-   to direct-service ones. *)
-let reply_id line =
-  let pfx = "{\"id\":" in
-  let pl = String.length pfx in
-  let n = String.length line in
-  if n > pl && String.sub line 0 pl = pfx then begin
-    let rec go i acc =
-      if i < n && line.[i] >= '0' && line.[i] <= '9' then
-        go (i + 1) ((acc * 10) + (Char.code line.[i] - Char.code '0'))
-      else (i, acc)
-    in
-    let stop, v = go pl 0 in
-    if stop > pl then Some (v, stop) else None
-  end
-  else None
-
-let strip_id line =
-  match reply_id line with
-  | Some (_, stop) when stop < String.length line && line.[stop] = ',' ->
-    "{" ^ String.sub line (stop + 1) (String.length line - stop - 1)
-  | _ -> line
-
 (* ---- items ---- *)
 
 let make_item ~id ~line ?client_id ?job ~kind ?(deadline = infinity) () =
@@ -215,8 +186,10 @@ let try_reply it =
   Mutex.unlock it.im;
   r
 
-(* Re-inject the client's own (id N) into a reply whose router id was
-   stripped, so a routed client sees exactly what a direct one would. *)
+(* Re-inject the client's own (id N) into a line the router made itself,
+   so a routed client sees exactly what a direct one would.  Shard
+   replies go through [Reply.for_client], which also strips the wire id
+   the shard echoed. *)
 let present it line =
   match it.client_id with
   | None -> line
@@ -472,10 +445,11 @@ let mark_down_locked t s =
 
 (* ---- reply handling ---- *)
 
-(* A shard's reply for an in-flight item: strip the wire id, settle the
-   first-wins race, update cache ownership (hinted handoff — the winner,
-   hedge target or not, owns the key now) and cancel the losing copy. *)
-let handle_reply t s it line =
+(* A shard's reply for an in-flight item, read once into its header [h]:
+   strip the wire id, settle the first-wins race, update cache ownership
+   (hinted handoff — the winner, hedge target or not, owns the key now)
+   and cancel the losing copy. *)
+let handle_reply t s it (h : Reply.header) line =
   let now = Unix.gettimeofday () in
   let cancels = ref [] in
   Mutex.lock t.m;
@@ -486,30 +460,37 @@ let handle_reply t s it line =
    | `Raw ->
      Breaker.record_rtt s.breaker rtt;
      s.ping_ms <- rtt *. 1000.;
-     ignore (fulfill it (strip_id line))
+     ignore (fulfill it (Reply.for_client h line))
    | `Job _ ->
      if it.sent_at > 0. then Obs.Metric.Histogram.record s.lat rtt;
      Breaker.record_success s.breaker;
-     if contains line "\"status\":\"overloaded\""
-     && try_reply it = None
-     && next_candidate_locked t it <> None then
-       (* the PR 4 ladder, cluster rung: drain refused work to a
+     let drain_to =
+       if h.status = `Overloaded && try_reply it = None then next_candidate_locked t it
+       else None
+     in
+     match drain_to with
+     | Some s' ->
+       (* the overload ladder, cluster rung: drain refused work to a
           healthy shard instead of bouncing the client *)
-       reroute_locked t it ~kind:"drain" ~fallback:(strip_id line)
-     else begin
-       let won = fulfill it (present it (strip_id line)) in
+       enqueue_locked t s' it ~kind:"drain"
+     | None ->
+       let won = fulfill it (Reply.for_client ?client_id:it.client_id h line) in
        if won then begin
+         (* answered items are skipped by every other reader of the
+            table; dropping this one now, not at the pacer's next
+            sweep, lets it and its reply die young instead of being
+            promoted to the major heap *)
+         Hashtbl.remove t.inflight_tbl it.id;
          (match it.kind with
-          | `Job (Some key) when contains line "\"status\":\"ok\"" ->
+          | `Job (Some key) when h.status = `Ok ->
             if Hashtbl.length t.owners_tbl > owners_cap then
               Hashtbl.reset t.owners_tbl;
             Hashtbl.replace t.owners_tbl key s.sid
           | _ -> ());
-         if contains line "\"cached\":true" then Obs.Metric.Counter.incr s.hits;
+         if h.cached then Obs.Metric.Counter.incr s.hits;
          if it.hedged then Obs.Metric.Counter.incr t.hedge_wins_c;
          List.iter (fun sid -> cancels := (sid, it.id) :: !cancels) it.at
-       end
-     end);
+       end);
   Mutex.unlock t.m;
   List.iter
     (fun (sid, id) ->
@@ -714,13 +695,14 @@ let process t s batch seq =
         if Hashtbl.length pending = 0 then ()
         else begin
           let line = input_line conn.ic in
-          (match reply_id line with
-           | Some (id, _) when Hashtbl.mem pending id ->
+          let h = Reply.read line in
+          (match h.id with
+           | id when id >= 0 && Hashtbl.mem pending id ->
              let it = Hashtbl.find pending id in
              Hashtbl.remove pending id;
              order := List.filter (fun o -> o.id <> id) !order;
-             handle_reply t s it line
-           | Some (id, _) ->
+             handle_reply t s it h line
+           | id when id >= 0 ->
              let sync =
                Mutex.lock t.m;
                let r = Hashtbl.find_opt t.syncs id in
@@ -732,14 +714,14 @@ let process t s batch seq =
               | Some (_, sseq) when sseq >= seq && Hashtbl.length pending > 0 ->
                 flush_lost t s pending
               | _ -> ())   (* stale sync, or a dup-chaos echo: ignore *)
-           | None ->
+           | _ ->
              (* an id-less line from an ordered stream answers the oldest
                 outstanding request *)
              (match !order with
               | it :: rest when Hashtbl.mem pending it.id ->
                 order := rest;
                 Hashtbl.remove pending it.id;
-                handle_reply t s it line
+                handle_reply t s it h line
               | _ -> ()));
           read_loop ()
         end

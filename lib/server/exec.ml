@@ -54,16 +54,15 @@ let source_stamp = function
   | Job.Trace_file p -> Some (Trace.Io.stamp p)
   | Job.Workload _ -> None
 
-(* [of_source ~expect s ~binary ~pre] hands a binary trace file to
-   [binary] as its source (no capture), and anything else to [pre] as
-   its preprocessed form: a workload's is memoised by the registry, a
-   sexp-lines file (no random-access form) goes through a capture.  A
-   file is read in the worker's kept buffer, so [binary] must not let
-   the source escape.  With [expect], a file whose stamp differs is
-   refused before any of it is used. *)
+(* [of_source ~expect s ~binary ~pre] hands a binary trace — a file or
+   a workload's kept encoding — to [binary] as its source (no capture),
+   and a sexp-lines file (no random-access form) to [pre] through a
+   capture.  A file is read in the worker's kept buffer, so [binary]
+   must not let the source escape.  With [expect], a file whose stamp
+   differs is refused before any of it is used. *)
 let of_source ~expect s ~binary ~pre =
   match s with
-  | Job.Workload w -> pre (Workloads.Registry.preprocessed (workload w))
+  | Job.Workload w -> binary (Workloads.Registry.source (workload w))
   | Job.Trace_file p ->
     Trace.Io.with_path p @@ fun stamp loaded ->
     (match expect with
@@ -76,9 +75,12 @@ let of_source ~expect s ~binary ~pre =
 let preprocessed_of_source ~expect s =
   of_source ~expect s ~binary:Trace.Preprocess.run_source ~pre:Fun.id
 
-(* A binary trace file packs in one scan: no [pevent] array. *)
-let packed ~expect s =
-  of_source ~expect s ~binary:Core.Simulator.pack_source ~pre:Core.Simulator.pack
+(* A binary trace file packs in one scan: no [pevent] array.  A
+   workload's packed form is memoised by the registry. *)
+let packed ~expect = function
+  | Job.Workload w -> Workloads.Registry.packed (workload w)
+  | Job.Trace_file _ as s ->
+    of_source ~expect s ~binary:Core.Simulator.pack_source ~pre:Core.Simulator.pack
 
 let packed_of_source = packed ~expect:None
 

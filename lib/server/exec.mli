@@ -40,13 +40,16 @@ type output =
     replays.  A binary trace file packs in one scan of its source
     ({!Core.Simulator.pack_source}: no [pevent] array, no capture), read
     into the calling domain's kept buffer ({!Trace.Io.with_path}); a
-    workload or sexp-lines file packs its preprocessed form.
+    workload's is packed once per process by the registry
+    ({!Workloads.Registry.packed}); a sexp-lines file packs its
+    preprocessed form.
     @raise Trace.Io.Corrupt on a damaged binary file. *)
 val packed_of_source : Job.source -> Core.Simulator.packed
 
 (** [stats_of_source s] is a stats job's output.  A binary trace file
-    answers from one {!Trace.Preprocess.scan_source} pass; a workload or
-    sexp-lines file from its preprocessed form.
+    or a workload's kept encoding ({!Workloads.Registry.source})
+    answers from one {!Trace.Preprocess.scan_source} pass; a sexp-lines
+    file from its preprocessed form.
     @raise Trace.Io.Corrupt on a damaged binary file. *)
 val stats_of_source : Job.source -> output
 

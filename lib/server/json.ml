@@ -6,6 +6,7 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string   (* already-rendered JSON text, emitted verbatim *)
 
 let escape b s =
   String.iter
@@ -44,6 +45,7 @@ let rec emit b = function
          emit b v)
       fields;
     Buffer.add_char b '}'
+  | Raw s -> Buffer.add_string b s
 
 let to_string j =
   let b = Buffer.create 256 in
@@ -52,4 +54,4 @@ let to_string j =
 
 let member name = function
   | Obj fields -> List.assoc_opt name fields
-  | Null | Bool _ | Int _ | Float _ | Str _ | List _ -> None
+  | Null | Bool _ | Int _ | Float _ | Str _ | List _ | Raw _ -> None

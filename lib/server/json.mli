@@ -10,6 +10,9 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** JSON text already rendered by {!to_string}, emitted verbatim:
+          a reply can embed a memoised fragment without re-rendering it *)
 
 (** Compact single-line rendering (no spaces or newlines); floats print
     via [%.17g] so values survive a parse round-trip. *)

@@ -12,6 +12,10 @@ type response = {
   outcome : (Exec.output, failure) result;
 }
 
+(* A decoded cache hit: the stored string it came from, the output, and
+   that output's rendered [result] JSON. *)
+type hit = { stored : string; out : Exec.output; json : string }
+
 type t = {
   scheduler : (Exec.output, string) result Scheduler.t;
                                     (* Error: the trace changed after hashing *)
@@ -34,6 +38,7 @@ type t = {
   lock : Mutex.t;
   inflight_ids : (int, unit -> bool) Hashtbl.t;
                                     (* wire id -> cancel thunk, while running *)
+  hits : (string, hit) Hashtbl.t;   (* result-cache key -> its last decoded hit *)
   mutable jobs_executed : int;      (* cache misses actually run *)
 }
 
@@ -69,7 +74,8 @@ let create ?metrics_file ?fault ?shard_id ?(retries = 0)
       Obs.Registry.counter metrics ~help:"wire (cancel N) requests honoured"
         "small_svc_cancel_requests_total";
     metrics_file; shard_id;
-    lock = Mutex.create (); inflight_ids = Hashtbl.create 64; jobs_executed = 0 }
+    lock = Mutex.create (); inflight_ids = Hashtbl.create 64;
+    hits = Hashtbl.create 64; jobs_executed = 0 }
 
 let cache t = t.result_cache
 let metrics t = t.metrics
@@ -151,16 +157,49 @@ let cancel_wire t id =
     ignore (f ());
     true
 
-let submit t (job : Job.t) =
+(* The hit memo is bounded like the router's owner table: past the cap
+   it starts again, which costs one decode per key. *)
+let hits_cap = 4096
+
+(* A hit decodes its stored string once: while [Result_cache.find]
+   returns the physically same string, the memoised output and its
+   rendering are that string's.  A re-stored or reloaded value is a new
+   string, so it is decoded afresh; a corrupt one is never memoised. *)
+let decode_hit t key stored =
+  Mutex.lock t.lock;
+  let memo = Hashtbl.find_opt t.hits key in
+  Mutex.unlock t.lock;
+  match memo with
+  | Some h when h.stored == stored -> Ok h
+  | Some _ | None ->
+    let corrupt msg = Error (Exec_failed ("corrupt cache entry: " ^ msg)) in
+    match Exec.output_of_sexp (Sexp.parse stored) with
+    | Error msg -> corrupt msg
+    | exception Sexp.Reader.Parse_error msg -> corrupt msg
+    | Ok out ->
+      let h = { stored; out; json = Json.to_string (Exec.output_to_json out) } in
+      Mutex.lock t.lock;
+      if Hashtbl.length t.hits >= hits_cap then Hashtbl.reset t.hits;
+      Hashtbl.replace t.hits key h;
+      Mutex.unlock t.lock;
+      Ok h
+
+(* What the wire path needs beyond [submit]'s join: whether the reply is
+   [ready] — no worker stands between the request and it (a cache hit,
+   a spent deadline, an unreadable source) — and a hit's memoised
+   [result] rendering. *)
+type ticket = { ready : bool; result_json : string option; join : unit -> response }
+
+let submit_ticket t (job : Job.t) =
   let now () = Unix.gettimeofday () in
   let started = now () in
+  let ready ?result_json join = Ok { ready = true; result_json; join } in
   match job.deadline with
   | Some d when d <= 0. ->
     (* the budget was exhausted upstream; answer without queueing *)
-    Ok
-      (fun () ->
-         observe_response t
-           { job; cached = false; elapsed = 0.; outcome = Error Timed_out })
+    ready (fun () ->
+        observe_response t
+          { job; cached = false; elapsed = 0.; outcome = Error Timed_out })
   | _ ->
   match
     (* the stamp comes first: a rewrite after it, even one before the
@@ -173,24 +212,20 @@ let submit t (job : Job.t) =
   | exception e ->
     (* an unreadable source fails without occupying the queue *)
     let failure = Source_error (Printexc.to_string e) in
-    Ok
-      (fun () ->
-         observe_response t
-           { job; cached = false; elapsed = 0.; outcome = Error failure })
+    ready (fun () ->
+        observe_response t
+          { job; cached = false; elapsed = 0.; outcome = Error failure })
   | expect, key ->
     match Result_cache.find t.result_cache key with
     | Some stored ->
-      let outcome =
-        match Exec.output_of_sexp (Sexp.parse stored) with
-        | Ok out -> Ok out
-        | Error msg -> Error (Exec_failed ("corrupt cache entry: " ^ msg))
-        | exception Sexp.Reader.Parse_error msg ->
-          Error (Exec_failed ("corrupt cache entry: " ^ msg))
+      let outcome, result_json =
+        match decode_hit t key stored with
+        | Ok h -> (Ok h.out, Some h.json)
+        | Error f -> (Error f, None)
       in
-      Ok
-        (fun () ->
-           observe_response t
-             { job; cached = true; elapsed = now () -. started; outcome })
+      ready ?result_json (fun () ->
+          observe_response t
+            { job; cached = true; elapsed = now () -. started; outcome })
     | None ->
       let run = wrap_thunk t job ~expect in
       let deadline = Option.map (fun d -> started +. d) job.deadline in
@@ -217,26 +252,29 @@ let submit t (job : Job.t) =
            (fun id ->
               register_cancel t id (fun () -> Scheduler.cancel t.scheduler ticket))
            job.wire_id;
-         Ok
-           (fun () ->
-              let outcome =
-                match Scheduler.await t.scheduler ticket with
-                | Scheduler.Done (Error msg) -> Error (Source_error msg)
-                | Scheduler.Done (Ok out) ->
-                  Mutex.lock t.lock;
-                  t.jobs_executed <- t.jobs_executed + 1;
-                  Mutex.unlock t.lock;
-                  Result_cache.store t.result_cache key
-                    (Sexp.to_string (Exec.output_to_sexp out));
-                  Ok out
-                | Scheduler.Failed msg -> Error (Exec_failed msg)
-                | Scheduler.Timed_out -> Error Timed_out
-                | Scheduler.Cancelled -> Error Cancelled
-                | Scheduler.Shed -> Error Shed
-              in
-              Option.iter (unregister_cancel t) job.wire_id;
-              observe_response t
-                { job; cached = false; elapsed = now () -. started; outcome }))
+         let join () =
+           let outcome =
+             match Scheduler.await t.scheduler ticket with
+             | Scheduler.Done (Error msg) -> Error (Source_error msg)
+             | Scheduler.Done (Ok out) ->
+               Mutex.lock t.lock;
+               t.jobs_executed <- t.jobs_executed + 1;
+               Mutex.unlock t.lock;
+               Result_cache.store t.result_cache key
+                 (Sexp.to_string (Exec.output_to_sexp out));
+               Ok out
+             | Scheduler.Failed msg -> Error (Exec_failed msg)
+             | Scheduler.Timed_out -> Error Timed_out
+             | Scheduler.Cancelled -> Error Cancelled
+             | Scheduler.Shed -> Error Shed
+           in
+           Option.iter (unregister_cancel t) job.wire_id;
+           observe_response t
+             { job; cached = false; elapsed = now () -. started; outcome }
+         in
+         Ok { ready = false; result_json = None; join })
+
+let submit t job = Result.map (fun tk -> tk.join) (submit_ticket t job)
 
 let run_job t job =
   match submit t job with
@@ -261,7 +299,8 @@ let id_field (job : Job.t) =
   | None -> []
   | Some n -> [ ("id", Json.Int n) ]
 
-let response_json t r =
+(* [result], when given, is the output's already-rendered JSON. *)
+let render_response ?result t r =
   let base status rest =
     Json.Obj
       (id_field r.job
@@ -272,12 +311,17 @@ let response_json t r =
          :: (rest @ shard_field t))
   in
   match r.outcome with
-  | Ok out -> base "ok" [ ("result", Exec.output_to_json out) ]
+  | Ok out ->
+    base "ok"
+      [ ("result",
+         match result with Some j -> Json.Raw j | None -> Exec.output_to_json out) ]
   | Error (Exec_failed msg) -> base "error" [ ("error", Json.Str msg) ]
   | Error (Source_error msg) -> base "error" [ ("error", Json.Str msg) ]
   | Error Timed_out -> base "timeout" []
   | Error Cancelled -> base "cancelled" []
   | Error Shed -> base "shed" [ ("error", Json.Str "shed under overload") ]
+
+let response_json t r = render_response t r
 
 let error_line t msg =
   Json.to_string
@@ -346,10 +390,18 @@ let stats_json t =
            ("retried", Json.Int s.Scheduler.retried) ]);
       ("metrics", Obs_json.registry_json t.metrics) ])
 
+(* A request's replies, behind a thunk that blocks until they exist.
+   [ready] replies need no worker, so a session may write them at once
+   when no earlier reply is still owed. *)
+type replies = { ready : bool; lines : unit -> string list }
+
+let const rs = { ready = true; lines = (fun () -> rs) }
+
 let respond_async t job =
-  match submit t job with
-  | Ok join -> fun () -> Json.to_string (response_json t (join ()))
-  | Error (`Overloaded | `Shutdown) -> fun () -> overloaded_line t job
+  match submit_ticket t job with
+  | Ok { ready; result_json; join } ->
+    (ready, fun () -> Json.to_string (render_response ?result:result_json t (join ())))
+  | Error (`Overloaded | `Shutdown) -> (true, fun () -> overloaded_line t job)
 
 let handle_batch_async t datums =
   (* submit everything before awaiting anything: the pool runs the batch
@@ -358,24 +410,24 @@ let handle_batch_async t datums =
     List.map
       (fun d ->
          match Job.of_sexp d with
-         | Error msg -> fun () -> error_line t msg
+         | Error msg -> (true, fun () -> error_line t msg)
          | Ok job -> respond_async t job)
       datums
   in
-  fun () -> List.map (fun join -> join ()) joins
+  { ready = List.for_all fst joins;
+    lines = (fun () -> List.map (fun (_, join) -> join ()) joins) }
 
 (* Parse and submit now; the returned thunk blocks until the replies are
    ready.  Splitting the two halves is what lets a pipelined session read
    a (cancel N) while the job it targets is still running. *)
 let handle_parsed_async t line =
-  let const rs = fun () -> rs in
   match Sexp.parse line with
     | exception Sexp.Reader.Parse_error msg ->
       const [ error_line t ("parse error: " ^ msg) ]
     | Sexp.Datum.Cons (Sym "stats", Nil) ->
       (* evaluated in reply order, so a stats line queued after a job
          reports that job as completed, exactly as a serial session did *)
-      fun () -> [ Json.to_string (stats_json t) ]
+      { ready = false; lines = (fun () -> [ Json.to_string (stats_json t) ]) }
     | Sexp.Datum.Cons (Sym "ping", Nil) ->
       (* the router's health probe: answered without touching the
          scheduler, the cache, or the registry snapshot *)
@@ -398,13 +450,13 @@ let handle_parsed_async t line =
     | d ->
       (match Job.of_sexp d with
        | Ok job ->
-         let join = respond_async t job in
-         fun () -> [ join () ]
+         let ready, join = respond_async t job in
+         { ready; lines = (fun () -> [ join () ]) }
        | Error msg -> const [ error_line t msg ])
 
-let handle_line_async t line =
+let handle_line_replies t line =
   let line = String.trim line in
-  if line = "" then fun () -> []
+  if line = "" then const []
   else begin
     (* wire fault injection garbles the request BEFORE any parsing, so
        the whole input path is exercised: truncated and byte-flipped
@@ -416,12 +468,14 @@ let handle_line_async t line =
       | None -> line
     in
     if String.length line > t.max_request_bytes then
-      fun () ->
+      const
         [ error_line t
             (Printf.sprintf "request too large (%d bytes, cap %d)"
                (String.length line) t.max_request_bytes) ]
     else handle_parsed_async t line
   end
+
+let handle_line_async t line = (handle_line_replies t line).lines
 
 let handle_line t line =
   let responses = handle_line_async t line () in
@@ -444,7 +498,18 @@ let serve_channels t ic oc =
   let pm = Mutex.create () in
   let pcv = Condition.create () in
   let done_reading = ref false in
+  let writing = ref false in               (* the writer holds a taken join *)
   let write_failed = ref false in
+  (* joins still run after a write failure so every scheduler ticket is
+     observed; only the writes are skipped *)
+  let write replies =
+    if not !write_failed then
+      (try
+         List.iter (fun r -> output_string oc r; output_char oc '\n') replies;
+         flush oc
+       with Sys_error _ -> write_failed := true);
+    write_metrics_file t
+  in
   let writer =
     Domain.spawn (fun () ->
         let rec loop () =
@@ -455,19 +520,13 @@ let serve_channels t ic oc =
           match Queue.take_opt pending with
           | None -> Mutex.unlock pm         (* done_reading and drained *)
           | Some join ->
+            writing := true;
             Condition.broadcast pcv;        (* reader may be depth-blocked *)
             Mutex.unlock pm;
-            let replies = join () in        (* blocks until the job settles *)
-            (* joins still run after a write failure so every scheduler
-               ticket is observed; only the writes are skipped *)
-            if not !write_failed then
-              (try
-                 List.iter
-                   (fun r -> output_string oc r; output_char oc '\n')
-                   replies;
-                 flush oc
-               with Sys_error _ -> write_failed := true);
-            write_metrics_file t;
+            write (join ());                (* the join blocks until the job settles *)
+            Mutex.lock pm;
+            writing := false;
+            Mutex.unlock pm;
             loop ()
         in
         loop ())
@@ -478,14 +537,21 @@ let serve_channels t ic oc =
        let line = input_line ic in
        if String.trim line = "(quit)" then quit := true
        else begin
-         let join = handle_line_async t line in
+         let r = handle_line_replies t line in
          Mutex.lock pm;
-         while Queue.length pending >= pipeline_depth do
-           Condition.wait pcv pm
-         done;
-         Queue.add join pending;
-         Condition.broadcast pcv;
-         Mutex.unlock pm
+         (* a ready reply with nothing owed ahead of it is written here,
+            without a hand-off: the writer is idle and only this domain
+            queues, so the two never write at once *)
+         let inline = r.ready && Queue.is_empty pending && not !writing in
+         if not inline then begin
+           while Queue.length pending >= pipeline_depth do
+             Condition.wait pcv pm
+           done;
+           Queue.add r.lines pending;
+           Condition.broadcast pcv
+         end;
+         Mutex.unlock pm;
+         if inline then write (r.lines ())
        end
      done
    with End_of_file -> ());

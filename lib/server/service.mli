@@ -22,7 +22,10 @@
 
     Sessions are pipelined: a reader submits requests as they arrive
     while a writer domain streams replies in request order, so control
-    lines are acted on while earlier jobs still run.  A job carrying
+    lines are acted on while earlier jobs still run.  A reply that needs
+    no worker (a cache hit, a spent deadline, an unreadable source, an
+    error line) is written by the reader itself when no earlier reply
+    is still owed.  A job carrying
     [(deadline S)] must finish within [S] seconds of arrival {e
     including} queue wait; an exhausted budget answers
     [status:"timeout"], and a job arriving with [S <= 0] is answered
@@ -96,6 +99,9 @@ val run_job : t -> Job.t -> (response, [ `Overloaded | `Shutdown ]) result
 (** Async form: returns a join.  The cache hit (or source error) is
     resolved immediately; a miss resolves when the pool finishes. *)
 val submit : t -> Job.t -> (unit -> response, [ `Overloaded | `Shutdown ]) result
+
+(** The reply line for [r], as a session writes it. *)
+val response_json : t -> response -> Json.t
 
 (** [handle_line t line] — one request line to response lines (a batch
     yields several).  Never raises: malformed or oversized input becomes

@@ -55,18 +55,25 @@ let encoded_unlocked w =
 
 let digest w = with_cache_lock (fun () -> (encoded_unlocked w).digest)
 
+let source w = with_cache_lock (fun () -> (encoded_unlocked w).source)
+
 let trace_cache : (string, Trace.Capture.t) Hashtbl.t = Hashtbl.create 8
 
 let trace w =
   with_cache_lock @@ fun () ->
   memo trace_cache w @@ fun () -> Trace.Binary.capture_of_source (encoded_unlocked w).source
 
-let prep_cache : (string, Trace.Preprocess.t) Hashtbl.t = Hashtbl.create 8
+(* Straight off the source, never through [trace], and not kept: a
+   [pevent] array is many times the size of the packed form, and a
+   service only ever packs a workload. *)
+let preprocessed w = Trace.Preprocess.run_source (source w)
 
-(* Straight off the source, never through [trace]: a service preprocesses
-   a workload without holding its capture. *)
-let preprocessed w =
+let packed_cache : (string, Core.Simulator.packed) Hashtbl.t = Hashtbl.create 8
+
+(* Packed under the lock, so in-process shards that first meet a
+   workload together pack it once. *)
+let packed w =
   with_cache_lock @@ fun () ->
-  memo prep_cache w @@ fun () -> Trace.Preprocess.run_source (encoded_unlocked w).source
+  memo packed_cache w @@ fun () -> Core.Simulator.pack_source (encoded_unlocked w).source
 
 let simulation_suite () = List.filter (fun w -> w.name <> "pearl") all

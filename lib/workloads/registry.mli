@@ -19,17 +19,26 @@ val find : string -> workload option
     the content address that keys the server's result cache.  The first
     use runs the workload under the instrumented interpreter, streaming
     its events into the encoding; the registry keeps that encoding off
-    the OCaml heap, and [trace] and [preprocessed] are derived from it
-    (all three memoised per workload). *)
+    the OCaml heap, and every other form is derived from it. *)
 val digest : workload -> string
 
+(** [source w] is the kept encoding as a binary trace source, read as a
+    saved [.smtb] file of the same bytes would be.  It stays valid for
+    the life of the process. *)
+val source : workload -> Trace.Binary.source
+
 (** [trace w] is the workload's captured trace, decoded from its
-    encoding. *)
+    encoding (memoised). *)
 val trace : workload -> Trace.Capture.t
 
 (** [preprocessed w] is the §5.2.1 preprocessing of [trace w], built
-    from the encoding without decoding the capture. *)
+    from the encoding without decoding the capture.  Built on each call
+    and not kept: callers that reuse it keep their own. *)
 val preprocessed : workload -> Trace.Preprocess.t
+
+(** [packed w] is [Core.Simulator.pack_source (source w)], built once
+    per process: the form a simulation or knee search on [w] runs. *)
+val packed : workload -> Core.Simulator.packed
 
 (** The four simulation traces of Table 5.1 (everything but pearl, whose
     trace the thesis also dropped from Chapter 5). *)

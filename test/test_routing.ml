@@ -436,6 +436,262 @@ let test_loadgen_open_loop () =
   Alcotest.(check bool) "text report carries the quantiles" true
     (contains text "p999" && contains text "req/s")
 
+(* ---- reply headers ---- *)
+
+(* The scanners the router and the load generator used before replies
+   were read into a typed header, kept here as the oracle. *)
+module Old = struct
+  let reply_id line =
+    let pfx = "{\"id\":" in
+    let pl = String.length pfx in
+    let n = String.length line in
+    if n > pl && String.sub line 0 pl = pfx then begin
+      let rec go i acc =
+        if i < n && line.[i] >= '0' && line.[i] <= '9' then
+          go (i + 1) ((acc * 10) + (Char.code line.[i] - Char.code '0'))
+        else (i, acc)
+      in
+      let stop, v = go pl 0 in
+      if stop > pl then Some (v, stop) else None
+    end
+    else None
+
+  let strip_id line =
+    match reply_id line with
+    | Some (_, stop) when stop < String.length line && line.[stop] = ',' ->
+      "{" ^ String.sub line (stop + 1) (String.length line - stop - 1)
+    | _ -> line
+
+  let present client_id line =
+    match client_id with
+    | None -> line
+    | Some n ->
+      let len = String.length line in
+      if len >= 2 && line.[0] = '{' then
+        if line = "{}" then "{\"id\":" ^ string_of_int n ^ "}"
+        else "{\"id\":" ^ string_of_int n ^ "," ^ String.sub line 1 (len - 1)
+      else line
+
+  let shard_of reply =
+    let marker = "\"shard\":\"" in
+    let mn = String.length marker in
+    let rec find i =
+      if i + mn > String.length reply then None
+      else if String.sub reply i mn = marker then
+        let j = ref (i + mn) in
+        while !j < String.length reply && reply.[!j] <> '"' do incr j done;
+        Some (String.sub reply (i + mn) (!j - (i + mn)))
+      else find (i + 1)
+    in
+    find 0
+
+  (* the load generator's tallies: ok, cached, overloaded, shard_down,
+     timeout, cancelled, failed, and replies per shard *)
+  let tally replies =
+    let c = Array.make 7 0 in
+    let shards = Hashtbl.create 8 in
+    List.iter
+      (fun r ->
+         let bump i = c.(i) <- c.(i) + 1 in
+         if contains r "\"status\":\"ok\"" then begin
+           bump 0;
+           if contains r "\"cached\":true" then bump 1
+         end
+         else if contains r "\"status\":\"overloaded\"" then bump 2
+         else if contains r "\"status\":\"shard_down\"" then bump 3
+         else if contains r "\"status\":\"timeout\"" then bump 4
+         else if contains r "\"status\":\"cancelled\"" then bump 5
+         else bump 6;
+         match shard_of r with
+         | None -> ()
+         | Some sid ->
+           Hashtbl.replace shards sid
+             (1 + Option.value ~default:0 (Hashtbl.find_opt shards sid)))
+      replies;
+    (Array.to_list c,
+     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) shards []))
+end
+
+let statuses =
+  [ ("ok", `Ok); ("error", `Error); ("overloaded", `Overloaded);
+    ("shard_down", `Shard_down); ("timeout", `Timeout);
+    ("cancelled", `Cancelled); ("shed", `Shed) ]
+
+(* Text that must never be read as a header field when it sits inside a
+   string value. *)
+let tricky =
+  [ "plain"; "a \"quoted\" word"; "back\\slash\\"; "\"status\":\"ok\"";
+    "\"cached\":true"; "{\"id\":9,\"status\":\"shed\"}"; "tab\tand\nnewline";
+    "\\\"status\\\":\\\"ok\\\"" ]
+
+(* Every reply shape a shard or a service emits for a job: each outcome,
+   with and without a wire id and a shard field, cached or not, with
+   tricky error messages and trace-file paths. *)
+let service_lines () =
+  let path = Lazy.force saved_synth_trace in
+  let sim =
+    Server.Exec.Simulate_out
+      (Core.Simulator.run
+         { Core.Simulator.default_config with table_size = 64; seed = 3 }
+         (Trace.Preprocess.run (Trace.Io.load path)))
+  in
+  let stats = Server.Exec.stats_of_source (Server.Job.Trace_file path) in
+  let plain = Server.Service.create ~workers:1 ~queue_capacity:4 () in
+  let shard = Server.Service.create ~shard_id:"s1" ~workers:1 ~queue_capacity:4 () in
+  Fun.protect
+    ~finally:(fun () ->
+        Server.Service.shutdown plain;
+        Server.Service.shutdown shard)
+  @@ fun () ->
+  let outcomes =
+    [ Ok sim; Ok stats; Error Server.Service.Timed_out; Error Server.Service.Cancelled;
+      Error Server.Service.Shed ]
+    @ List.concat_map
+        (fun m ->
+           [ Error (Server.Service.Exec_failed m); Error (Server.Service.Source_error m) ])
+        tricky
+  in
+  List.concat_map
+    (fun p ->
+       List.concat_map
+         (fun wire_id ->
+            let job =
+              { Server.Job.source = Server.Job.Trace_file p;
+                spec = Server.Job.Simulate Core.Simulator.default_config;
+                timeout = None; priority = 0; deadline = None; wire_id }
+            in
+            List.concat_map
+              (fun outcome ->
+                 List.concat_map
+                   (fun cached ->
+                      List.map
+                        (fun svc ->
+                           Server.Json.to_string
+                             (Server.Service.response_json svc
+                                { Server.Service.job; cached; elapsed = 0.25; outcome }))
+                        [ plain; shard ])
+                   [ false; true ])
+              outcomes)
+         [ None; Some 0; Some 42; Some 123456 ])
+    [ path; "/tmp/we\"ird\\path \"status\":\"ok\" \"cached\":true.smtb" ]
+
+(* The router's own lines, taken from a live router where it can make
+   them, plus the shapes it only makes under chaos. *)
+let router_lines () =
+  let real =
+    with_router @@ fun t ->
+    let own l = Router.handle_line t l in
+    let lines =
+      own "(not a job"
+      @ own "(frobnicate 1)"
+      @ own "(ping)"
+      @ own "(ping (id 9))"
+      @ own "(stats)"
+      @ own (Printf.sprintf "(simulate (trace-file %S) (size 64) (seed 1) (deadline 0) (id 4))"
+               (Lazy.force saved_synth_trace))
+      @ own (job_line 2)
+    in
+    Router.mark_down t "s0";
+    Router.mark_down t "s1";
+    lines
+    @ own (job_line 3)
+    @ own (Printf.sprintf "(simulate (trace-file %S) (size 64) (seed 3) (id 11))"
+             (Lazy.force saved_synth_trace))
+  in
+  real
+  @ [ "{\"status\":\"cancelled\",\"error\":\"cancelled by client\",\"request\":\"(simulate (workload slang) (id 3))\"}";
+      "{\"id\":3,\"status\":\"cancelled\",\"error\":\"cancelled by client\",\"request\":\"(x \\\"status\\\":\\\"ok\\\")\"}";
+      "{\"id\":17,\"status\":\"overloaded\",\"job\":\"simulate slang size=1 seed=1\",\"error\":\"queue full, nothing lower-priority to shed\",\"shard\":\"s0\"}";
+      "{\"status\":\"overloaded\",\"job\":\"simulate slang size=1 seed=1\",\"error\":\"queue full\"}";
+      "{\"id\":5,\"status\":\"ok\",\"pong\":true,\"shard\":\"s0\"}";
+      "{\"id\":5}"; "{}"; "{\"id\":"; "{\"id\":7,"; "not json"; "" ]
+
+let test_header_matches_scanners () =
+  let lines = service_lines () @ router_lines () in
+  Alcotest.(check bool) "a broad table" true (List.length lines > 300);
+  List.iter
+    (fun line ->
+       let h = Cluster.Reply.read line in
+       let what = "on " ^ line in
+       (match Old.reply_id line with
+        | Some (id, stop) ->
+          Alcotest.(check (pair int int)) ("wire id " ^ what) (id, stop) (h.id, h.id_end)
+        | None -> Alcotest.(check int) ("no wire id " ^ what) (-1) h.id);
+       List.iter
+         (fun (name, v) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "status %s %s" name what)
+              (contains line (Printf.sprintf "\"status\":\"%s\"" name))
+              (h.status = v))
+         statuses;
+       Alcotest.(check bool) ("cached " ^ what) (contains line "\"cached\":true") h.cached;
+       Alcotest.(check (option string)) ("shard " ^ what) (Old.shard_of line)
+         (Cluster.Reply.shard h line);
+       List.iter
+         (fun client_id ->
+            Alcotest.(check string) ("for_client " ^ what)
+              (Old.present client_id (Old.strip_id line))
+              (Cluster.Reply.for_client ?client_id h line))
+         [ None; Some 0; Some 7; Some 31337 ])
+    lines
+
+(* Where the two differ by design: a field nested below the top level.
+   A service's stats reply labels a counter status="overloaded"; its own
+   status is ok. *)
+let test_header_reads_top_level () =
+  let svc = Server.Service.create ~workers:1 ~queue_capacity:4 () in
+  Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+  match Server.Service.handle_line svc "(stats)" with
+  | [ line ] ->
+    Alcotest.(check bool) "a nested status is present" true
+      (contains line "\"status\":\"overloaded\"");
+    Alcotest.(check bool) "the reply's own status is ok" true
+      ((Cluster.Reply.read line).status = `Ok)
+  | _ -> Alcotest.fail "one stats line expected"
+
+(* The walk allocates nothing: reading a long reply costs the returned
+   header and no more, where substring search allocated at every byte. *)
+let test_header_allocation () =
+  let line =
+    List.find (fun l -> String.length l > 500 && contains l "\"shard\"") (service_lines ())
+  in
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Cluster.Reply.read line))
+  done;
+  let per_read = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per read of a %d-byte reply" per_read
+       (String.length line))
+    true (per_read <= 8.)
+
+(* The load generator's tallies over recorded replies equal the old
+   substring scanners'. *)
+let test_loadgen_tallies_match_scanners () =
+  let replies =
+    List.filter
+      (fun l -> String.length l > 0 && l.[0] = '{')
+      (List.map (fun l -> Old.strip_id l) (service_lines () @ router_lines ()))
+  in
+  let table = Array.of_list replies in
+  let next = ref 0 in
+  let submit _line () =
+    let r = table.(!next) in
+    incr next;
+    r
+  in
+  let r =
+    LG.run ~submit
+      { LG.default with LG.requests = Array.length table; clients = 1; seed = 3 }
+  in
+  let counts, shards = Old.tally replies in
+  Alcotest.(check (list int)) "status tallies"
+    counts
+    [ r.LG.ok; r.LG.cached; r.LG.overloaded; r.LG.shard_down; r.LG.timeouts;
+      r.LG.cancelled; r.LG.failed ];
+  Alcotest.(check (list (pair string int))) "replies per shard" shards r.LG.by_shard
+
 let () =
   Alcotest.run "routing"
     [ ("ring",
@@ -461,6 +717,13 @@ let () =
          Alcotest.test_case "failover and shard_down" `Quick
            test_failover_and_shard_down;
          Alcotest.test_case "work distribution" `Quick test_work_stealing_counts ]);
+      ("reply header",
+       [ Alcotest.test_case "matches the substring scanners" `Quick
+           test_header_matches_scanners;
+         Alcotest.test_case "reads the top level only" `Quick test_header_reads_top_level;
+         Alcotest.test_case "allocates only the header" `Quick test_header_allocation ]);
       ("loadgen",
-       [ Alcotest.test_case "accounting" `Quick test_loadgen_accounting;
+       [ Alcotest.test_case "tallies match the substring scanners" `Quick
+           test_loadgen_tallies_match_scanners;
+         Alcotest.test_case "accounting" `Quick test_loadgen_accounting;
          Alcotest.test_case "open loop" `Quick test_loadgen_open_loop ]) ]

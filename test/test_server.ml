@@ -581,23 +581,23 @@ let test_ping_and_shard_field () =
 (* The wire protocol is newline-framed: a request arriving one byte per
    [write] (worst-case short writes, e.g. through a loaded socket) must
    produce byte-identical replies to the whole-line submission. *)
-let test_framing_tiny_writes () =
-  let strip_elapsed line =
-    let marker = ",\"elapsed\":" in
-    let mn = String.length marker in
-    let rec find i =
-      if i + mn > String.length line then line
-      else if String.sub line i mn = marker then begin
-        let j = ref (i + mn) in
-        while !j < String.length line && line.[!j] <> ',' && line.[!j] <> '}' do
-          incr j
-        done;
-        String.sub line 0 i ^ String.sub line !j (String.length line - !j)
-      end
-      else find (i + 1)
-    in
-    find 0
+let strip_elapsed line =
+  let marker = ",\"elapsed\":" in
+  let mn = String.length marker in
+  let rec find i =
+    if i + mn > String.length line then line
+    else if String.sub line i mn = marker then begin
+      let j = ref (i + mn) in
+      while !j < String.length line && line.[!j] <> ',' && line.[!j] <> '}' do
+        incr j
+      done;
+      String.sub line 0 i ^ String.sub line !j (String.length line - !j)
+    end
+    else find (i + 1)
   in
+  find 0
+
+let test_framing_tiny_writes () =
   let path = Lazy.force saved_synth_trace in
   let requests =
     [ Printf.sprintf "(simulate (trace-file \"%s\") (size 64) (seed 31))" path;
@@ -646,6 +646,166 @@ let test_framing_tiny_writes () =
        Alcotest.(check string) "tiny-write reply byte-identical"
          (strip_elapsed d) (strip_elapsed r))
     direct replies
+
+(* One session served by its own domain over a socketpair; [f] gets the
+   client's channels.  The client side times out rather than hang. *)
+let with_session svc f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float a Unix.SO_RCVTIMEO 60.;
+  Unix.setsockopt_float a Unix.SO_SNDTIMEO 60.;
+  let server =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr b in
+        let oc = Unix.out_channel_of_descr (Unix.dup b) in
+        ignore (Server.Service.serve_channels svc ic oc);
+        (try close_out oc with Sys_error _ -> ());
+        (try close_in ic with Sys_error _ -> ()))
+  in
+  let ic = Unix.in_channel_of_descr a in
+  let oc = Unix.out_channel_of_descr (Unix.dup a) in
+  Fun.protect
+    ~finally:(fun () ->
+        (try output_string oc "(quit)\n"; flush oc with Sys_error _ -> ());
+        (* drain what a failed check left unread, so the server's writes
+           can finish and its session end *)
+        (try
+           while true do
+             ignore (input_line ic)
+           done
+         with End_of_file | Sys_error _ -> ());
+        Domain.join server;
+        (try close_out oc with Sys_error _ -> ());
+        try close_in ic with Sys_error _ -> ())
+    (fun () -> f ic oc)
+
+(* Puts [job]'s result, computed by a fault-free service, into [svc]'s
+   cache, so that [job] is a hit there without running. *)
+let preload svc job =
+  let stored =
+    with_service @@ fun s ->
+    match (ok (Server.Service.run_job s job)).Server.Service.outcome with
+    | Ok out -> Sexp.to_string (Server.Exec.output_to_sexp out)
+    | Error _ -> Alcotest.fail "preload job failed"
+  in
+  Server.Result_cache.store (Server.Service.cache svc)
+    (Server.Result_cache.key
+       ~trace_digest:(Server.Exec.trace_digest job.Server.Job.source)
+       ~job_digest:(Server.Job.digest job))
+    stored
+
+let sim_line ?(extra = "") seed =
+  Printf.sprintf "(simulate (trace-file %S) (size 64) (seed %d)%s)"
+    (Lazy.force saved_synth_trace) seed extra
+
+(* A hit pipelined behind a running miss waits for it: ready replies are
+   written by the session's reader only when nothing is owed ahead of
+   them.  One worker; the miss is held by a fault-plan delay, long enough
+   that the (cancel 7) read after it finds it still running.  The later
+   lines are sent once the miss runs, when its join has left the queue
+   and only the writer owes its reply. *)
+let test_inline_replies_keep_order () =
+  let fault =
+    Fault.Plan.create { Fault.Plan.default with delay = 1.0; delay_s = 0.4 }
+  in
+  let svc = Server.Service.create ~fault ~workers:1 ~queue_capacity:8 () in
+  Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+  preload svc (sim_job 50);
+  let miss = sim_line ~extra:" (id 7)" 51 and hit = sim_line 50 in
+  let replies =
+    with_session svc @@ fun ic oc ->
+    let send lines = List.iter (fun l -> output_string oc (l ^ "\n")) lines; flush oc in
+    send [ miss ];
+    while (Server.Service.scheduler_stats svc).Sch.running = 0 do
+      Domain.cpu_relax ()
+    done;
+    send [ hit; "(stats)"; "(cancel 7)" ];
+    List.init 3 (fun _ -> input_line ic)
+  in
+  let miss_job = match Server.Job.parse miss with Ok j -> j | Error e -> Alcotest.fail e in
+  let cancelled =
+    Server.Json.to_string
+      (Server.Service.response_json svc
+         { Server.Service.job = miss_job; cached = false; elapsed = 0.;
+           outcome = Error Server.Service.Cancelled })
+  in
+  (match replies with
+   | [ r_miss; r_hit; r_stats ] ->
+     Alcotest.(check string) "the miss answers first, cancelled mid-run"
+       (strip_elapsed cancelled) (strip_elapsed r_miss);
+     Alcotest.(check string) "the hit answers second, as a direct request does"
+       (strip_elapsed (List.hd (Server.Service.handle_line svc hit)))
+       (strip_elapsed r_hit);
+     Alcotest.(check bool) "stats, in reply order, counts the miss as completed" true
+       (contains r_stats "\"completed\":1,\"rejected\":0,\"cancelled\":1")
+   | _ -> Alcotest.fail "three replies expected")
+
+(* A client may write all its requests before reading a reply: a reader
+   that writes ready replies itself must not wedge the session. *)
+let test_many_hits_before_reading () =
+  with_service @@ fun svc ->
+  preload svc (sim_job 52);
+  let n = 2000 in
+  let direct = strip_elapsed (List.hd (Server.Service.handle_line svc (sim_line 52))) in
+  let replies =
+    with_session svc @@ fun ic oc ->
+    for _ = 1 to n do
+      output_string oc (sim_line 52 ^ "\n")
+    done;
+    flush oc;
+    List.init n (fun _ -> input_line ic)
+  in
+  Alcotest.(check int) "every hit answered" n (List.length replies);
+  List.iter
+    (fun r -> Alcotest.(check string) "each reply is the direct one" direct (strip_elapsed r))
+    replies
+
+(* The hit memo answers only for the string the cache still holds: a
+   re-stored value is decoded afresh, and a corrupt one is answered as
+   corrupt on every hit, never from the memo of what was there before. *)
+let test_hit_memo_never_stale () =
+  with_service @@ fun svc ->
+  let job = sim_job 53 in
+  let key =
+    Server.Result_cache.key
+      ~trace_digest:(Server.Exec.trace_digest job.Server.Job.source)
+      ~job_digest:(Server.Job.digest job)
+  in
+  let cache = Server.Service.cache svc in
+  let hit () =
+    let r = ok (Server.Service.run_job svc job) in
+    Alcotest.(check bool) "served from the cache" true r.Server.Service.cached;
+    r
+  in
+  let line () = List.hd (Server.Service.handle_line svc (sim_line 53)) in
+  let first = result_bytes (ok (Server.Service.run_job svc job)) in
+  Alcotest.(check string) "hit = miss" first (result_bytes (hit ()));
+  Alcotest.(check bool) "the reply embeds it" true (contains (line ()) first);
+  let other = direct_bytes 54 in
+  let other_out =
+    Server.Exec.Simulate_out
+      (Core.Simulator.run (sim_config 54) (Trace.Preprocess.run (Lazy.force synth_capture)))
+  in
+  Alcotest.(check bool) "the two outputs differ" true (other <> first);
+  Server.Result_cache.store cache key (Sexp.to_string (Server.Exec.output_to_sexp other_out));
+  Alcotest.(check string) "a re-stored value answers" other (result_bytes (hit ()));
+  Alcotest.(check bool) "and its reply embeds it" true (contains (line ()) other);
+  List.iter
+    (fun corrupt ->
+       Server.Result_cache.store cache key corrupt;
+       for _ = 1 to 3 do
+         (match (hit ()).Server.Service.outcome with
+          | Error (Server.Service.Exec_failed msg) ->
+            Alcotest.(check bool) ("corrupt entry reported: " ^ msg) true
+              (contains msg "corrupt cache entry")
+          | Ok _ -> Alcotest.fail "a corrupt entry answered a result"
+          | Error _ -> Alcotest.fail "a corrupt entry failed the wrong way");
+         let l = line () in
+         Alcotest.(check bool) "its reply is the corrupt-entry error" true
+           (contains l "\"status\":\"error\"" && contains l "corrupt cache entry")
+       done)
+    [ "(simulate-out (events"; "(no-such-out)" ];
+  Server.Result_cache.store cache key (Sexp.to_string (Server.Exec.output_to_sexp other_out));
+  Alcotest.(check string) "a valid value answers again" other (result_bytes (hit ()))
 
 let test_remove_stale_socket () =
   (* missing file: fine *)
@@ -697,6 +857,12 @@ let () =
          Alcotest.test_case "disk persistence" `Quick test_cache_disk_persistence;
          Alcotest.test_case "metrics" `Quick test_cache_metrics;
          Alcotest.test_case "key shape" `Quick test_cache_key_shape ]);
+      ("sessions",
+       [ Alcotest.test_case "inline replies keep session order" `Quick
+           test_inline_replies_keep_order;
+         Alcotest.test_case "many hits before reading" `Quick test_many_hits_before_reading ]);
+      ("hit memo",
+       [ Alcotest.test_case "never serves stale bytes" `Quick test_hit_memo_never_stale ]);
       ("jobs",
        [ Alcotest.test_case "parse" `Quick test_job_parse;
          Alcotest.test_case "sexp roundtrip" `Quick test_job_sexp_roundtrip;

@@ -202,8 +202,21 @@ let test_derived_forms () =
             (Trace.Binary.to_string capture));
        Alcotest.(check bool) (name ^ ": registry trace = traced capture") true
          (Trace.Capture.events (Workloads.Registry.trace w) = Trace.Capture.events capture);
+       let pre = Trace.Preprocess.run capture in
        Alcotest.(check bool) (name ^ ": registry preprocessed = preprocessed capture") true
-         (Workloads.Registry.preprocessed w = Trace.Preprocess.run capture))
+         (Workloads.Registry.preprocessed w = pre);
+       Alcotest.(check bool) (name ^ ": registry packed = packed capture") true
+         (Workloads.Registry.packed w = Core.Simulator.pack pre);
+       let st = Trace.Capture.stats capture in
+       Alcotest.(check bool) (name ^ ": stats job off the source = capture's stats") true
+         (Server.Exec.stats_of_source (Server.Job.Workload name)
+          = Server.Exec.Stats_out
+              { events = Trace.Capture.length capture;
+                primitives = st.Trace.Capture.primitives;
+                functions = st.Trace.Capture.functions;
+                max_depth = st.Trace.Capture.max_depth;
+                distinct_lists = pre.Trace.Preprocess.distinct_lists;
+                mix = (Analysis.Prim_mix.of_preprocessed pre).Analysis.Prim_mix.counts }))
     [ "plagen"; "slang"; "editor"; "pearl" ]
 
 let () =
