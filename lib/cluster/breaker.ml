@@ -24,7 +24,6 @@ type internal = C | O
 
 type t = {
   cfg : config;
-  m : Mutex.t;
   on_open : unit -> unit;
   mutable st : internal;
   mutable consecutive : int;     (* failures since the last success (Closed) *)
@@ -38,21 +37,14 @@ let create ?(config = default) ?(on_open = fun () -> ()) () =
   if config.failures < 0 then invalid_arg "Breaker.create: failures < 0";
   if config.cooldown < 0. then invalid_arg "Breaker.create: cooldown < 0";
   if config.queue_limit < 0 then invalid_arg "Breaker.create: queue_limit < 0";
-  { cfg = config; m = Mutex.create (); on_open;
+  { cfg = config; on_open;
     st = C; consecutive = 0; opened_at = 0.; trial = false; opens = 0;
     last_depth = 0 }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-let now () = Unix.gettimeofday ()
-
-let state t =
-  locked t (fun () ->
-      match t.st with
-      | C -> Closed
-      | O -> if now () -. t.opened_at >= t.cfg.cooldown then Half_open else Open)
+let state t ~now =
+  match t.st with
+  | C -> Closed
+  | O -> if now -. t.opened_at >= t.cfg.cooldown then Half_open else Open
 
 let state_name = function
   | Closed -> "closed"
@@ -62,56 +54,51 @@ let state_name = function
 (* Stats exposure uses a numeric gauge: 0 closed, 1 half-open, 2 open. *)
 let state_code = function Closed -> 0 | Half_open -> 1 | Open -> 2
 
-let allow t =
-  locked t (fun () ->
-      match t.st with
-      | C -> t.cfg.queue_limit = 0 || t.last_depth <= t.cfg.queue_limit
-      | O ->
-        if now () -. t.opened_at >= t.cfg.cooldown && not t.trial then begin
-          t.trial <- true;      (* exactly one probe per cooldown window *)
-          true
-        end
-        else false)
+let allow t ~now =
+  match t.st with
+  | C -> t.cfg.queue_limit = 0 || t.last_depth <= t.cfg.queue_limit
+  | O ->
+    if now -. t.opened_at >= t.cfg.cooldown && not t.trial then begin
+      t.trial <- true;      (* exactly one probe per cooldown window *)
+      true
+    end
+    else false
 
-let open_locked t =
+let force_open t ~now =
   (match t.st with
    | C -> t.on_open (); t.opens <- t.opens + 1
    | O -> ());
   t.st <- O;
-  t.opened_at <- now ();
+  t.opened_at <- now;
   t.trial <- false
 
 let record_success t =
-  locked t (fun () ->
-      match t.st with
-      | C -> t.consecutive <- 0
-      | O ->
-        if t.trial then begin
-          t.st <- C;
-          t.consecutive <- 0;
-          t.trial <- false
-        end)
+  match t.st with
+  | C -> t.consecutive <- 0
+  | O ->
+    if t.trial then begin
+      t.st <- C;
+      t.consecutive <- 0;
+      t.trial <- false
+    end
 
-let record_failure t =
-  locked t (fun () ->
-      match t.st with
-      | C ->
-        t.consecutive <- t.consecutive + 1;
-        if t.cfg.failures > 0 && t.consecutive >= t.cfg.failures then
-          open_locked t
-      | O ->
-        (* a failure while open (or of the half-open trial) re-arms the
-           cooldown without re-counting an "open" transition *)
-        t.opened_at <- now ();
-        t.trial <- false)
+let record_failure t ~now =
+  match t.st with
+  | C ->
+    t.consecutive <- t.consecutive + 1;
+    if t.cfg.failures > 0 && t.consecutive >= t.cfg.failures then
+      force_open t ~now
+  | O ->
+    (* a failure while open (or of the half-open trial) re-arms the
+       cooldown without re-counting an "open" transition *)
+    t.opened_at <- now;
+    t.trial <- false
 
-let force_open t = locked t (fun () -> open_locked t)
-
-let record_rtt t rtt =
+let record_rtt t ~now rtt =
   if Float.is_finite t.cfg.rtt_limit && rtt > t.cfg.rtt_limit then
-    record_failure t
+    record_failure t ~now
   else record_success t
 
-let note_queue_depth t depth = locked t (fun () -> t.last_depth <- depth)
+let note_queue_depth t depth = t.last_depth <- depth
 
-let opens t = locked t (fun () -> t.opens)
+let opens t = t.opens

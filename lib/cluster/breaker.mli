@@ -7,7 +7,12 @@
     a success closes the breaker, a failure re-arms the cooldown.
     Queue depth is a soft signal: a closed breaker whose last noted
     depth exceeds [queue_limit] refuses admission without changing
-    state.  All operations are thread-safe. *)
+    state.
+
+    The breaker reads no clock: every call that depends on the time
+    takes it as [~now], in seconds.  It holds no lock either: callers
+    serialise access (the router calls it only from its core, under
+    the router lock). *)
 
 type t
 
@@ -30,7 +35,7 @@ val create : ?config:config -> ?on_open:(unit -> unit) -> unit -> t
 
 (** Time-aware view: an open breaker past its cooldown reads
     [Half_open].  Does not consume the half-open trial. *)
-val state : t -> state
+val state : t -> now:float -> state
 
 val state_name : state -> string
 
@@ -39,19 +44,22 @@ val state_code : state -> int
 
 (** May this shard receive new work?  In the half-open window this
     consumes the single trial slot. *)
-val allow : t -> bool
+val allow : t -> now:float -> bool
 
+(** A success needs no time: it only closes a breaker whose trial was
+    admitted. *)
 val record_success : t -> unit
-val record_failure : t -> unit
+
+val record_failure : t -> now:float -> unit
 
 (** [record_rtt t rtt] — success below [rtt_limit], failure above. *)
-val record_rtt : t -> float -> unit
+val record_rtt : t -> now:float -> float -> unit
 
 val note_queue_depth : t -> int -> unit
 
 (** Open immediately — the conviction path (a dead shard), bypassing
     the failure count. *)
-val force_open : t -> unit
+val force_open : t -> now:float -> unit
 
 (** Closed-to-open transitions so far. *)
 val opens : t -> int

@@ -10,3 +10,4 @@ module Router = Router
 module Health = Health
 module Loadgen = Loadgen
 module Breaker = Breaker
+module Router_core = Router_core

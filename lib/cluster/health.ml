@@ -9,17 +9,12 @@ type t = {
   down_after : float;
   m : Mutex.t;
   mutable stopping : bool;
-  mutable dead : string list;   (* newest first *)
   mutable domain : unit Domain.t option;
 }
 
-let declare_dead t sid =
-  (* kill (not just mark_down): a SIGKILL is the only wake-up that works
-     on a spawned child that is alive but wedged *)
-  Router.kill t.router sid;
-  Mutex.lock t.m;
-  if not (List.mem sid t.dead) then t.dead <- sid :: t.dead;
-  Mutex.unlock t.m
+(* kill (not just mark_down): a SIGKILL is the only wake-up that works
+   on a spawned child that is alive but wedged *)
+let declare_dead t sid = Router.kill t.router sid
 
 let child_exited pid =
   match Unix.waitpid [ Unix.WNOHANG ] pid with
@@ -81,16 +76,10 @@ let start ?(interval = 0.25) ?(down_after = 2.0) router =
   let t =
     { router; interval; down_after;
       m = Mutex.create ();
-      stopping = false; dead = []; domain = None }
+      stopping = false; domain = None }
   in
   t.domain <- Some (Domain.spawn (fun () -> loop t []));
   t
-
-let deaths t =
-  Mutex.lock t.m;
-  let d = t.dead in
-  Mutex.unlock t.m;
-  List.rev d
 
 let stop t =
   Mutex.lock t.m;

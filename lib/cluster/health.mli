@@ -19,8 +19,5 @@ type t
     (default 2s) is the unanswered-probe deadline. *)
 val start : ?interval:float -> ?down_after:float -> Router.t -> t
 
-(** Shards this monitor has declared dead, oldest first. *)
-val deaths : t -> string list
-
 (** Stops and joins the monitor domain.  Idempotent. *)
 val stop : t -> unit

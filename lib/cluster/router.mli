@@ -123,11 +123,8 @@ val is_idle : t -> string -> bool
 (** [probe t sid] enqueues an identified [(ping (id N))] on the shard's
     wire (FIFO with jobs); the returned thunk polls the reply without
     blocking.  [None] if the shard is down.  The pong's round-trip feeds
-    the shard's circuit breaker and {!shard_ping_ms}. *)
+    the shard's circuit breaker and the [ping_ms] field of [(stats)]. *)
 val probe : t -> string -> (unit -> string option) option
-
-(** Last probe round-trip, in milliseconds; [None] before the first. *)
-val shard_ping_ms : t -> string -> float option
 
 (** Declares a shard dead: closes its connection (waking a blocked
     dispatcher), fails its health probes, and reroutes its queued jobs
@@ -149,8 +146,8 @@ val revive : t -> string -> bool
 (** Serves the wire protocol until EOF or [(quit)]; [true] iff quit. *)
 val serve_channels : t -> in_channel -> out_channel -> bool
 
-(** Binds [path] (stale files removed, live servers refused — see
-    {!Server.Service.remove_stale_socket}) and serves {e concurrent}
+(** Binds [path] (stale sockets replaced, live servers and other files
+    refused — see {!Server.Service.bind_socket_replacing}) and serves {e concurrent}
     sessions, one domain each, until some client sends [(quit)]. *)
 val serve_socket : t -> path:string -> unit
 

@@ -562,33 +562,14 @@ let serve_channels t ic oc =
   Domain.join writer;
   !quit
 
-(* A killed server leaves its socket file behind and a naive bind then
-   fails with EADDRINUSE forever.  Probe before unlinking: a connect that
-   succeeds means another server is live (refuse to hijack its socket); a
-   refused connect means the file is stale and safe to remove.  Anything
-   that is not a socket is left alone. *)
-let remove_stale_socket path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (ENOENT, _, _) -> ()
-  | { Unix.st_kind; _ } when st_kind <> Unix.S_SOCK ->
-    failwith (Printf.sprintf "%s: exists and is not a socket" path)
-  | _ ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () -> true
-      | exception Unix.Unix_error _ -> false
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    if live then
-      failwith (Printf.sprintf "%s: a server is already listening here" path)
-    else (try Unix.unlink path with Unix.Unix_error _ -> ())
-
 (* Bind via a temp name and rename over the target: the path atomically
    flips from the stale socket to the live one, so a restarting shard
    never leaves a window where the path is missing (clients ENOENT) or
    where two distinct endpoints answer (routers double-counting).  A
-   live listener is still refused first. *)
+   killed server leaves its socket file behind, so probe before
+   replacing: a connect that succeeds means another server is live
+   (refuse to hijack its socket); a refused connect means the file is
+   stale.  Anything that is not a socket is left alone. *)
 let bind_socket_replacing sock path =
   (match Unix.lstat path with
    | exception Unix.Unix_error (ENOENT, _, _) -> ()

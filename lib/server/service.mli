@@ -121,17 +121,13 @@ val cancel_wire : t -> int -> bool
     Responses are flushed per line. *)
 val serve_channels : t -> in_channel -> out_channel -> bool
 
-(** [remove_stale_socket path] unlinks the socket file a killed server
-    left behind.  A live server (the probe connect succeeds) or a
-    non-socket file at [path] raises [Failure] instead of being
-    clobbered; a missing file is fine. *)
-val remove_stale_socket : string -> unit
-
 (** [bind_socket_replacing sock path] binds [sock] under a temp name and
     renames it over [path]: the path flips atomically from any stale
-    socket to the live one, so a restarting shard never leaves a window
-    where the path is missing or two endpoints answer.  A live listener
-    at [path] raises [Failure] first. *)
+    socket a killed server left behind to the live one, so a restarting
+    shard never leaves a window where the path is missing or two
+    endpoints answer.  A live listener (the probe connect succeeds) or a
+    non-socket file at [path] raises [Failure] and is left untouched; a
+    missing file is fine. *)
 val bind_socket_replacing : Unix.file_descr -> string -> unit
 
 (** Binds a Unix domain socket at [path] (atomically replacing a stale

@@ -808,35 +808,47 @@ let test_hit_memo_never_stale () =
   Alcotest.(check string) "a valid value answers again" other (result_bytes (hit ()))
 
 let test_remove_stale_socket () =
-  (* missing file: fine *)
+  let socket () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let connects path =
+    let fd = socket () in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        match Unix.connect fd (Unix.ADDR_UNIX path) with
+        | () -> true
+        | exception Unix.Unix_error _ -> false)
+  in
+  (* missing file: fine, the socket is bound there *)
   let path = Filename.temp_file "stale" ".sock" in
   Sys.remove path;
-  Server.Service.remove_stale_socket path;
-  (* a stale socket file (bound, listener gone): removed *)
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.close fd;
+  let first = socket () in
+  Server.Service.bind_socket_replacing first path;
+  (* its server is killed: the socket file is left behind, stale *)
+  Unix.close first;
   Alcotest.(check bool) "socket file left behind" true (Sys.file_exists path);
-  Server.Service.remove_stale_socket path;
-  Alcotest.(check bool) "stale socket removed" false (Sys.file_exists path);
+  Alcotest.(check bool) "nobody answers there" false (connects path);
+  (* a stale socket is replaced by the new one *)
+  let live = socket () in
+  Server.Service.bind_socket_replacing live path;
+  (* room for every probe below: a full backlog blocks a connect *)
+  Unix.listen live 8;
+  Alcotest.(check bool) "stale socket replaced by a live one" true (connects path);
   (* a regular file is NOT clobbered *)
   let reg = Filename.temp_file "notasock" ".txt" in
-  (match Server.Service.remove_stale_socket reg with
+  let other = socket () in
+  (match Server.Service.bind_socket_replacing other reg with
    | () -> Alcotest.fail "regular file must not be treated as a stale socket"
    | exception Failure msg ->
      Alcotest.(check bool) "diagnostic names the path" true (contains msg reg));
-  Alcotest.(check bool) "regular file untouched" true (Sys.file_exists reg);
+  Alcotest.(check bool) "regular file untouched" true
+    (Sys.file_exists reg && (Unix.lstat reg).Unix.st_kind = Unix.S_REG);
   Sys.remove reg;
-  (* a live listener is refused, not unlinked *)
-  let live = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind live (Unix.ADDR_UNIX path);
-  Unix.listen live 1;
-  (match Server.Service.remove_stale_socket path with
+  (* a live listener is refused, not replaced *)
+  (match Server.Service.bind_socket_replacing other path with
    | () -> Alcotest.fail "live server must not be clobbered"
    | exception Failure msg ->
      Alcotest.(check bool) "diagnostic says listening" true
        (contains msg "already listening"));
-  Alcotest.(check bool) "live socket untouched" true (Sys.file_exists path);
+  Alcotest.(check bool) "live socket untouched" true (connects path);
+  Unix.close other;
   Unix.close live;
   Sys.remove path
 
