@@ -11,21 +11,8 @@ let chapter5_suite () = Workloads.Registry.simulation_suite ()
 
 let trace name = Workloads.Registry.trace (workload name)
 
-(* The registry rebuilds a preprocessed form on every call and keeps
-   none; the sections reuse one per workload, kept here.  Sections run
-   under [Util.Parallel], hence the lock. *)
-let pre_cache : (string, Trace.Preprocess.t) Hashtbl.t = Hashtbl.create 8
-let pre_lock = Mutex.create ()
-
-let preprocessed (w : Workloads.Registry.workload) =
-  Mutex.lock pre_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock pre_lock) @@ fun () ->
-  match Hashtbl.find_opt pre_cache w.name with
-  | Some p -> p
-  | None ->
-    let p = Workloads.Registry.preprocessed w in
-    Hashtbl.replace pre_cache w.name p;
-    p
+(* The registry builds each workload's preprocessed form once. *)
+let preprocessed = Workloads.Registry.preprocessed
 
 let pre name = preprocessed (workload name)
 

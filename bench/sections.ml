@@ -16,7 +16,7 @@ let () =
   let rows =
     List.map
       (fun w ->
-         let mix = Analysis.Prim_mix.analyze (Workloads.Registry.trace w) in
+         let mix = Analysis.Prim_mix.analyze (Workloads.Registry.preprocessed w) in
          let p prim = Context.pct1 (Analysis.Prim_mix.pct mix prim) in
          [ w.Workloads.Registry.name; p Trace.Event.Car; p Trace.Event.Cdr;
            p Trace.Event.Cons; p Trace.Event.Rplaca; p Trace.Event.Rplacd;
@@ -221,7 +221,7 @@ let () =
     List.fold_left
       (fun acc w ->
          min acc
-           (Array.length (Trace.Preprocess.prim_refs (Context.preprocessed w))))
+           (Trace.Preprocess.ref_count (Context.preprocessed w)))
       max_int suite
   in
   let window = max 1 (shortest / 10) in
@@ -234,7 +234,7 @@ let () =
     (Util.Parallel.map
        (fun w ->
           let pre = Context.preprocessed w in
-          let refs = Array.length (Trace.Preprocess.prim_refs pre) in
+          let refs = Trace.Preprocess.ref_count pre in
           let r = Analysis.List_sets.partition_abs ~window pre in
           [ w.Workloads.Registry.name; Context.int_s refs;
             Context.int_s (List.length r.Analysis.List_sets.sets);
@@ -936,19 +936,20 @@ let () =
        [ "(a b c (d e) f g)"; "(a (b (c (d e) f) g))" ])
 
 let () =
-  register "traceio" "Trace store: zero-copy mmap replay vs the legacy reader" @@ fun () ->
+  register "traceio" "Trace store: owned-read replay vs the legacy reader" @@ fun () ->
   (* Two experiments on one large synthetic trace.  First the store
      comparison (sexp vs binary bytes, write and load time), then the
      replay pipelines over the binary file:
      - legacy: open a channel and decode the whole stream into a
-       capture before any event is visible ([Trace.Binary.read_channel],
-       what [Trace.Io.load] did before mmap);
-     - mapped: [source_of_path] (mmap, O(1)) and flat batch iteration —
-       startup is the time to the first decoded batch, replay never
-       materialises an event;
-     - owned read: [Trace.Io.open_path], the file read into an owned
-       buffer by the word-wide copy (the CLI's entry point).
-     SMALLSIM_BENCH_SMOKE=1 (CI) shrinks the trace, and then a mapped
+       capture before any event is visible (the streaming channel
+       reader, [Oracle.Channel.read_channel]);
+     - owned read: [Trace.Io.open_path] reads the file into a buffer
+       the source owns, by the word-wide copy, and flat batch iteration
+       replays it without materialising an event; startup is the time
+       to the first decoded batch;
+     - kept read: [Trace.Io.with_path], the same replay with the file
+       read into the domain's kept buffer (the service's path).
+     SMALLSIM_BENCH_SMOKE=1 (CI) shrinks the trace, and then an owned-read
      replay slower than the legacy reader fails the bench; with
      SMALLSIM_BENCH_REPLAY_OUT=FILE the measurements land as JSON (the
      BENCH_replay.json trajectory). *)
@@ -1016,51 +1017,58 @@ let () =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-         let c = Trace.Binary.read_channel ic in
+         let c = Oracle.Channel.read_channel ic in
          if Trace.Capture.length c <> events then
            failwith "traceio: legacy reader saw the wrong event count")
   in
-  let mapped_startup () =
-    let r = Trace.Binary.read_source (Trace.Binary.source_of_path path) in
-    if Trace.Binary.next_batch r = None && events > 0 then
-      failwith "traceio: mapped reader produced no batch"
+  let owned () =
+    match Trace.Io.open_path path with
+    | Trace.Io.Binary_source src -> src
+    | Trace.Io.Sexp_capture _ -> failwith "traceio: binary trace expected"
   in
-  let batch_replay () =
+  let startup () =
+    if Trace.Binary.next_batch (Trace.Binary.read_source (owned ())) = None && events > 0
+    then failwith "traceio: owned-read reader produced no batch"
+  in
+  let replay src =
     let n = ref 0 in
-    Trace.Binary.iter_batches (Trace.Binary.source_of_path path) (fun b ->
-        n := !n + Trace.Binary.Batch.length b);
+    Trace.Binary.iter_batches src (fun b -> n := !n + Trace.Binary.Batch.length b);
     if !n <> events then failwith "traceio: batch replay saw the wrong event count"
   in
+  let batch_replay () = replay (owned ()) in
+  let kept_replay () =
+    Trace.Io.with_path path (fun _ -> function
+      | Trace.Io.Binary_source src -> replay src
+      | Trace.Io.Sexp_capture _ -> failwith "traceio: binary trace expected")
+  in
   let legacy_s = best_of reps legacy_load in
-  let startup_s = best_of reps mapped_startup in
+  let startup_s = best_of reps startup in
   let replay_s = best_of reps batch_replay in
+  let kept_s = best_of reps kept_replay in
   let legacy_alloc = alloc_of legacy_load in
   let batch_alloc = alloc_of batch_replay in
-  let header_stats () = ignore (Trace.Binary.header_stats (Trace.Binary.source_of_path path)) in
-  let stats_s = best_of reps header_stats in
-  let owned_read_s = best_of reps (fun () -> ignore (Trace.Io.open_path path)) in
+  let src = owned () in
+  let stats_s = best_of reps (fun () -> ignore (Trace.Binary.header_stats src)) in
+  let owned_read_s = best_of reps (fun () -> ignore (owned ())) in
   let pre_reps = if smoke then 1 else 2 in
   let pre_run_s = best_of pre_reps (fun () -> ignore (Trace.Preprocess.run capture)) in
-  let pre_src_s =
-    best_of pre_reps (fun () ->
-        ignore (Trace.Preprocess.run_source (Trace.Binary.source_of_path path)))
-  in
+  let pre_src_s = best_of pre_reps (fun () -> ignore (Trace.Preprocess.run_source src)) in
   let startup_speedup = legacy_s /. Float.max startup_s 1e-9 in
   let replay_speedup = legacy_s /. Float.max replay_s 1e-9 in
   Util.Series.print_rows
     ~title:
-      (Printf.sprintf "Replay — legacy whole-file reader vs zero-copy batches (%d events, %d bytes)"
+      (Printf.sprintf "Replay — legacy whole-file reader vs flat batches (%d events, %d bytes)"
          events file_bytes)
     ~header:[ "pipeline"; "startup s"; "full replay s"; "alloc MB"; "replay speedup" ]
     [ [ "legacy read_channel"; Printf.sprintf "%.4f" legacy_s;
         Printf.sprintf "%.4f" legacy_s; Printf.sprintf "%.1f" (mb legacy_alloc);
         "1.00x" ];
-      [ "mmap + flat batches"; Printf.sprintf "%.6f" startup_s;
+      [ "owned read + flat batches"; Printf.sprintf "%.6f" startup_s;
         Printf.sprintf "%.4f" replay_s; Printf.sprintf "%.1f" (mb batch_alloc);
         Printf.sprintf "%.2fx" replay_speedup ] ];
-  Printf.printf "replay startup: %.6fs mapped vs %.4fs legacy (%.0fx); \
-                 header-only stats: %.6fs\n"
-    startup_s legacy_s startup_speedup stats_s;
+  Printf.printf "replay startup: %.6fs owned read vs %.4fs legacy (%.0fx); \
+                 kept-read replay: %.4fs; header-only stats: %.6fs\n"
+    startup_s legacy_s startup_speedup kept_s stats_s;
   Printf.printf "preprocess: run %.4fs vs run_source %.4fs (%.2fx)\n"
     pre_run_s pre_src_s (pre_run_s /. Float.max pre_src_s 1e-9);
   Printf.printf "owned read (Trace.Io.open_path): %.6fs\n" owned_read_s;
@@ -1071,19 +1079,20 @@ let () =
      Printf.fprintf oc
        "{\"bench\": \"replay\", \"smoke\": %b, \"events\": %d, \"file_bytes\": %d,\n\
        \ \"legacy_load_s\": %.6f, \"legacy_alloc_mb\": %.2f,\n\
-       \ \"mapped_startup_s\": %.6f, \"startup_speedup\": %.1f,\n\
+       \ \"owned_startup_s\": %.6f, \"startup_speedup\": %.1f,\n\
        \ \"batch_replay_s\": %.6f, \"batch_alloc_mb\": %.2f, \"replay_speedup\": %.2f,\n\
-       \ \"header_stats_s\": %.6f,\n\
+       \ \"kept_replay_s\": %.6f, \"header_stats_s\": %.6f,\n\
        \ \"preprocess_run_s\": %.6f, \"preprocess_run_source_s\": %.6f,\n\
        \ \"owned_read_s\": %.6f}\n"
        smoke events file_bytes legacy_s (mb legacy_alloc) startup_s startup_speedup
-       replay_s (mb batch_alloc) replay_speedup stats_s pre_run_s pre_src_s owned_read_s;
+       replay_s (mb batch_alloc) replay_speedup kept_s stats_s pre_run_s pre_src_s
+       owned_read_s;
      close_out oc;
      Printf.printf "wrote %s\n" file);
   if smoke && replay_s > legacy_s then
     failwith
       (Printf.sprintf
-         "traceio: mapped replay (%.4fs) slower than the legacy reader (%.4fs)"
+         "traceio: owned-read replay (%.4fs) slower than the legacy reader (%.4fs)"
          replay_s legacy_s)
 
 let () =
@@ -1094,15 +1103,16 @@ let () =
      meaningful if the simulation is bit-identical.  SMALLSIM_BENCH_SMOKE=1
      (CI) shrinks the trace and gates: the flat kernel must not be slower
      than the reference, and must stay under the per-event minor-allocation
-     ceiling (16 words); [pack_source] must allocate at most half the
-     bytes per event it did before the decoder hashed as it went (201.4
-     B/event on the smoke trace, so the ceiling is 100.7).  A repeat of
-     the service's cold path in the same domain — the file read into
-     the domain's kept buffer, then [pack_source] over its kept span
-     table — must allocate at most half the OCaml-heap bytes per event
-     of [pack_source] before that memory was kept (74.9 B/event on the
-     smoke trace, so the ceiling is 37.45), and must leave the kept
-     memory as large as it found it.  With SMALLSIM_BENCH_SIM_OUT=FILE
+     ceiling (16 words); the cold-miss step — [Preprocess.run_source]
+     then [Simulator.pack] — must allocate at most half the bytes per
+     event it did before the decoder hashed as it went (201.4 B/event
+     on the smoke trace, so the ceiling is 100.7).  A repeat of the
+     service's cold path in the same domain — the file read into the
+     domain's kept buffer, then the scan over its kept storage — must
+     allocate at most half the OCaml-heap bytes per event of that step
+     before that memory was kept (74.9 B/event on the smoke trace, so
+     the ceiling is 37.45), and must leave the kept memory as large as
+     it found it.  With SMALLSIM_BENCH_SIM_OUT=FILE
      the measurements land as JSON (the BENCH_sim.json trajectory). *)
   let smoke = Sys.getenv_opt "SMALLSIM_BENCH_SMOKE" <> None in
   let length = if smoke then 60_000 else 400_000 in
@@ -1127,39 +1137,43 @@ let () =
   let events = Core.Simulator.packed_events packed in
   let prims = (Trace.Capture.stats capture).Trace.Capture.primitives in
   (* correctness gate first: byte-identical stats, always enforced *)
-  let s_ref = Core.Simulator.run_reference cfg pre in
+  let s_ref = Oracle.Reference.run_reference cfg pre in
   let s_flat = Core.Simulator.run_packed cfg packed in
   if compare s_ref s_flat <> 0 then
     failwith "sim.hotloop: flat kernel diverges from the reference stats";
-  let ref_s = best_of reps (fun () -> ignore (Core.Simulator.run_reference cfg pre)) in
+  let ref_s = best_of reps (fun () -> ignore (Oracle.Reference.run_reference cfg pre)) in
   let flat_s = best_of reps (fun () -> ignore (Core.Simulator.run_packed cfg packed)) in
-  (* end-to-end off a binary file: pack_source + replay, no pevent array;
-     and pack_source alone, the cold-miss preprocessing step *)
+  (* end-to-end off a binary file: scan + pack + replay; and scan +
+     pack alone, the cold-miss preprocessing step, off a source that
+     owns the file's bytes *)
   let path = Filename.temp_file "smallsim-simbench" ".smtb" in
-  let src_s, pack_source_s, pack_alloc, (repeat_s, repeat_alloc, kept, kept_after) =
+  let src_s, scan_pack_s, pack_alloc, (repeat_s, repeat_alloc, kept, kept_after) =
     Fun.protect
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () ->
          Trace.Io.save ~format:Trace.Io.Binary path capture;
-         let run_src () =
-           let s =
-             Core.Simulator.run_source cfg (Trace.Binary.source_of_path path)
-           in
-           if compare s s_ref <> 0 then
-             failwith "sim.hotloop: run_source diverges from the reference stats"
+         let src =
+           match Trace.Io.open_path path with
+           | Trace.Io.Binary_source src -> src
+           | Trace.Io.Sexp_capture _ -> failwith "sim.hotloop: binary trace expected"
          in
-         let pack_src () = Core.Simulator.pack_source (Trace.Binary.source_of_path path) in
-         if compare (pack_src ()) packed <> 0 then
-           failwith "sim.hotloop: pack_source diverges from pack";
+         let scan_pack src = Core.Simulator.pack (Trace.Preprocess.run_source src) in
+         let run_src () =
+           let s = Core.Simulator.run_packed cfg (scan_pack src) in
+           if compare s s_ref <> 0 then
+             failwith "sim.hotloop: the scanned trace diverges from the reference stats"
+         in
+         if compare (scan_pack src) packed <> 0 then
+           failwith "sim.hotloop: pack . run_source diverges from pack . run";
          let before = Gc.allocated_bytes () in
-         ignore (pack_src ());
+         ignore (scan_pack src);
          let alloc = (Gc.allocated_bytes () -. before) /. float_of_int (max 1 events) in
          (* [Gc.allocated_bytes] sees the OCaml heap only: the kept
             memory is [Bigarray] storage, reported on its own *)
          let scoped_pack () =
            Trace.Io.with_path path (fun _ loaded ->
                match loaded with
-               | Trace.Io.Binary_source src -> Core.Simulator.pack_source src
+               | Trace.Io.Binary_source src -> scan_pack src
                | Trace.Io.Sexp_capture _ -> failwith "sim.hotloop: binary trace expected")
          in
          ignore (scoped_pack ());
@@ -1170,9 +1184,9 @@ let () =
            (Gc.allocated_bytes () -. before) /. float_of_int (max 1 events)
          in
          if compare repeat packed <> 0 then
-           failwith "sim.hotloop: repeat pack_source diverges from pack";
+           failwith "sim.hotloop: repeat scan diverges from pack . run";
          let kept_after = Trace.Scratch.retained_bytes () in
-         (best_of reps run_src, best_of reps (fun () -> ignore (pack_src ())), alloc,
+         (best_of reps run_src, best_of reps (fun () -> ignore (scan_pack src)), alloc,
           (best_of reps (fun () -> ignore (scoped_pack ())), repeat_alloc, kept, kept_after)))
   in
   (* per-primitive-event minor allocation of the flat kernel (the
@@ -1182,7 +1196,7 @@ let () =
     ignore (f ());
     (Gc.allocated_bytes () -. before) /. float_of_int (max 1 prims)
   in
-  let ref_alloc = alloc_per_event (fun () -> Core.Simulator.run_reference cfg pre) in
+  let ref_alloc = alloc_per_event (fun () -> Oracle.Reference.run_reference cfg pre) in
   let flat_alloc = alloc_per_event (fun () -> Core.Simulator.run_packed cfg packed) in
   let speedup = ref_s /. Float.max flat_s 1e-9 in
   let eps f = float_of_int prims /. Float.max f 1e-9 in
@@ -1198,11 +1212,11 @@ let () =
       [ "flat packed"; Printf.sprintf "%.4f" flat_s;
         Printf.sprintf "%.0f" (eps flat_s); Printf.sprintf "%.1f" flat_alloc;
         Printf.sprintf "%.2fx" speedup ] ];
-  Printf.printf "pack: %.4fs once per trace; run_source end-to-end: %.4fs\n"
+  Printf.printf "pack: %.6fs once per trace; run_source end-to-end: %.4fs\n"
     pack_s src_s;
-  Printf.printf "pack_source: %.4fs, %.1f B/event allocated\n" pack_source_s pack_alloc;
+  Printf.printf "run_source + pack: %.4fs, %.1f B/event allocated\n" scan_pack_s pack_alloc;
   Printf.printf
-    "pack_source repeat (kept memory): %.4fs, %.1f B/event allocated, %d B kept\n"
+    "run_source + pack repeat (kept memory): %.4fs, %.1f B/event allocated, %d B kept\n"
     repeat_s repeat_alloc kept_after;
   (match Sys.getenv_opt "SMALLSIM_BENCH_SIM_OUT" with
    | None -> ()
@@ -1213,11 +1227,11 @@ let () =
        \ \"reference_run_s\": %.6f, \"reference_alloc_b_per_prim\": %.1f,\n\
        \ \"flat_run_s\": %.6f, \"flat_alloc_b_per_prim\": %.2f,\n\
        \ \"speedup\": %.2f, \"pack_s\": %.6f, \"run_source_s\": %.6f,\n\
-       \ \"flat_prims_per_s\": %.0f, \"pack_source_s\": %.6f,\n\
-       \ \"pack_alloc_b_per_event\": %.2f, \"pack_repeat_s\": %.6f,\n\
-       \ \"pack_repeat_alloc_b_per_event\": %.2f, \"scratch_bytes\": %d}\n"
+       \ \"flat_prims_per_s\": %.0f, \"scan_pack_s\": %.6f,\n\
+       \ \"scan_pack_alloc_b_per_event\": %.2f, \"scan_pack_repeat_s\": %.6f,\n\
+       \ \"scan_pack_repeat_alloc_b_per_event\": %.2f, \"scratch_bytes\": %d}\n"
        smoke events prims ref_s ref_alloc flat_s flat_alloc speedup pack_s src_s
-       (eps flat_s) pack_source_s pack_alloc repeat_s repeat_alloc kept_after;
+       (eps flat_s) scan_pack_s pack_alloc repeat_s repeat_alloc kept_after;
      close_out oc;
      Printf.printf "wrote %s\n" file);
   (* 16 words = 128 bytes on 64-bit: the issue's steady-state ceiling *)
@@ -1229,11 +1243,12 @@ let () =
   if smoke && pack_alloc > 100.7 then
     failwith
       (Printf.sprintf
-         "sim.hotloop: pack_source allocates %.1f B/event (ceiling 100.7)" pack_alloc);
+         "sim.hotloop: run_source + pack allocates %.1f B/event (ceiling 100.7)"
+         pack_alloc);
   if smoke && repeat_alloc > 37.45 then
     failwith
       (Printf.sprintf
-         "sim.hotloop: repeat pack_source allocates %.1f B/event (ceiling 37.45)"
+         "sim.hotloop: repeat run_source + pack allocates %.1f B/event (ceiling 37.45)"
          repeat_alloc);
   if smoke && kept_after > kept then
     failwith
@@ -1252,7 +1267,7 @@ let () =
      simulation bare and instrumented, best-of-N to shed scheduler noise.
      SMALLSIM_BENCH_SMOKE=1 (CI) cuts the repetitions down. *)
   let pre = Context.pre "slang" in
-  let events = Array.length (Trace.Preprocess.prim_refs pre) in
+  let events = Trace.Preprocess.ref_count pre in
   let config = { Core.Simulator.default_config with table_size = 2048 } in
   let reps = if Sys.getenv_opt "SMALLSIM_BENCH_SMOKE" <> None then 3 else 7 in
   let time f =

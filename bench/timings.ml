@@ -60,7 +60,7 @@ let lru_fenwick =
 let lru_naive =
   Test.make ~name:"analysis: stack distances, 50k refs (naive MTF)"
     (Staged.stage (fun () ->
-         ignore (Analysis.Lru_stack.analyze_naive (Lazy.force lru_stream))))
+         ignore (Oracle.Naive_lru.analyze_naive (Lazy.force lru_stream))))
 
 let simulator =
   let pre = lazy (Trace.Preprocess.run (Lazy.force synth_trace)) in

@@ -48,21 +48,6 @@ let job_source workload file =
   | None, Some path -> Ok (Server.Job.Trace_file path)
   | None, None -> Error (`Msg "need --workload or --trace")
 
-(* Analysis needs the preprocessed form; binary trace files reach it
-   through the zero-copy mapped source without ever materialising
-   events. *)
-let load_preprocessed workload file =
-  match workload, file with
-  | Some w, _ -> Ok (Workloads.Registry.preprocessed w)
-  | None, Some path ->
-    (match Trace.Io.open_path path with
-     | Trace.Io.Binary_source src ->
-       (try Ok (Trace.Preprocess.run_source src)
-        with Trace.Binary.Corrupt { offset; reason } ->
-          raise (Trace.Io.Corrupt { path; offset; reason }))
-     | Trace.Io.Sexp_capture c -> Ok (Trace.Preprocess.run c))
-  | None, None -> Error (`Msg "need --workload or --trace")
-
 (* ---- run ---- *)
 
 let run_cmd =
@@ -187,77 +172,48 @@ let trace_cmd =
       Printf.printf "saved to %s%s\n" path (if binary then " (binary)" else "")
     | None -> ()
   in
-  (* The whole-capture path, for sexp-lines traces: [digest] gives the
-     cache key, the capture's encoding. *)
-  let summarise_capture ~digest capture out binary show_stats =
-    let st = Trace.Capture.stats capture in
-    Printf.printf "events: %d (%d primitives, %d function calls, max depth %d)\n"
-      (Trace.Capture.length capture) st.Trace.Capture.primitives
-      st.Trace.Capture.functions st.Trace.Capture.max_depth;
-    print_mix (Analysis.Prim_mix.analyze capture);
-    if show_stats then begin
-      let pre = Trace.Preprocess.run capture in
-      Printf.printf "unique list objects: %d\n" pre.Trace.Preprocess.distinct_lists;
-      Printf.printf "digest: %s\n" (digest ())
-    end;
-    save_to capture out binary
-  in
-  (* A binary trace summarises off its source: the event count comes
-     from the chunk headers alone, the mix and depth from the flat
-     batches, and [digest] is the server's cache key — no event is
-     materialised unless [-o] asks for a re-encode ([capture]).  A
-     file also reports its framing ([file_info]). *)
-  let summarise_source ~file_info ~job_source ~digest ~capture src out binary
+  (* Every summary reads the flat form: the event count, statistics and
+     mix off its codes, and with [--stats] its unique lists and
+     [digest], the server's cache key.  A binary file also reports its
+     framing ([framing]).  No event is materialised unless [-o] asks
+     for a re-encode ([capture]). *)
+  let summarise ?framing ~digest ~capture (pre : Trace.Preprocess.t) out binary
       show_stats =
-    let hs = Trace.Binary.header_stats src in
-    let st = Trace.Binary.scan_stats src in
+    let st = pre.stats in
     Printf.printf "events: %d (%d primitives, %d function calls, max depth %d)\n"
-      hs.Trace.Binary.h_events st.Trace.Capture.primitives
-      st.Trace.Capture.functions st.Trace.Capture.max_depth;
-    if file_info then
-      Printf.printf "binary: %d chunks, %d bytes (%d payload)\n"
-        hs.Trace.Binary.h_chunks hs.Trace.Binary.h_bytes
-        hs.Trace.Binary.h_payload_bytes;
-    print_mix (Analysis.Prim_mix.analyze_source src);
+      (Array.length pre.codes) st.primitives st.functions st.max_depth;
+    Option.iter
+      (fun (hs : Trace.Binary.header_stats) ->
+         Printf.printf "binary: %d chunks, %d bytes (%d payload)\n" hs.h_chunks hs.h_bytes
+           hs.h_payload_bytes)
+      framing;
+    print_mix (Analysis.Prim_mix.analyze pre);
     if show_stats then begin
-      (match Server.Exec.stats_of_source job_source with
-       | Server.Exec.Stats_out { distinct_lists; _ } ->
-         Printf.printf "unique list objects: %d\n" distinct_lists
-       | _ -> assert false);
+      Printf.printf "unique list objects: %d\n" pre.distinct_lists;
       Printf.printf "digest: %s\n" (digest ())
     end;
     if out <> None then save_to (capture ()) out binary
-  in
-  let summarise_file path src out binary show_stats =
-    try
-      summarise_source ~file_info:true ~job_source:(Server.Job.Trace_file path)
-        ~digest:(fun () -> Digest.to_hex (Digest.file path))
-        ~capture:(fun () -> Trace.Binary.capture_of_source src)
-        src out binary show_stats
-    with Trace.Binary.Corrupt { offset; reason } ->
-      raise (Trace.Io.Corrupt { path; offset; reason })
-  in
-  (* A workload summarises off the registry's kept encoding, in the
-     lines a capture summary prints. *)
-  let summarise_workload w =
-    summarise_source ~file_info:false
-      ~job_source:(Server.Job.Workload w.Workloads.Registry.name)
-      ~digest:(fun () -> Workloads.Registry.digest w)
-      ~capture:(fun () -> Workloads.Registry.trace w)
-      (Workloads.Registry.source w)
   in
   let action workload file out binary show_stats =
     match workload, file with
     | None, None -> Error (`Msg "need --workload or --trace")
     | Some w, _ ->
-      summarise_workload w out binary show_stats;
+      summarise
+        ~digest:(fun () -> Workloads.Registry.digest w)
+        ~capture:(fun () -> Workloads.Registry.trace w)
+        (Workloads.Registry.preprocessed w) out binary show_stats;
       Ok ()
     | None, Some path ->
-      (match Trace.Io.open_path path with
-       | Trace.Io.Sexp_capture capture ->
-         summarise_capture ~digest:(fun () -> Trace.Binary.digest capture)
-           capture out binary show_stats
-       | Trace.Io.Binary_source src -> summarise_file path src out binary show_stats);
+      Trace.Io.with_path path (fun _ -> function
+        | Trace.Io.Sexp_capture capture ->
+          summarise ~digest:(fun () -> Trace.Binary.digest capture)
+            ~capture:(fun () -> capture) (Trace.Preprocess.run capture) out binary
+            show_stats
+        | Trace.Io.Binary_source src ->
+          summarise ~framing:(Trace.Binary.header_stats src)
+            ~digest:(fun () -> Digest.to_hex (Digest.file path))
+            ~capture:(fun () -> Trace.Binary.capture_of_source src)
+            (Trace.Preprocess.run_source src) out binary show_stats);
       Ok ()
   in
   let term =
@@ -274,9 +230,10 @@ let analyze_cmd =
          & info [ "separation" ] ~doc:"List-set separation constraint (fraction).")
   in
   let action workload file separation =
-    match load_preprocessed workload file with
+    match job_source workload file with
     | Error _ as e -> e
-    | Ok pre ->
+    | Ok source ->
+      let pre = Server.Exec.preprocessed_of_source source in
       let np = Analysis.Np_stats.analyze pre in
       Printf.printf "lists: %d distinct; mean n = %.2f, mean p = %.2f\n"
         pre.Trace.Preprocess.distinct_lists (Analysis.Np_stats.mean_n np)
@@ -341,9 +298,9 @@ let simulate_cmd =
     match job_source workload file with
     | Error _ as e -> e
     | Ok source ->
-      (* the job service's cold path: a binary trace file packs straight
-         off its mapped source *)
-      let packed = Server.Exec.packed_of_source source in
+      (* the job service's path: a binary trace file is scanned straight
+         off its source *)
+      let packed = Core.Simulator.pack (Server.Exec.preprocessed_of_source source) in
       let config =
         { Core.Simulator.default_config with
           table_size = size; policy; seed; split_counts = split;

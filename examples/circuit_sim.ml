@@ -30,9 +30,8 @@ let () =
    | _ -> ());
 
   (* Characterise the trace (Fig 3.1 / Table 3.1 view). *)
-  let capture = Workloads.Registry.trace w in
   let pre = Workloads.Registry.preprocessed w in
-  let mix = Analysis.Prim_mix.analyze capture in
+  let mix = Analysis.Prim_mix.analyze pre in
   let np = Analysis.Np_stats.analyze pre in
   Printf.printf "trace: %d primitives; cons share %.1f%% (SLANG is the cons outlier)\n"
     mix.Analysis.Prim_mix.total

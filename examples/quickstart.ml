@@ -34,7 +34,7 @@ let () =
 
   (* 3. Chapter 3 analyses. *)
   let pre = Trace.Preprocess.run capture in
-  let mix = Analysis.Prim_mix.analyze capture in
+  let mix = Analysis.Prim_mix.analyze pre in
   Printf.printf "primitive mix              = car %.0f%% / cdr %.0f%% / cons %.0f%%\n"
     (Analysis.Prim_mix.pct mix Trace.Event.Car)
     (Analysis.Prim_mix.pct mix Trace.Event.Cdr)

@@ -12,28 +12,22 @@ let analyze (trace : Trace.Preprocess.t) =
   let cdr_total = ref 0 and cdr_chained = ref 0 in
   let all_total = ref 0 and all_chained = ref 0 in
   Array.iter
-    (fun (e : Trace.Preprocess.pevent) ->
-       match e with
-       | Pcall _ | Preturn _ -> ()
-       | Pprim { prim; args; _ } ->
-         let chained =
-           List.exists
-             (function
-               | Trace.Preprocess.List { chained; _ } -> chained
-               | Atom _ -> false)
-             args
-         in
+    (fun code ->
+       let kind = Trace.Preprocess.kind code in
+       if kind >= 2 then begin
+         let chained = Trace.Preprocess.chained code in
          incr all_total;
          if chained then incr all_chained;
-         (match prim with
-          | Trace.Event.Car ->
-            incr car_total;
-            if chained then incr car_chained
-          | Trace.Event.Cdr ->
-            incr cdr_total;
-            if chained then incr cdr_chained
-          | Trace.Event.Cons | Trace.Event.Rplaca | Trace.Event.Rplacd -> ()))
-    trace.events;
+         if kind = 2 then begin
+           incr car_total;
+           if chained then incr car_chained
+         end
+         else if kind = 3 then begin
+           incr cdr_total;
+           if chained then incr cdr_chained
+         end
+       end)
+    trace.codes;
   { car_total = !car_total; car_chained = !car_chained; cdr_total = !cdr_total;
     cdr_chained = !cdr_chained; all_total = !all_total; all_chained = !all_chained }
 

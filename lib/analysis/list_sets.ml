@@ -103,29 +103,28 @@ let partition_window ~window trace =
     chosen
   in
   let set_stream = ref [] in
+  let r = ref 0 in
   Array.iter
-    (fun (e : Trace.Preprocess.pevent) ->
-       match e with
-       | Pcall _ | Preturn _ -> ()
-       | Pprim { args; result; _ } ->
-         let arg_ids =
-           List.filter_map
-             (function Trace.Preprocess.List { id; _ } -> Some id | Atom _ -> None)
-             args
-         in
+    (fun code ->
+       if Trace.Preprocess.kind code >= 2 then begin
+         let n = Trace.Preprocess.list_args code in
+         let arg_ids = List.init n (fun j -> Trace.Preprocess.ref_id trace (!r + j)) in
+         r := !r + n;
          (* The paper's relation: a reference is related to another when
             one is the car or cdr of the other — i.e. the result of a
             primitive relates to its list arguments.  Arguments are not
             related to each other directly (only through a result that
             combines them). *)
          List.iter (fun id -> set_stream := touch id [] :: !set_stream) arg_ids;
-         (match result with
-          | List { id; _ } -> set_stream := touch id arg_ids :: !set_stream
-          | Atom _ -> ()))
-    trace.Trace.Preprocess.events;
+         if Trace.Preprocess.result_is_list code then begin
+           set_stream := touch (Trace.Preprocess.ref_id trace !r) arg_ids :: !set_stream;
+           incr r
+         end
+       end)
+    trace.Trace.Preprocess.codes;
   (uf, Array.of_list (List.rev !set_stream), !pos)
 
-let stream_length trace = Array.length (Trace.Preprocess.prim_refs trace)
+let stream_length = Trace.Preprocess.ref_count
 
 let collect uf stream_length =
   let sets = ref [] in

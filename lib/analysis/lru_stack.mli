@@ -15,13 +15,9 @@ type result = {
 
 (** One pass via the Olken/Bennett–Kruskal algorithm — a {!Fenwick} tree
     counts the distinct items between consecutive accesses of the same
-    item — O(n log n) over an n-reference stream. *)
+    item — O(n log n) over an n-reference stream.  The test suite
+    checks it against the direct move-to-front simulation. *)
 val analyze : int array -> result
-
-(** The direct move-to-front list simulation, O(stream × distinct items).
-    Produces identical results to {!analyze} (enforced by a property
-    test); kept as the independent reference implementation. *)
-val analyze_naive : int array -> result
 
 (** [hit_fraction r k] = fraction of all references at stack distance
     <= [k]. *)
@@ -30,7 +26,3 @@ val hit_fraction : result -> int -> float
 (** [curve r ~max_depth] returns [(depth, cumulative fraction)] points for
     depths 1..max_depth — the Figure 3.7 plot. *)
 val curve : result -> max_depth:int -> (float * float) list
-
-(** Reference implementation (explicit stack simulation per size) for
-    cross-checking in tests: returns hits for a single stack size. *)
-val naive_hits : int array -> size:int -> int

@@ -7,12 +7,11 @@ let analyze (trace : Trace.Preprocess.t) =
   (* dynamic statistics: every reference to a list contributes its n and
      p, so hot lists weigh in proportion to how often they are touched *)
   let n_dist = Util.Dist.create () and p_dist = Util.Dist.create () in
-  Array.iter
-    (fun id ->
-       let n, p = trace.np_by_id.(id) in
-       Util.Dist.add n_dist (float_of_int n);
-       Util.Dist.add p_dist (float_of_int p))
-    (Trace.Preprocess.prim_refs trace);
+  for k = 0 to Trace.Preprocess.ref_count trace - 1 do
+    let id = Trace.Preprocess.ref_id trace k in
+    Util.Dist.add n_dist (float_of_int trace.np.(2 * id));
+    Util.Dist.add p_dist (float_of_int trace.np.((2 * id) + 1))
+  done;
   { n_dist; p_dist }
 
 let mean_n r = Util.Dist.mean r.n_dist

@@ -69,30 +69,26 @@ type stats = {
 
 (** {2 Packed traces}
 
-    The hot loop consumes a {e packed} trace: one int per event encoding
-    everything argument selection needs (wire kind, argument count,
-    list/chained position masks, result-is-list), plus the id -> size
-    table for fresh read-ins.  Packing is a cheap one-shot scan;
-    replaying a packed trace allocates nothing at steady state. *)
+    The hot loop consumes a {e packed} trace: a view of the flat form
+    {!Trace.Preprocess.t} — its event codes and its (n, p) table, from
+    which fresh read-ins draw their sizes.  Packing copies nothing and
+    scans nothing; replaying a packed trace allocates nothing at steady
+    state. *)
 
 type packed
 
 (** Number of events in the packed trace. *)
 val packed_events : packed -> int
 
-(** [pack trace] packs a preprocessed trace.  @raise Invalid_argument on
-    a primitive with more than 24 arguments (real traces have ≤ 2). *)
+(** [pack trace] is the kernel's view of a preprocessed trace. *)
 val pack : Trace.Preprocess.t -> packed
 
-(** [pack_source src] packs a binary trace directly off its flat event
-    batches via {!Trace.Preprocess.scan_source}: identical packing to
-    [pack (Trace.Preprocess.run_source src)] with no intermediate
-    [pevent] array. *)
-val pack_source : Trace.Binary.source -> packed
-
 (** [run_packed ?metrics config packed] replays a packed trace through
-    the allocation-free flat kernel.  Stats are byte-identical to
-    {!run_reference} over the trace the packing came from. *)
+    the allocation-free flat kernel.  Stats are byte-identical to the
+    boxed reference kernel's over the same trace (the oracle battery in
+    [test/]).
+    @raise Invalid_argument on a primitive with more than 24 arguments
+    (real traces have at most 3). *)
 val run_packed : ?metrics:Obs.Registry.t -> config -> packed -> stats
 
 (** [run ?metrics config trace] simulates the whole trace — equivalent
@@ -104,16 +100,6 @@ val run_packed : ?metrics:Obs.Registry.t -> config -> packed -> stats
     one option test per event. *)
 val run : ?metrics:Obs.Registry.t -> config -> Trace.Preprocess.t -> stats
 
-(** [run_source ?metrics config src] simulates a binary trace end to end
-    without materialising events: [run_packed config (pack_source src)]. *)
-val run_source : ?metrics:Obs.Registry.t -> config -> Trace.Binary.source -> stats
-
-(** The original boxed interpreter over [Trace.Preprocess.pevent]s, kept
-    as the correctness oracle for the flat kernel: {!run} must produce
-    byte-identical stats.  Exercised by the equivalence test battery and
-    the [sim.hotloop] bench; not intended for production callers. *)
-val run_reference : ?metrics:Obs.Registry.t -> config -> Trace.Preprocess.t -> stats
-
 val lpt_hit_rate : stats -> float
 val cache_hit_rate : stats -> float
 
@@ -121,8 +107,7 @@ val cache_hit_rate : stats -> float
     of Figure 5.1: the smallest table size (within the probe sequence) at
     which no overflow of any kind occurs, by doubling then bisecting.
     Returns the size and the stats of the run at that size.  Every probe
-    replays the one packed trace, so the caller packs once ({!pack} or
-    {!pack_source}).
+    replays the one packed trace.
 
     With [jobs] > 1 the probe simulations run on a [Util.Parallel] pool —
     the doubling phase probes whole batches of sizes at once and the

@@ -54,76 +54,34 @@ let source_stamp = function
   | Job.Trace_file p -> Some (Trace.Io.stamp p)
   | Job.Workload _ -> None
 
-(* [of_source ~expect s ~binary ~pre] hands a binary trace — a file or
-   a workload's kept encoding — to [binary] as its source (no capture),
-   and a sexp-lines file (no random-access form) to [pre] through a
-   capture.  A file is read in the worker's kept buffer, so [binary]
-   must not let the source escape.  With [expect], a file whose stamp
-   differs is refused before any of it is used. *)
-let of_source ~expect s ~binary ~pre =
-  match s with
-  | Job.Workload w -> binary (Workloads.Registry.source (workload w))
+(* [preprocessed ~expect s] is the flat form of a job's trace.  A
+   workload's is the registry's, built once per process.  A file is
+   read once into the worker's kept buffer: a binary trace is scanned
+   off its source, a sexp-lines one (no random-access form)
+   preprocessed through its capture.  With [expect], a file whose
+   stamp differs is refused before any of it is used. *)
+let preprocessed ~expect = function
+  | Job.Workload w -> Workloads.Registry.preprocessed (workload w)
   | Job.Trace_file p ->
     Trace.Io.with_path p @@ fun stamp loaded ->
     (match expect with
      | Some e when e <> stamp -> raise (Source_changed p)
      | Some _ | None -> ());
     match loaded with
-    | Trace.Io.Binary_source src -> binary src
-    | Trace.Io.Sexp_capture c -> pre (Trace.Preprocess.run c)
+    | Trace.Io.Binary_source src -> Trace.Preprocess.run_source src
+    | Trace.Io.Sexp_capture c -> Trace.Preprocess.run c
 
-let preprocessed_of_source ~expect s =
-  of_source ~expect s ~binary:Trace.Preprocess.run_source ~pre:Fun.id
+let preprocessed_of_source = preprocessed ~expect:None
 
-(* A binary trace file packs in one scan: no [pevent] array.  A
-   workload's packed form is memoised by the registry. *)
-let packed ~expect = function
-  | Job.Workload w -> Workloads.Registry.packed (workload w)
-  | Job.Trace_file _ as s ->
-    of_source ~expect s ~binary:Core.Simulator.pack_source ~pre:Core.Simulator.pack
-
-let packed_of_source = packed ~expect:None
-
-let stats_of_preprocessed (pre : Trace.Preprocess.t) =
+let stats (pre : Trace.Preprocess.t) =
   let st = pre.stats in
   Stats_out
-    { events = Array.length pre.events;
+    { events = Array.length pre.codes;
       primitives = st.primitives;
       functions = st.functions;
       max_depth = st.max_depth;
       distinct_lists = pre.distinct_lists;
-      mix = (Analysis.Prim_mix.of_preprocessed pre).counts }
-
-(* Every stats field off one id-assignment scan: the sizes table has
-   one slot per unique list. *)
-let stats_of_binary src =
-  let functions = ref 0 and returns = ref 0 in
-  let depth = ref 0 and max_depth = ref 0 in
-  let kinds = Array.make 7 0 in
-  let sizes =
-    Trace.Preprocess.scan_source src
-      ~call:(fun ~nargs:_ ->
-          incr functions;
-          incr depth;
-          if !depth > !max_depth then max_depth := !depth)
-      ~return_:(fun () ->
-          incr returns;
-          decr depth)
-      ~prim:(fun ~kind ~nargs:_ ~prev:_ _ -> kinds.(kind) <- kinds.(kind) + 1)
-  in
-  let mix = Analysis.Prim_mix.of_kind_counts kinds in
-  Stats_out
-    { events = !functions + !returns + mix.total;
-      primitives = mix.total;
-      functions = !functions;
-      max_depth = !max_depth;
-      distinct_lists = Array.length sizes;
-      mix = mix.counts }
-
-let stats ~expect s =
-  of_source ~expect s ~binary:stats_of_binary ~pre:stats_of_preprocessed
-
-let stats_of_source = stats ~expect:None
+      mix = (Analysis.Prim_mix.analyze pre).counts }
 
 (* ---- execution ---- *)
 
@@ -132,9 +90,9 @@ let check should_stop = if should_stop () then raise Scheduler.Stop
 let run ?(should_stop = fun () -> false) ~expect (job : Job.t) =
   check should_stop;
   match job.spec with
-  | Job.Stats -> stats ~expect job.source
+  | Job.Stats -> stats (preprocessed ~expect job.source)
   | Job.Analyze { separation } ->
-    let pre = preprocessed_of_source ~expect job.source in
+    let pre = preprocessed ~expect job.source in
     check should_stop;
     let np = Analysis.Np_stats.analyze pre in
     let part = Analysis.List_sets.partition ~separation pre in
@@ -158,11 +116,11 @@ let run ?(should_stop = fun () -> false) ~expect (job : Job.t) =
         car_chain_pct = Analysis.Chaining.car_pct ch;
         cdr_chain_pct = Analysis.Chaining.cdr_pct ch }
   | Job.Simulate config ->
-    let packed = packed ~expect job.source in
+    let packed = Core.Simulator.pack (preprocessed ~expect job.source) in
     check should_stop;
     Simulate_out (Core.Simulator.run_packed config packed)
   | Job.Knee config ->
-    let packed = packed ~expect job.source in
+    let packed = Core.Simulator.pack (preprocessed ~expect job.source) in
     check should_stop;
     let size, stats = Core.Simulator.min_table_size config packed in
     Knee_out { size; stats }

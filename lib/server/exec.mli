@@ -36,22 +36,17 @@ type output =
       stats : Core.Simulator.stats;
     }
 
-(** [packed_of_source s] is the packed trace a simulate or knee job
-    replays.  A binary trace file packs in one scan of its source
-    ({!Core.Simulator.pack_source}: no [pevent] array, no capture), read
-    into the calling domain's kept buffer ({!Trace.Io.with_path}); a
-    workload's is packed once per process by the registry
-    ({!Workloads.Registry.packed}); a sexp-lines file packs its
-    preprocessed form.
-    @raise Trace.Io.Corrupt on a damaged binary file. *)
-val packed_of_source : Job.source -> Core.Simulator.packed
+(** [preprocessed_of_source s] is the flat form every job on [s]
+    reads.  A workload's is built once per process by the registry
+    ({!Workloads.Registry.preprocessed}); a binary trace file is scanned
+    off its source ({!Trace.Preprocess.run_source}), read into the
+    calling domain's kept buffer ({!Trace.Io.with_path}); a sexp-lines
+    file is preprocessed through its capture.
+    @raise Trace.Io.Corrupt on a damaged file. *)
+val preprocessed_of_source : Job.source -> Trace.Preprocess.t
 
-(** [stats_of_source s] is a stats job's output.  A binary trace file
-    or a workload's kept encoding ({!Workloads.Registry.source})
-    answers from one {!Trace.Preprocess.scan_source} pass; a sexp-lines
-    file from its preprocessed form.
-    @raise Trace.Io.Corrupt on a damaged binary file. *)
-val stats_of_source : Job.source -> output
+(** [stats pre] is a stats job's output over the flat form. *)
+val stats : Trace.Preprocess.t -> output
 
 (** The trace half of the result-cache key: for a workload, the MD5 of
     its binary encoding ({!Workloads.Registry.digest}, memoised); for a

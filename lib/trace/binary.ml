@@ -1,5 +1,5 @@
 (* Framing ("SMTB\x02\n"): chunk header = [varint count][varint len]
-   [8-byte FNV-1a of the payload], so a mapped reader verifies each
+   [8-byte FNV-1a of the payload], so a source reader verifies each
    chunk as it decodes it — no up-front pass over the file — and the
    mandatory stream trailer covers only the magic, the chunk headers
    and the end marker (the structure), since the payloads carry their
@@ -282,25 +282,15 @@ let table_add tbl s =
   tbl.len <- tbl.len + 1;
   c
 
-let prim_of_tag_opt = function
-  | 2 -> Some Event.Car
-  | 3 -> Some Event.Cdr
-  | 4 -> Some Event.Cons
-  | 5 -> Some Event.Rplaca
-  | 6 -> Some Event.Rplacd
-  | _ -> None
-
 (* ---- zero-copy sources ----
 
-   A [source] is the whole stream as one random-access byte view: an
-   mmapped [Bigarray] (O(1) startup, the file never fully materialises
-   in the OCaml heap), or a [Bigarray] copy for inputs that cannot be
-   mapped (strings, filesystems without mmap, [~mmap:false]), or the
-   calling domain's kept file buffer for the length of a scoped read.
-   There is one view, so every byte read below is an inlined unchecked
-   load; each read is guarded by the caller's [limit] check, against
-   [slen] (a kept buffer may be longer than its stream).  Offsets in
-   [Corrupt] are absolute stream positions. *)
+   A [source] is the whole stream as one random-access byte view, off
+   the OCaml heap: a [Bigarray] the source owns (a string, or a file
+   read once), or the calling domain's kept file buffer for the length
+   of a scoped read.  There is one view, so every byte read below is an
+   inlined unchecked load; each read is guarded by the caller's [limit]
+   check, against [slen] (a kept buffer may be longer than its stream).
+   Offsets in [Corrupt] are absolute stream positions. *)
 
 type bigbytes = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -387,27 +377,10 @@ let read_fd_into fd (buf : bigbytes) len =
   in
   fill 0
 
-let read_fd_to_bigbytes fd len =
+let source_of_fd fd len =
+  if len < String.length magic then corrupt_at 0 "bad magic";
   let buf = bigbytes_create len in
   read_fd_into fd buf len;
-  buf
-
-(* Memory-map [path] (an in-heap copy on any mmap failure, or when
-   [mmap:false] is forced).  Replay startup is O(1) in the file size on
-   the mapped path: nothing is read until a chunk is decoded. *)
-let source_of_path ?(mmap = true) path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let len = (Unix.fstat fd).Unix.st_size in
-  if len < String.length magic then corrupt_at 0 "bad magic";
-  let buf =
-    if mmap then
-      match Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |] with
-      | g -> Bigarray.array1_of_genarray g
-      | exception (Unix.Unix_error _ | Sys_error _) -> read_fd_to_bigbytes fd len
-    else read_fd_to_bigbytes fd len
-  in
   source_of_buf buf len
 
 (* Each domain keeps the buffer of its last scoped read for the next. *)
@@ -582,7 +555,9 @@ module Batch = struct
     | 0 -> Call { name = name b i; nargs = na }
     | 1 -> Return { name = name b i }
     | kd ->
-      let prim = Option.get (prim_of_tag_opt kd) in
+      let prim : Event.prim =
+        match kd with 2 -> Car | 3 -> Cdr | 4 -> Cons | 5 -> Rplaca | _ -> Rplacd
+      in
       let k = ref (datum_start b (first_datum b i)) in
       let args =
         List.init na (fun _ ->
@@ -762,8 +737,7 @@ let header_varint r what =
   !n
 
 (* The trailer is mandatory: a stream cut right after its end marker is
-   truncated like any other.  (Bytes beyond the trailer are ignored, as
-   the channel reader always did.) *)
+   truncated like any other.  (Bytes beyond the trailer are ignored.) *)
 let check_trailer r =
   if r.src.slen - r.pos < trailer_length then corrupt_at r.pos "truncated checksum trailer";
   if ssub r.src.buf r.pos (String.length checksum_tag) <> checksum_tag then
@@ -847,12 +821,6 @@ let iter_batches src f =
       table_reset batch.Batch.tbl;
       cell := Some batch)
 
-let iter_source src f =
-  iter_batches src (fun b ->
-      for i = 0 to Batch.length b - 1 do
-        f (Batch.event b i)
-      done)
-
 (* ---- header-only statistics ---- *)
 
 type header_stats = {
@@ -892,190 +860,6 @@ let header_stats src =
   { h_events = !events; h_chunks = !chunks; h_bytes = src.slen;
     h_payload_bytes = !payload }
 
-(* Whole-trace capture statistics off the flat batches: no [Event.t] or
-   datum is ever materialised. *)
-let scan_stats src : Capture.stats =
-  let functions = ref 0 and primitives = ref 0 in
-  let depth = ref 0 and max_depth = ref 0 in
-  iter_batches src (fun b ->
-      for i = 0 to Batch.length b - 1 do
-        match Batch.kind b i with
-        | 0 ->
-          incr functions;
-          incr depth;
-          if !depth > !max_depth then max_depth := !depth
-        | 1 -> decr depth
-        | _ -> incr primitives
-      done);
-  { Capture.functions = !functions; primitives = !primitives; max_depth = !max_depth }
-
-(* ---- streaming channel reader ----
-
-   Kept for non-seekable inputs and as the independent cross-check the
-   equivalence tests compare the mapped reader against. *)
-
-exception Local of string
-
-let corrupt what = raise (Local what)
-
-let prim_of_tag t =
-  match prim_of_tag_opt t with
-  | Some p -> p
-  | None -> corrupt (Printf.sprintf "bad primitive tag %d" t)
-
-let get_varint b pos =
-  let n = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    if !pos >= Bytes.length b then corrupt "varint past chunk end";
-    if !shift > Sys.int_size - 1 then corrupt "varint too long";
-    let c = Char.code (Bytes.get b !pos) in
-    incr pos;
-    n := !n lor ((c land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    continue := c land 0x80 <> 0
-  done;
-  !n
-
-let get_string_ref tbl b pos =
-  let r = get_varint b pos in
-  if r = 0 then begin
-    let len = get_varint b pos in
-    if len < 0 || !pos + len > Bytes.length b then corrupt "string past chunk end";
-    let s = Bytes.sub_string b !pos len in
-    pos := !pos + len;
-    ignore (table_add tbl s : int);
-    s
-  end
-  else if r - 1 < tbl.len then tbl.strs.(r - 1)
-  else corrupt "string reference out of range"
-
-let rec get_datum tbl b pos : Sexp.Datum.t =
-  if !pos >= Bytes.length b then corrupt "datum past chunk end";
-  let tag = Char.code (Bytes.get b !pos) in
-  incr pos;
-  match tag with
-  | 0 -> Nil
-  | 1 -> Sym (get_string_ref tbl b pos)
-  | 2 -> Int (unzigzag (get_varint b pos))
-  | 3 -> Str (get_string_ref tbl b pos)
-  | 5 | 6 ->
-    let count = get_varint b pos in
-    (* every car costs at least one byte, so a sane count fits the chunk *)
-    if count < 0 || count > Bytes.length b - !pos then corrupt "list longer than chunk";
-    let cars = Array.make count Sexp.Datum.Nil in
-    for i = 0 to count - 1 do
-      cars.(i) <- get_datum tbl b pos
-    done;
-    let tail : Sexp.Datum.t = if tag = 5 then Nil else get_datum tbl b pos in
-    Array.fold_right (fun a d -> Sexp.Datum.Cons (a, d)) cars tail
-  | t when t >= small_sym_base ->
-    let id = t - small_sym_base in
-    if id < tbl.len then Sym tbl.strs.(id) else corrupt "symbol index out of range"
-  | t -> corrupt (Printf.sprintf "datum tag %d" t)
-
-let get_event tbl b pos : Event.t =
-  if !pos >= Bytes.length b then corrupt "event past chunk end";
-  let tag = Char.code (Bytes.get b !pos) in
-  incr pos;
-  match tag with
-  | 0 ->
-    let name = get_string_ref tbl b pos in
-    let nargs = get_varint b pos in
-    Call { name; nargs }
-  | 1 -> Return { name = get_string_ref tbl b pos }
-  | 2 | 3 | 4 | 5 | 6 ->
-    let prim = prim_of_tag tag in
-    let nargs = get_varint b pos in
-    (* each argument costs at least one byte *)
-    if nargs < 0 || nargs > Bytes.length b - !pos then corrupt "argument count past chunk end";
-    let args = List.init nargs (fun _ -> get_datum tbl b pos) in
-    let result = get_datum tbl b pos in
-    Prim { prim; args; result }
-  | t -> corrupt (Printf.sprintf "event tag %d" t)
-
-(* Fill [buf] with as many bytes as the channel still has; returns how
-   many were read (used for the probe-like trailer read). *)
-let read_available ic buf =
-  let rec fill off =
-    if off >= Bytes.length buf then off
-    else
-      match input ic buf off (Bytes.length buf - off) with
-      | 0 -> off
-      | k -> fill (off + k)
-  in
-  fill 0
-
-let iter_channel ic f =
-  let stream_pos () = try pos_in ic with Sys_error _ -> -1 in
-  let fail reason = raise (Corrupt { offset = stream_pos (); reason }) in
-  let hash = ref (fnv_string fnv_init magic) in
-  let probe =
-    try really_input_string ic (String.length magic) with End_of_file -> ""
-  in
-  if probe <> magic then fail (magic_error probe);
-  let read_varint what =
-    let n = ref 0 and shift = ref 0 and continue = ref true in
-    (try
-       while !continue do
-         if !shift > Sys.int_size - 1 then fail (what ^ ": varint too long");
-         let c = input_byte ic in
-         hash := fnv_byte !hash c;
-         n := !n lor ((c land 0x7f) lsl !shift);
-         shift := !shift + 7;
-         continue := c land 0x80 <> 0
-       done
-     with End_of_file -> fail ("truncated " ^ what));
-    !n
-  in
-  let remaining () =
-    match in_channel_length ic - pos_in ic with
-    | n -> n
-    | exception Sys_error _ -> max_int   (* non-seekable: trust the frame *)
-  in
-  let tbl = table_create () in
-  let finished = ref false in
-  while not !finished do
-    let count = read_varint "chunk header" in
-    if count = 0 then finished := true
-    else begin
-      let len = read_varint "chunk header" in
-      let expected = ref 0L in
-      (try
-         for _ = 1 to 8 do
-           let c = input_byte ic in
-           hash := fnv_byte !hash c;
-           expected := Int64.logor (Int64.shift_left !expected 8) (Int64.of_int c)
-         done
-       with End_of_file -> fail "truncated chunk header");
-      (* guard the allocation: a corrupt frame must not make us build a
-         multi-gigabyte buffer or spin on an absurd event count *)
-      if len < 0 || len > remaining () then fail "chunk length past end of file";
-      if count > len then fail "more events than payload bytes";
-      let payload = Bytes.create len in
-      (try really_input ic payload 0 len
-       with End_of_file -> fail "truncated chunk payload");
-      if fnv_string fnv_init (Bytes.unsafe_to_string payload) <> !expected then
-        fail "chunk checksum mismatch";
-      let base = stream_pos () in
-      let base = if base >= 0 then base - len else base in
-      let pos = ref 0 in
-      (try
-         for _ = 1 to count do
-           f (get_event tbl payload pos)
-         done;
-         if !pos <> len then corrupt "chunk length mismatch"
-       with Local reason ->
-         raise (Corrupt { offset = (if base >= 0 then base + !pos else -1); reason }))
-    end
-  done;
-  (* The mandatory checksum trailer, as on the mapped path. *)
-  let trailer = Bytes.create trailer_length in
-  if read_available ic trailer < trailer_length then fail "truncated checksum trailer";
-  if Bytes.sub_string trailer 0 (String.length checksum_tag) <> checksum_tag then
-    fail "bad checksum trailer";
-  if Bytes.sub_string trailer (String.length checksum_tag) 8 <> hash_to_string !hash
-  then fail "checksum mismatch"
-
 (* ---- whole-capture convenience ---- *)
 
 let write_channel oc capture =
@@ -1083,14 +867,12 @@ let write_channel oc capture =
   Array.iter (write_event w) (Capture.events capture);
   close_writer w
 
-let read_channel ic =
-  let capture = Capture.create () in
-  iter_channel ic (Capture.record capture);
-  capture
-
 let capture_of_source src =
   let capture = Capture.create () in
-  iter_source src (Capture.record capture);
+  iter_batches src (fun b ->
+      for i = 0 to Batch.length b - 1 do
+        Capture.record capture (Batch.event b i)
+      done);
   capture
 
 let encode produce =
@@ -1107,37 +889,33 @@ let to_string capture = encode (fun emit -> Array.iter emit (Capture.events capt
 
 let digest capture = Digest.to_hex (Digest.string (to_string capture))
 
-let write_string_atomic path data =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "trace" ".smtb.tmp" in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
-     Sys.rename tmp path
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e)
+(* Saves are atomic: the stream goes to a temp file in the target
+   directory, which is then renamed over the destination, so a killed
+   run never leaves a truncated trace behind.  An injected torn write
+   deliberately breaks that guarantee — it models a disk that
+   acknowledged bytes it never persisted: a strict prefix lands at the
+   destination and the save "succeeds", which is what the load-side
+   checks exist to catch. *)
+let write_atomic ?fault path write =
+  let torn =
+    match Option.bind fault (fun p -> Fault.Plan.on_write p ~site:"trace.save") with
+    | Some Fault.Plan.Write_error -> raise (Sys_error (path ^ ": injected write error"))
+    | Some (Fault.Plan.Torn_write keep) -> Some keep
+    | None -> None
+  in
+  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "trace" ".tmp" in
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
+    Option.iter
+      (fun keep ->
+         let len = (Unix.stat tmp).Unix.st_size in
+         Unix.truncate tmp
+           (max 1 (min (len - 1) (int_of_float (keep *. float_of_int len)))))
+      torn;
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
-let save ?fault path capture =
-  match Option.bind fault (fun p -> Fault.Plan.on_write p ~site:"trace.save") with
-  | Some Fault.Plan.Write_error ->
-    raise (Sys_error (path ^ ": injected write error"))
-  | Some (Fault.Plan.Torn_write keep) ->
-    (* a lying disk: a strict prefix lands at the destination and the
-       save "succeeds"; the checksums make the load catch it *)
-    let data = to_string capture in
-    let n = max 1 (min (String.length data - 1)
-                     (int_of_float (keep *. float_of_int (String.length data)))) in
-    write_string_atomic path (String.sub data 0 n)
-  | None ->
-    let dir = Filename.dirname path in
-    let tmp = Filename.temp_file ~temp_dir:dir "trace" ".smtb.tmp" in
-    (try
-       let oc = open_out_bin tmp in
-       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc capture);
-       Sys.rename tmp path
-     with e ->
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e)
-
-let load path = capture_of_source (source_of_path path)
+let save ?fault path capture = write_atomic ?fault path (fun oc -> write_channel oc capture)

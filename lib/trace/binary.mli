@@ -5,8 +5,8 @@
 
     Framing: the magic {!magic}, then chunks of [varint event_count,
     varint byte_length, fnv1a64(payload), payload] (the hash
-    big-endian, verified as the chunk is decoded — so a memory-mapped
-    reader needs no up-front pass over the file); [event_count = 0]
+    big-endian, verified as the chunk is decoded — so a reader needs no
+    up-front pass over the file); [event_count = 0]
     terminates the stream, and a mandatory 12-byte trailer
     ["SMCK" ^ fnv1a64] (big-endian) covers the magic, the chunk headers
     and the end marker (the stream's structure).  A stream with another
@@ -51,22 +51,14 @@ val close_writer : writer -> unit
 (** {1 Zero-copy sources}
 
     A {!source} exposes a whole stream as one random-access byte view
-    — an [mmap]ed region when possible, an in-memory [Bigarray] copy
-    otherwise, or the calling domain's kept buffer during a scoped read
-    ({!with_fd_source}) — so replay starts without materialising the
-    file on the OCaml heap.  Every function taking a source, or a
-    reader over one, raises [Invalid_argument] once the scoped read
-    that made the source has returned. *)
+    off the OCaml heap — a buffer the source owns, or the calling
+    domain's kept buffer during a scoped read ({!with_fd_source}) — so
+    replay starts without materialising the file on the OCaml heap.
+    Every function taking a source, or a reader over one, raises
+    [Invalid_argument] once the scoped read that made the source has
+    returned. *)
 
 type source
-
-(** [source_of_path path] memory-maps the file (an in-memory copy when
-    mmap is unavailable or [~mmap:false] forces it).  O(1) in the file
-    size on the mapped path.  A copy suits a caller that reads every
-    byte once: the GC frees it like any buffer, while a mapping's
-    resident pages stay until the GC finalises it.
-    @raise Corrupt if the magic is missing. *)
-val source_of_path : ?mmap:bool -> string -> source
 
 (** @raise Corrupt if the magic is missing. *)
 val source_of_string : string -> source
@@ -79,6 +71,13 @@ val source_of_string : string -> source
     @raise Corrupt if the magic is missing or the file is shorter than
     [len]. *)
 val with_fd_source : Unix.file_descr -> int -> (source -> 'a) -> 'a
+
+(** [source_of_fd fd len] reads [len] bytes of [fd] into a buffer the
+    source owns: the GC frees it like any other once the source is
+    dropped.
+    @raise Corrupt if the magic is missing or the file is shorter than
+    [len]. *)
+val source_of_fd : Unix.file_descr -> int -> source
 
 val source_length : source -> int
 
@@ -161,11 +160,8 @@ val next_batch : reader -> Batch.t option
 (** [iter_batches src f] runs [f] over every chunk's batch. *)
 val iter_batches : source -> (Batch.t -> unit) -> unit
 
-(** Per-event iteration over a source via the batch adapter. *)
-val iter_source : source -> (Event.t -> unit) -> unit
-
-(** Decode a whole source into a capture (equivalent to the legacy
-    channel reader, byte-identical results). *)
+(** Decode a whole source into a capture, one {!Batch.event} per
+    event. *)
 val capture_of_source : source -> Capture.t
 
 (** {1 Header-only statistics} *)
@@ -182,33 +178,22 @@ type header_stats = {
     @raise Corrupt on damaged framing. *)
 val header_stats : source -> header_stats
 
-(** Whole-trace {!Capture.stats} off the flat batches: payloads are
-    decoded and verified, but no [Event.t] or datum is allocated. *)
-val scan_stats : source -> Capture.stats
-
-(** {1 Streaming channel reader}
-
-    Kept for non-seekable inputs and as the independent cross-check
-    for the mapped reader. *)
-
-(** [iter_channel ic f] decodes events chunk by chunk, calling [f] on
-    each.  @raise Corrupt on a corrupt or truncated stream. *)
-val iter_channel : in_channel -> (Event.t -> unit) -> unit
-
 (** {1 Whole-capture convenience} *)
 
 val write_channel : out_channel -> Capture.t -> unit
-val read_channel : in_channel -> Capture.t
 
-(** Atomic: encodes to a temp file in the target directory, then
-    renames.  [?fault] draws from the plan at site ["trace.save"]: an
-    injected write error raises [Sys_error] leaving the destination
-    untouched; a torn write lands a strict prefix at the destination
-    (the checksums make {!load} detect it). *)
+(** [write_atomic ?fault path write] runs [write] on a temp file in
+    [path]'s directory, then renames it over [path].  [?fault] draws
+    from the plan at site ["trace.save"]: an injected write error raises
+    [Sys_error] leaving the destination untouched; a torn write lands a
+    strict prefix of what [write] wrote at the destination (a lying
+    disk: the save returns normally).  Both trace formats save through
+    it. *)
+val write_atomic : ?fault:Fault.Plan.t -> string -> (out_channel -> unit) -> unit
+
+(** [save ?fault path capture] writes the binary encoding through
+    {!write_atomic}; the checksums make a load detect a torn write. *)
 val save : ?fault:Fault.Plan.t -> string -> Capture.t -> unit
-
-(** Loads through a mapped source.  @raise Corrupt on a damaged file. *)
-val load : string -> Capture.t
 
 (** [encode produce] is the full encoded stream, in memory, of the
     events [produce] passes to the emit function it is given, in order

@@ -61,88 +61,16 @@ let read_sexp_channel ~path ic =
    with End_of_file -> ());
   capture
 
-let read_channel ic = read_sexp_channel ~path:"<channel>" ic
-
-let write_string_atomic path data =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "trace" ".tmp" in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
-     Sys.rename tmp path
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e)
-
-(* Saves are atomic: encode to a temp file in the target directory, then
-   rename over the destination, so a killed run can never leave a
-   truncated trace behind.  An injected [Torn_write] deliberately
-   bypasses that guarantee — it models a disk that acknowledged bytes it
-   never persisted — which is exactly what the load-side checks exist
-   to catch. *)
+(* Both formats save through the one atomic writer, which also draws
+   the injected faults. *)
 let save ?(format = Sexp_lines) ?fault path capture =
   match format with
   | Binary -> Binary.save ?fault path capture
-  | Sexp_lines ->
-    match Option.bind fault (fun p -> Fault.Plan.on_write p ~site:"trace.save") with
-    | Some Fault.Plan.Write_error ->
-      raise (Sys_error (path ^ ": injected write error"))
-    | Some (Fault.Plan.Torn_write keep) ->
-      let buf = Buffer.create 65536 in
-      Array.iter
-        (fun e ->
-           Buffer.add_string buf (Sexp.to_string (event_to_datum e));
-           Buffer.add_char buf '\n')
-        (Capture.events capture);
-      let data = Buffer.contents buf in
-      let n = max 1 (min (String.length data - 1)
-                       (int_of_float (keep *. float_of_int (String.length data)))) in
-      write_string_atomic path (String.sub data 0 n)
-    | None ->
-      let dir = Filename.dirname path in
-      let tmp = Filename.temp_file ~temp_dir:dir "trace" ".tmp" in
-      (try
-         let oc = open_out tmp in
-         Fun.protect ~finally:(fun () -> close_out oc)
-           (fun () -> write_channel oc capture);
-         Sys.rename tmp path
-       with e ->
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e)
-
-(* Format sniffing: a binary trace announces itself with the "SMTB"
-   prefix, anything else is datum lines.  Any revision routes to the
-   binary reader, which rejects the ones it does not read with a typed
-   error instead of letting them misparse as sexp lines. *)
-let probe_is_binary path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  match really_input_string ic (String.length Binary.family) with
-  | prefix -> prefix = Binary.family
-  | exception End_of_file -> false
+  | Sexp_lines -> Binary.write_atomic ?fault path (fun oc -> write_channel oc capture)
 
 type loaded =
   | Binary_source of Binary.source
   | Sexp_capture of Capture.t
-
-(* [open_path] sniffs the format and, for binary traces, opens a
-   random-access source instead of materialising events — the cheap
-   entry point for stats, analysis and preprocessing over trace files.
-   Every such caller reads each byte once, so the source is an owned
-   copy, not a mapping: the GC frees a copy like any buffer, while a
-   mapping's resident pages stay until the GC finalises it, and under a
-   steady stream of cold service jobs those held more memory than a
-   copy.  Damage in either format surfaces as {!Corrupt} carrying the
-   path and byte offset. *)
-let open_path path =
-  if probe_is_binary path then
-    try Binary_source (Binary.source_of_path ~mmap:false path)
-    with Binary.Corrupt { offset; reason } -> raise (Corrupt { path; offset; reason })
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-    Sexp_capture (read_sexp_channel ~path ic)
-  end
 
 type stamp = { dev : int; ino : int; size : int; mtime : float; ctime : float }
 
@@ -152,8 +80,11 @@ let stamp_of_stats (st : Unix.stats) =
 
 let stamp path = stamp_of_stats (Unix.stat path)
 
-(* [probe_is_binary] on an open descriptor, which it leaves at
-   offset 0. *)
+(* Format sniffing on an open descriptor, which it leaves at offset 0:
+   a binary trace announces itself with the "SMTB" prefix, anything
+   else is datum lines.  Any revision routes to the binary reader,
+   which rejects the ones it does not read with a typed error instead
+   of letting them misparse as sexp lines. *)
 let fd_is_binary fd =
   let n = String.length Binary.family in
   let b = Bytes.create n in
@@ -165,12 +96,12 @@ let fd_is_binary fd =
   ignore (Unix.lseek fd 0 Unix.SEEK_SET : int);
   binary
 
-(* [with_path] is [open_path] for a caller whose use of the trace ends
-   with one function: the file is opened once, stamped with [fstat],
-   and a binary trace is read into the domain's kept buffer rather than
-   a fresh copy.  A second [fstat] after the read catches a file
-   rewritten in place while it was read. *)
-let with_path path f =
+(* The one read behind both entry points: the file is opened once,
+   stamped with [fstat] and sniffed, and a binary trace's bytes go
+   where [binary] puts them; a second [fstat] after the read catches a
+   file rewritten in place while it was read.  Damage in either format
+   surfaces as {!Corrupt} carrying the path and byte offset. *)
+let read path ~binary f =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -178,18 +109,26 @@ let with_path path f =
   let stamp = stamp_of_stats st in
   if fd_is_binary fd then
     try
-      Binary.with_fd_source fd st.st_size (fun src ->
+      binary fd st.st_size (fun src ->
           if stamp_of_stats (Unix.fstat fd) <> stamp then
             raise (Binary.Corrupt { offset = 0; reason = "file changed while reading" });
           f stamp (Binary_source src))
     with Binary.Corrupt { offset; reason } -> raise (Corrupt { path; offset; reason })
   else f stamp (Sexp_capture (read_sexp_channel ~path (Unix.in_channel_of_descr fd)))
 
+(* A caller whose use of the trace ends inside [f] reads into the
+   domain's kept buffer. *)
+let with_path path f = read path ~binary:Binary.with_fd_source f
+
+(* A source that outlives the call owns its bytes: a copy, not a
+   mapping, since every caller reads each byte once and the GC frees a
+   copy like any buffer. *)
+let open_path path =
+  read path ~binary:(fun fd len k -> k (Binary.source_of_fd fd len)) (fun _ loaded -> loaded)
+
 (* [load] serves either format as a whole capture; binary traces decode
    through the source. *)
 let load path =
-  match open_path path with
-  | Sexp_capture c -> c
-  | Binary_source src ->
-    (try Binary.capture_of_source src
-     with Binary.Corrupt { offset; reason } -> raise (Corrupt { path; offset; reason }))
+  with_path path (fun _ -> function
+    | Sexp_capture c -> c
+    | Binary_source src -> Binary.capture_of_source src)

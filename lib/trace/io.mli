@@ -26,13 +26,6 @@ val event_of_datum : Sexp.Datum.t -> Event.t
 
 type format = Sexp_lines | Binary
 
-(** s-expression lines only; [Binary.write_channel] handles the other
-    format. *)
-val write_channel : out_channel -> Capture.t -> unit
-
-(** @raise Corrupt on malformed input (path reported as ["<channel>"]). *)
-val read_channel : in_channel -> Capture.t
-
 (** [save ?format ?fault path capture] writes atomically; default
     {!Sexp_lines}.  [?fault] draws at site ["trace.save"]: an injected
     write error raises [Sys_error] with the destination untouched; a
@@ -47,9 +40,10 @@ type loaded =
   | Sexp_capture of Capture.t
 
 (** [open_path path] auto-detects the format; a binary trace is read
-    into an owned in-memory source without decoding any event (a
-    mapping is {!Binary.source_of_path}'s default).
-    @raise Corrupt on a missing magic or garbage sexp input. *)
+    into an in-memory source it owns, without decoding any event.  It
+    shares {!with_path}'s read: only where the bytes live differs.
+    @raise Corrupt on a missing magic, garbage sexp input, or a file
+    that changed while it was read. *)
 val open_path : string -> loaded
 
 (** A file's identity and version: device, inode, size, modification
@@ -64,7 +58,7 @@ val stamp : string -> stamp
 (** [with_path path f] is [f stamp loaded] for the file at [path], read
     once: [stamp] is the [fstat] of the descriptor read, and a binary
     trace is read into the calling domain's kept buffer (see
-    {!Binary.with_fd_source}) instead of an owned copy.  The source is
+    {!Binary.with_fd_source}) instead of a copy it owns.  The source is
     valid only until [f] returns; a later use raises [Invalid_argument].
     A use nested in another gets a buffer of its own.  A
     {!Binary.Corrupt} from the read or from [f] surfaces as {!Corrupt}
@@ -75,6 +69,7 @@ val stamp : string -> stamp
 val with_path : string -> (stamp -> loaded -> 'a) -> 'a
 
 (** [load path] auto-detects the format from the file's first bytes and
-    decodes everything (binary traces via their source).
+    decodes everything (binary traces via their source, read as
+    {!with_path} reads).
     @raise Corrupt on truncated or garbage input in either format. *)
 val load : string -> Capture.t

@@ -6,60 +6,84 @@
     integers: a {e unique identifier} (structurally identical lists share
     one) and a {e chaining flag}, set when the argument is the value
     returned by the previous primitive call in the trace (so it is
-    certainly the same object, available "on top of the stack"). *)
+    certainly the same object, available "on top of the stack").
 
-type arg =
-  | Atom of Sexp.Datum.t       (** a non-list argument, kept verbatim *)
-  | List of { id : int; chained : bool }
+    The result is one flat form, struct-of-arrays, that the simulator,
+    the statistics and every Chapter 3 analysis read: one code per
+    event, the list reference stream, and the per-id (n, p) table.
+    Function names and atom values are not kept; nothing reads them. *)
 
-type pevent =
-  | Pprim of {
-      prim : Event.prim;
-      args : arg list;
-      result : arg;             (** ids let car/cdr relate parent to child *)
-    }
-  | Pcall of { name : string; nargs : int }
-  | Preturn of { name : string }
+type refs = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  events : pevent array;
-  distinct_lists : int;        (** number of unique list identifiers *)
+  codes : int array;
+      (** one code per event, in trace order; see {!kind} and below *)
+  refs : refs;
+      (** the list reference stream (Chapter 3): per primitive, the ids
+          of its list arguments in order, then its result's id when the
+          result is a list; see {!ref_id} *)
+  np : int array;
+      (** id [i]'s (n, p) — symbols and internal parenthesis pairs of
+          that list's s-expression — at [2i] and [2i + 1] *)
+  distinct_lists : int;  (** number of unique list identifiers *)
   stats : Capture.stats;
-  np_by_id : (int * int) array; (** id -> (n, p) of that list's s-expression *)
 }
 
-(** [run capture] preprocesses a captured trace. *)
+(** {1 Producers}
+
+    Both give identical forms for the same events: same codes, ids,
+    reference stream, (n, p) table and statistics. *)
+
+(** [run capture] assigns list identity by hashing datums.  It serves
+    sexp-lines traces and is the independent reference the token scan
+    is checked against. *)
 val run : Capture.t -> t
 
-(** [run_source src] preprocesses a binary trace directly off its flat
-    event batches: identical output to
-    [run (Binary.capture_of_source src)] — same ids, chaining flags,
-    statistics and (n, p) table — but no [Event.t] is built and only
-    atoms are materialised as datums. *)
+(** [run_source src] preprocesses a binary trace off its flat event
+    batches, assigning list identity from token spans: no [Event.t] and
+    no datum is built.  Its span table, reference stream and (n, p)
+    table grow in the calling domain's {!Scratch} storage, kept between
+    calls; the form itself owns its arrays.
+    @raise Binary.Corrupt on a damaged stream. *)
 val run_source : Binary.source -> t
 
-(** [scan_source ~call ~return_ ~prim src] runs the id-assignment pass of
-    {!run_source} without building any [pevent]: per event one callback
-    fires with scalars.  [call]/[return_] mirror [Pcall]/[Preturn]
-    (names dropped); [prim ~kind ~nargs ~prev ids] reports the wire kind
-    (2 car, 3 cdr, 4 cons, 5 rplaca, 6 rplacd), the argument count, the
-    previous primitive's list result id ([-1] for none) and a scratch
-    array, valid only during the call, whose slot [j < nargs] is
-    argument [j]'s list id and slot [nargs] the result's ([-1] for an
-    atom).  An argument is chained iff its id equals [prev].  Ids,
-    chaining and the (n, p) table are computed exactly as in
-    {!run_source}; the returned array maps each id to its drawable size
-    [max 1 (n + p)] — the only per-id datum the simulator consumes.
-    Both scans keep their span table in the calling domain's
-    {!Scratch} storage between calls; a scan started from a callback
-    gets storage of its own. *)
-val scan_source :
-  call:(nargs:int -> unit) ->
-  return_:(unit -> unit) ->
-  prim:(kind:int -> nargs:int -> prev:int -> int array -> unit) ->
-  Binary.source -> int array
+(** The length of the reference stream. *)
+val ref_count : t -> int
 
-(** [prim_refs t] extracts the flat stream of list-object references made
-    by primitives (arguments then result, per event, ids only) — the list
-    access reference stream analysed in Chapter 3. *)
-val prim_refs : t -> int array
+(** [ref_id t k] is the [k]th id of the reference stream. *)
+val ref_id : t -> int -> int
+
+(** {1 Event codes}
+
+    A call's code carries its argument count; a return's is [1].  A
+    primitive's code carries its wire kind, argument count, which
+    argument positions are lists, which of those are chained, and
+    whether the result is a list.  A primitive of more than 24
+    arguments is {e wide}: its code keeps the count of its list
+    arguments and whether any is chained, not their positions. *)
+
+(** Wire kind: 0 call, 1 return, 2 car, 3 cdr, 4 cons, 5 rplaca,
+    6 rplacd. *)
+val kind : int -> int
+
+(** A call's argument count. *)
+val call_nargs : int -> int
+
+(** A primitive's argument count, saturating at 255. *)
+val arity : int -> int
+
+(** Bit [j] set when a primitive's argument [j] is a list (not wide). *)
+val list_mask : int -> int
+
+(** Bit [j] set when argument [j] is a chained list (not wide). *)
+val chained_mask : int -> int
+
+val result_is_list : int -> bool
+val is_wide : int -> bool
+
+(** How many of a primitive's arguments are lists: its share of
+    [refs], before its result. *)
+val list_args : int -> int
+
+(** Whether any list argument of a primitive is chained. *)
+val chained : int -> bool

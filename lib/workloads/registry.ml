@@ -42,7 +42,7 @@ let memo tbl w fill =
    heap, and that encoding's MD5: the tracer streams into the encoder,
    so no capture is ever built, and the encoded string is dropped once
    both are made.  [trace] and [preprocessed] are derived from the
-   source on demand. *)
+   source on first use. *)
 type encoded = { digest : string; source : Trace.Binary.source }
 
 let encodings : (string, encoded) Hashtbl.t = Hashtbl.create 8
@@ -55,25 +55,19 @@ let encoded_unlocked w =
 
 let digest w = with_cache_lock (fun () -> (encoded_unlocked w).digest)
 
-let source w = with_cache_lock (fun () -> (encoded_unlocked w).source)
-
 let trace_cache : (string, Trace.Capture.t) Hashtbl.t = Hashtbl.create 8
 
 let trace w =
   with_cache_lock @@ fun () ->
   memo trace_cache w @@ fun () -> Trace.Binary.capture_of_source (encoded_unlocked w).source
 
-(* Straight off the source, never through [trace], and not kept: a
-   [pevent] array is many times the size of the packed form, and a
-   service only ever packs a workload. *)
-let preprocessed w = Trace.Preprocess.run_source (source w)
+let forms : (string, Trace.Preprocess.t) Hashtbl.t = Hashtbl.create 8
 
-let packed_cache : (string, Core.Simulator.packed) Hashtbl.t = Hashtbl.create 8
-
-(* Packed under the lock, so in-process shards that first meet a
-   workload together pack it once. *)
-let packed w =
+(* Straight off the source, never through [trace], and under the lock,
+   so in-process shards that first meet a workload together scan it
+   once. *)
+let preprocessed w =
   with_cache_lock @@ fun () ->
-  memo packed_cache w @@ fun () -> Core.Simulator.pack_source (encoded_unlocked w).source
+  memo forms w @@ fun () -> Trace.Preprocess.run_source (encoded_unlocked w).source
 
 let simulation_suite () = List.filter (fun w -> w.name <> "pearl") all

@@ -22,23 +22,14 @@ val find : string -> workload option
     the OCaml heap, and every other form is derived from it. *)
 val digest : workload -> string
 
-(** [source w] is the kept encoding as a binary trace source, read as a
-    saved [.smtb] file of the same bytes would be.  It stays valid for
-    the life of the process. *)
-val source : workload -> Trace.Binary.source
-
 (** [trace w] is the workload's captured trace, decoded from its
     encoding (memoised). *)
 val trace : workload -> Trace.Capture.t
 
-(** [preprocessed w] is the §5.2.1 preprocessing of [trace w], built
-    from the encoding without decoding the capture.  Built on each call
-    and not kept: callers that reuse it keep their own. *)
+(** [preprocessed w] is the §5.2.1 preprocessing of [trace w], scanned
+    off the encoding without decoding the capture, built once per
+    process. *)
 val preprocessed : workload -> Trace.Preprocess.t
-
-(** [packed w] is [Core.Simulator.pack_source (source w)], built once
-    per process: the form a simulation or knee search on [w] runs. *)
-val packed : workload -> Core.Simulator.packed
 
 (** The four simulation traces of Table 5.1 (everything but pearl, whose
     trace the thesis also dropped from Chapter 5). *)

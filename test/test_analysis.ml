@@ -23,7 +23,7 @@ let test_prim_mix () =
         prim E.Cons [ D.int 1; D.Nil ] (Sexp.parse "(1)");
         E.Call { name = "f"; nargs = 0 } ]
   in
-  let mix = Analysis.Prim_mix.analyze c in
+  let mix = Analysis.Prim_mix.analyze (Trace.Preprocess.run c) in
   Alcotest.(check int) "total" 4 mix.Analysis.Prim_mix.total;
   Alcotest.(check (float 0.01)) "car 50%" 50. (Analysis.Prim_mix.pct mix E.Car);
   Alcotest.(check (float 0.01)) "cdr 25%" 25. (Analysis.Prim_mix.pct mix E.Cdr);
@@ -113,7 +113,7 @@ let test_set_id_stream () =
   let p = Trace.Preprocess.run (family_trace ()) in
   let stream = Analysis.List_sets.set_id_stream ~separation:1.0 p in
   Alcotest.(check int) "one set id per reference"
-    (Array.length (Trace.Preprocess.prim_refs p))
+    (Trace.Preprocess.ref_count p)
     (Array.length stream);
   let distinct = List.sort_uniq compare (Array.to_list stream) in
   Alcotest.(check int) "two distinct sets" 2 (List.length distinct)
@@ -184,7 +184,7 @@ let prop_fenwick_equals_mtf =
     (fun xs ->
       let stream = Array.of_list xs in
       let fast = Analysis.Lru_stack.analyze stream in
-      let slow = Analysis.Lru_stack.analyze_naive stream in
+      let slow = Oracle.Naive_lru.analyze_naive stream in
       fast.Analysis.Lru_stack.cold = slow.Analysis.Lru_stack.cold
       && fast.Analysis.Lru_stack.total = slow.Analysis.Lru_stack.total
       && sorted_histogram fast = sorted_histogram slow)
@@ -201,7 +201,7 @@ let prop_mattson_equals_naive =
           (Float.round
              (Analysis.Lru_stack.hit_fraction r size *. float_of_int r.Analysis.Lru_stack.total))
       in
-      hits_mattson = Analysis.Lru_stack.naive_hits stream ~size)
+      hits_mattson = Oracle.Naive_lru.naive_hits stream ~size)
 
 (* ---- chaining (Table 3.2) ---- *)
 

@@ -422,8 +422,8 @@ let prop_overflow_mode_completes =
       stats.Core.Simulator.events
       = (let p = ref 0 in
          Array.iter
-           (function Trace.Preprocess.Pprim _ -> incr p | _ -> ())
-           trace.Trace.Preprocess.events;
+           (fun code -> if Trace.Preprocess.kind code >= 2 then incr p)
+           trace.Trace.Preprocess.codes;
          !p)
       && stats.Core.Simulator.peak_lpt <= size)
 

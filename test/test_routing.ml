@@ -535,7 +535,9 @@ let service_lines () =
          { Core.Simulator.default_config with table_size = 64; seed = 3 }
          (Trace.Preprocess.run (Trace.Io.load path)))
   in
-  let stats = Server.Exec.stats_of_source (Server.Job.Trace_file path) in
+  let stats =
+    Server.Exec.stats (Server.Exec.preprocessed_of_source (Server.Job.Trace_file path))
+  in
   let plain = Server.Service.create ~workers:1 ~queue_capacity:4 () in
   let shard = Server.Service.create ~shard_id:"s1" ~workers:1 ~queue_capacity:4 () in
   Fun.protect

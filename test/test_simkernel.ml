@@ -1,9 +1,10 @@
 (* The allocation-free simulation kernel against its boxed reference:
    the unboxed splitmix64 against the original int64 stream, the
    weighted draw, the fingerprint memo's second-chance eviction, a
-   qcheck battery proving [run]/[run_packed]/[run_source] byte-identical
-   to [run_reference] across random configs, and the flat kernel's
-   steady-state allocation ceiling. *)
+   qcheck battery proving [run]/[run_packed] byte-identical to the boxed
+   reference kernel ([Oracle.Reference]) across random configs, over
+   forms from both producers, and the flat kernel's steady-state
+   allocation ceiling. *)
 
 (* ---- Rng: the untagged-halves rewrite must emit the original int64
    splitmix64 stream bit for bit.  The reference below is the previous
@@ -137,6 +138,13 @@ let test_fingerprint_memo_hot_keys_survive () =
 
 (* ---- flat kernel == boxed reference, byte for byte ---- *)
 
+(* A binary trace file's flat form, scanned off a source that owns its
+   bytes. *)
+let scan_file path =
+  match Trace.Io.open_path path with
+  | Trace.Io.Binary_source src -> Trace.Preprocess.run_source src
+  | Trace.Io.Sexp_capture _ -> Alcotest.fail "binary trace expected"
+
 let synth_pre ?(length = 2_500) ~seed () =
   Trace.Preprocess.run (Trace.Synth.generate { Trace.Synth.default with length; seed })
 
@@ -174,7 +182,7 @@ let prop_flat_matches_reference =
   QCheck.Test.make ~name:"run_packed = run_reference on random configs" ~count:60
     (QCheck.make ~print:print_config gen_config) (fun cfg ->
       let pre = synth_pre ~seed:(1 + (cfg.Core.Simulator.seed mod 5)) () in
-      let s_ref = Core.Simulator.run_reference cfg pre in
+      let s_ref = Oracle.Reference.run_reference cfg pre in
       let s_flat = Core.Simulator.run cfg pre in
       compare s_ref s_flat = 0)
 
@@ -192,11 +200,9 @@ let prop_run_source_matches_reference =
         (fun () ->
            Trace.Io.save ~format:Trace.Io.Binary path capture;
            let s_ref =
-             Core.Simulator.run_reference cfg (Trace.Preprocess.run capture)
+             Oracle.Reference.run_reference cfg (Trace.Preprocess.run capture)
            in
-           let s_src =
-             Core.Simulator.run_source cfg (Trace.Binary.source_of_path path)
-           in
+           let s_src = Core.Simulator.run cfg (scan_file path) in
            compare s_ref s_src = 0))
 
 let test_flat_matches_reference_deep () =
@@ -211,7 +217,7 @@ let test_flat_matches_reference_deep () =
        in
        let pre = synth_pre ~length:12_000 ~seed:3 () in
        let reg = Obs.Registry.create () in
-       let s_ref = Core.Simulator.run_reference cfg pre in
+       let s_ref = Oracle.Reference.run_reference cfg pre in
        let s_flat = Core.Simulator.run ~metrics:reg cfg pre in
        check_stats_equal
          (Printf.sprintf "policy=%s size=%d split=%b"
@@ -221,7 +227,7 @@ let test_flat_matches_reference_deep () =
     [ (Core.Lpt.Compress_one, 96, false); (Core.Lpt.Compress_all, 96, true);
       (Core.Lpt.Compress_one, 2048, true); (Core.Lpt.Compress_all, 512, false) ]
 
-let test_pack_source_equals_pack () =
+let test_pack_of_scan_equals_pack () =
   let capture = Trace.Synth.generate { Trace.Synth.default with length = 3_000 } in
   let path = Filename.temp_file "smallsim-pack" ".smtb" in
   Fun.protect
@@ -229,11 +235,12 @@ let test_pack_source_equals_pack () =
     (fun () ->
        Trace.Io.save ~format:Trace.Io.Binary path capture;
        let p = Core.Simulator.pack (Trace.Preprocess.run capture) in
-       let p' = Core.Simulator.pack_source (Trace.Binary.source_of_path path) in
+       let p' = Core.Simulator.pack (scan_file path) in
+       Alcotest.(check bool) "identical packed traces" true (compare p p' = 0);
        Alcotest.(check int) "event counts" (Core.Simulator.packed_events p)
          (Core.Simulator.packed_events p');
        let cfg = { Core.Simulator.default_config with table_size = 256; seed = 8 } in
-       check_stats_equal "pack_source replay"
+       check_stats_equal "scanned replay"
          (Core.Simulator.run_packed cfg p) (Core.Simulator.run_packed cfg p'))
 
 (* ---- steady-state allocation ceiling of the flat kernel ---- *)
@@ -272,7 +279,8 @@ let () =
       ("equivalence",
        [ Alcotest.test_case "deep configs byte-identical" `Quick
            test_flat_matches_reference_deep;
-         Alcotest.test_case "pack_source = pack" `Quick test_pack_source_equals_pack ]);
+         Alcotest.test_case "pack . run_source = pack . run" `Quick
+           test_pack_of_scan_equals_pack ]);
       ("allocation",
        [ Alcotest.test_case "steady-state ceiling" `Quick test_flat_allocation_ceiling ]);
       ("properties",

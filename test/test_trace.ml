@@ -220,6 +220,27 @@ let test_save_is_atomic () =
 
 (* ---- preprocessing ---- *)
 
+module P = Trace.Preprocess
+
+(* Event [i]'s list argument ids, read through the flat form: its
+   share of the reference stream, after every earlier primitive's. *)
+let list_arg_ids (p : P.t) i =
+  let r = ref 0 in
+  for e = 0 to i - 1 do
+    let code = p.codes.(e) in
+    if P.kind code >= 2 then
+      r := !r + P.list_args code + if P.result_is_list code then 1 else 0
+  done;
+  List.init (P.list_args p.codes.(i)) (fun j -> P.ref_id p (!r + j))
+
+(* Whether event [i] is a primitive of one argument, a list, chained or
+   not. *)
+let single_list_arg (p : P.t) i =
+  let code = p.codes.(i) in
+  if P.kind code >= 2 && P.arity code = 1 && P.list_mask code = 1 then
+    Some (P.chained_mask code = 1)
+  else None
+
 let test_preprocess_ids () =
   let l1 = Sexp.parse "(a b)" and l2 = Sexp.parse "(c d)" in
   let c =
@@ -232,8 +253,8 @@ let test_preprocess_ids () =
   Alcotest.(check int) "distinct lists: (a b), (c d), (b)" 3 p.Trace.Preprocess.distinct_lists;
   (* first and third events reference the same id *)
   let id_of_event i =
-    match p.Trace.Preprocess.events.(i) with
-    | Trace.Preprocess.Pprim { args = [ List { id; _ } ]; _ } -> id
+    match single_list_arg p i, list_arg_ids p i with
+    | Some _, [ id ] -> id
     | _ -> Alcotest.fail "expected a single list arg"
   in
   Alcotest.(check int) "structurally equal args share ids" (id_of_event 0) (id_of_event 2);
@@ -253,9 +274,9 @@ let test_preprocess_chaining () =
   in
   let p = Trace.Preprocess.run c in
   let chained_of i =
-    match p.Trace.Preprocess.events.(i) with
-    | Trace.Preprocess.Pprim { args = [ List { chained; _ } ]; _ } -> chained
-    | _ -> Alcotest.fail "expected list arg"
+    match single_list_arg p i with
+    | Some chained -> chained
+    | None -> Alcotest.fail "expected list arg"
   in
   Alcotest.(check bool) "second event chained" true (chained_of 1);
   Alcotest.(check bool) "third event not chained" false (chained_of 2)
@@ -271,20 +292,20 @@ let test_preprocess_chaining_across_calls () =
         prim E.Car [ tail ] (D.sym "b") ]
   in
   let p = Trace.Preprocess.run c in
-  (match p.Trace.Preprocess.events.(2) with
-   | Trace.Preprocess.Pprim { args = [ List { chained; _ } ]; _ } ->
-     Alcotest.(check bool) "chained across the call" true chained
-   | _ -> Alcotest.fail "expected list arg")
+  (match single_list_arg p 2 with
+   | Some chained -> Alcotest.(check bool) "chained across the call" true chained
+   | None -> Alcotest.fail "expected list arg")
 
 let test_preprocess_atoms () =
   let c = mk_capture [ prim E.Cons [ D.int 1; Sexp.parse "(2)" ] (Sexp.parse "(1 2)") ] in
   let p = Trace.Preprocess.run c in
-  (match p.Trace.Preprocess.events.(0) with
-   | Trace.Preprocess.Pprim { args = [ Atom (D.Int 1); List _ ]; result = List _; _ } -> ()
-   | _ -> Alcotest.fail "atom argument must stay an atom");
+  (* (cons 1 '(2)): argument 0 an atom, argument 1 and the result lists *)
+  let code = p.codes.(0) in
+  if not (P.arity code = 2 && P.list_mask code = 2 && P.result_is_list code) then
+    Alcotest.fail "atom argument must stay an atom";
   Alcotest.(check int) "np table sized by distinct lists"
-    p.Trace.Preprocess.distinct_lists
-    (Array.length p.Trace.Preprocess.np_by_id)
+    p.distinct_lists
+    (Array.length p.np / 2)
 
 let test_prim_refs () =
   let l = Sexp.parse "(a b)" in
@@ -294,9 +315,9 @@ let test_prim_refs () =
         E.Call { name = "f"; nargs = 0 };
         prim E.Cons [ D.int 1; l ] (D.cons (D.int 1) l) ]
   in
-  let refs = Trace.Preprocess.prim_refs (Trace.Preprocess.run c) in
+  let p = Trace.Preprocess.run c in
   (* cdr: arg + list result = 2; cons: 1 list arg + result = 2 *)
-  Alcotest.(check int) "reference stream length" 4 (Array.length refs)
+  Alcotest.(check int) "reference stream length" 4 (P.ref_count p)
 
 (* ---- synthetic generator ---- *)
 
@@ -341,7 +362,10 @@ let test_synth_balanced_calls () =
 
 let test_synth_mix_profiles () =
   let share prim cfg =
-    let mix = Analysis.Prim_mix.analyze (Trace.Synth.generate { cfg with Trace.Synth.length = 4000 }) in
+    let mix =
+      Analysis.Prim_mix.analyze
+        (Trace.Preprocess.run (Trace.Synth.generate { cfg with Trace.Synth.length = 4000 }))
+    in
     Analysis.Prim_mix.pct mix prim
   in
   Alcotest.(check bool) "cons-heavy profile really is" true

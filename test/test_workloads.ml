@@ -101,7 +101,7 @@ let test_traces_characterised () =
      the cons outlier; pearl the rplac outlier *)
   let mix name =
     let w = Option.get (Workloads.Registry.find name) in
-    Analysis.Prim_mix.analyze (Workloads.Registry.trace w)
+    Analysis.Prim_mix.analyze (Workloads.Registry.preprocessed w)
   in
   let share m p = Analysis.Prim_mix.pct m p in
   let access m = share m Trace.Event.Car +. share m Trace.Event.Cdr in
@@ -206,17 +206,17 @@ let test_derived_forms () =
        Alcotest.(check bool) (name ^ ": registry preprocessed = preprocessed capture") true
          (Workloads.Registry.preprocessed w = pre);
        Alcotest.(check bool) (name ^ ": registry packed = packed capture") true
-         (Workloads.Registry.packed w = Core.Simulator.pack pre);
+         (Core.Simulator.pack (Workloads.Registry.preprocessed w) = Core.Simulator.pack pre);
        let st = Trace.Capture.stats capture in
        Alcotest.(check bool) (name ^ ": stats job off the source = capture's stats") true
-         (Server.Exec.stats_of_source (Server.Job.Workload name)
+         (Server.Exec.stats (Server.Exec.preprocessed_of_source (Server.Job.Workload name))
           = Server.Exec.Stats_out
               { events = Trace.Capture.length capture;
                 primitives = st.Trace.Capture.primitives;
                 functions = st.Trace.Capture.functions;
                 max_depth = st.Trace.Capture.max_depth;
                 distinct_lists = pre.Trace.Preprocess.distinct_lists;
-                mix = (Analysis.Prim_mix.of_preprocessed pre).Analysis.Prim_mix.counts }))
+                mix = (Analysis.Prim_mix.analyze pre).Analysis.Prim_mix.counts }))
     [ "plagen"; "slang"; "editor"; "pearl" ]
 
 let () =
