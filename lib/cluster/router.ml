@@ -371,23 +371,7 @@ let dispatcher t s =
 
 (* ---- the pacer ---- *)
 
-let write_metrics t =
-  match t.metrics_file with
-  | None -> ()
-  | Some path ->
-    let text = Obs.Expo.of_registry t.registry in
-    let dir = Filename.dirname path in
-    (try
-       let tmp = Filename.temp_file ~temp_dir:dir "metrics" ".tmp" in
-       (try
-          let oc = open_out_bin tmp in
-          Fun.protect ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc text);
-          Sys.rename tmp path
-        with e ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          raise e)
-     with Sys_error _ | Unix.Unix_error _ -> ())
+let write_metrics t = Option.iter (Obs.Expo.write_file t.registry) t.metrics_file
 
 (* Exclusive dispatcher-join: [s.disp] is taken under t.m, so a revival
    and a shutdown can never both join the same domain. *)

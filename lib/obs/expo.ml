@@ -80,3 +80,18 @@ let text samples =
   Buffer.contents b
 
 let of_registry reg = text (Registry.snapshot reg)
+
+(* Temp file in the target directory, then rename: a scraper never reads
+   a half-written exposition. *)
+let write_file reg path =
+  let text = of_registry reg in
+  try
+    let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "metrics" ".tmp" in
+    try
+      let oc = open_out_bin tmp in
+      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text);
+      Sys.rename tmp path
+    with e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+  with Sys_error _ -> ()

@@ -85,7 +85,7 @@ let stats (pre : Trace.Preprocess.t) =
 
 (* ---- execution ---- *)
 
-let check should_stop = if should_stop () then raise Scheduler.Stop
+let check should_stop = if should_stop () then raise Exit
 
 let run ?(should_stop = fun () -> false) ~expect (job : Job.t) =
   check should_stop;

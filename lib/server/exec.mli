@@ -67,7 +67,7 @@ val source_stamp : Job.source -> Trace.Io.stamp option
 (** [run ?should_stop ~expect job] executes the job in the calling
     domain.  [should_stop] is polled between pipeline stages (a
     simulation in flight is not interrupted); when it turns true,
-    {!Scheduler.Stop} is raised.  With [expect = Some stamp], a trace
+    [Exit] is raised.  With [expect = Some stamp], a trace
     file whose descriptor stamps differently raises {!Source_changed}
     before anything is computed from it. *)
 val run : ?should_stop:(unit -> bool) -> expect:Trace.Io.stamp option -> Job.t -> output

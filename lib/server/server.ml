@@ -7,7 +7,7 @@
 module Json = Json
 module Obs_json = Obs_json
 module Job = Job
-module Scheduler = Scheduler
 module Result_cache = Result_cache
 module Exec = Exec
+module Service_core = Service_core
 module Service = Service

@@ -1,7 +1,9 @@
 (** The simulation-job service: requests are parsed into {!Job.t}s, keyed
     by (trace digest, job digest) against the {!Result_cache}, and on a
-    miss executed FIFO by the {!Scheduler}'s worker pool; results are
-    stored back and streamed as one JSON object per line.
+    miss run by a pool of worker domains; results are stored back and
+    streamed as one JSON object per line.  Every decision is
+    {!Service_core}'s; this module is its shell (domains, channels, the
+    cache and the metrics).
 
     Wire protocol (newline-delimited, over stdin/stdout or a Unix
     socket):
@@ -15,21 +17,22 @@
       Because replies keep request order, an identified pong doubles as
       a pipeline flush marker: receiving it proves every earlier request
       on the session was either answered or never arrived;
-    - [(cancel N)] — cancels the in-flight job whose [(id N)] matches.
+    - [(cancel N)] — cancels the job whose [(id N)] matches.
       Fire-and-forget: no reply line of its own; the cancelled job still
       answers ([status:"cancelled"]) in its original slot;
     - [(quit)] — ends the session (and a socket server's accept loop).
 
-    Sessions are pipelined: a reader submits requests as they arrive
-    while a writer domain streams replies in request order, so control
-    lines are acted on while earlier jobs still run.  A reply that needs
-    no worker (a cache hit, a spent deadline, an unreadable source, an
-    error line) is written by the reader itself when no earlier reply
-    is still owed.  A job carrying
-    [(deadline S)] must finish within [S] seconds of arrival {e
-    including} queue wait; an exhausted budget answers
-    [status:"timeout"], and a job arriving with [S <= 0] is answered
-    without queueing at all.
+    Sessions are pipelined: each line is acted on as it is read, and
+    replies are written in request order.  A job carrying [(deadline S)]
+    must finish within [S] seconds of arrival {e including} queue wait,
+    else it answers [status:"timeout"] ([S <= 0]: without queueing).
+
+    Single-flight: a job whose result-cache key is already queued,
+    running or being stored joins that run before any cache lookup, so
+    duplicates execute once.  Every waiter gets the run's [result] bytes
+    under its own [id], and a joined one answers ["cached":true].
+    Cancelling a waiter, or its deadline passing, answers that waiter
+    alone; the run stops only when no waiter is left.
 
     Result lines:
     {v
@@ -48,24 +51,15 @@
 
 type t
 
-type failure =
-  | Exec_failed of string     (** the job raised (after any retries) *)
-  | Timed_out
-  | Cancelled
-  | Shed                      (** evicted from the queue under overload *)
-  | Source_error of string    (** the trace source could not be read *)
-
-type response = {
+type response = Service_core.response = {
   job : Job.t;
   cached : bool;
   elapsed : float;            (** seconds; ~0 on a cache hit *)
-  outcome : (Exec.output, failure) result;
+  outcome : (Exec.output, Service_core.failure) result;
 }
 
-(** [create ?metrics_file ?fault ?retries ?max_request_bytes
-    ?store_dir ~workers ~queue_capacity ()] — [store_dir] persists
-    results in the crash-consistent log-structured store (see
-    {!Result_cache}); omit it for a memory-only cache.
+(** [store_dir] persists results in the crash-consistent log-structured
+    store (see {!Result_cache}); omit it for a memory-only cache.
 
     [fault] threads a {!Fault.Plan} through the whole stack: store
     writes (sites ["store.*"]), worker thunks (["sched.job"]), and
@@ -80,24 +74,21 @@ type response = {
     router or load generator can attribute responses without parsing
     result bodies.
 
-    Every service owns an {!Obs.Registry.t} threaded through its
-    scheduler ([small_sched_*]) and result cache ([small_cache_*]), plus
-    per-request latency and status counters ([small_svc_*]).  With
-    [metrics_file], the Prometheus exposition is rewritten (atomically)
-    after every handled request line and at shutdown, so an external
-    scraper can read it on demand. *)
+    Every service owns an {!Obs.Registry.t}: runs ([small_sched_*]),
+    result cache ([small_cache_*]), requests ([small_svc_*]).  With
+    [metrics_file], the exposition is rewritten atomically after every
+    handled request line and at shutdown, for an external scraper. *)
 val create :
   ?metrics_file:string -> ?fault:Fault.Plan.t ->
   ?shard_id:string -> ?retries:int -> ?max_request_bytes:int ->
   ?store_dir:string -> ?jitter_seed:int ->
   workers:int -> queue_capacity:int -> unit -> t
 
-(** Cache lookup, then submit-and-await.  [Error `Overloaded] means the
-    queue was full and shedding could not make room. *)
+(** [submit], then its join.  [Error `Overloaded]: the queue was full
+    and shedding could not make room. *)
 val run_job : t -> Job.t -> (response, [ `Overloaded | `Shutdown ]) result
 
-(** Async form: returns a join.  The cache hit (or source error) is
-    resolved immediately; a miss resolves when the pool finishes. *)
+(** Returns a join: a hit resolves at once, a miss when its run ends. *)
 val submit : t -> Job.t -> (unit -> response, [ `Overloaded | `Shutdown ]) result
 
 (** The reply line for [r], as a session writes it. *)
@@ -107,15 +98,6 @@ val response_json : t -> response -> Json.t
     yields several).  Never raises: malformed or oversized input becomes
     an error line. *)
 val handle_line : t -> string -> string list
-
-(** The pipelined split of {!handle_line}: parsing and submission happen
-    now, the returned thunk blocks until the replies are ready.  This is
-    what lets a session act on [(cancel N)] mid-job. *)
-val handle_line_async : t -> string -> unit -> string list
-
-(** [cancel_wire t id] cancels the in-flight job registered under wire
-    id [id]; [false] if no such job is running. *)
-val cancel_wire : t -> int -> bool
 
 (** Serves until EOF or [(quit)]; returns [true] iff [(quit)] was seen.
     Responses are flushed per line. *)
@@ -136,17 +118,14 @@ val bind_socket_replacing : Unix.file_descr -> string -> unit
 val serve_socket : t -> path:string -> unit
 
 val cache : t -> Result_cache.t
-val scheduler_stats : t -> Scheduler.stats
+val scheduler_stats : t -> Service_core.stats
 
-(** The service's metric registry (shared with its scheduler and cache). *)
+(** The service's metric registry (shared with its cache). *)
 val metrics : t -> Obs.Registry.t
-
-(** Prometheus text exposition of {!metrics}. *)
-val metrics_text : t -> string
 
 (** Service counters plus the full registry snapshot under ["metrics"]
     (see {!Obs_json}); this is the [(stats)] response body. *)
 val stats_json : t -> Json.t
 
-(** Drains and joins the worker pool. *)
+(** Drains the queue and joins the worker pool. *)
 val shutdown : t -> unit

@@ -909,9 +909,11 @@ let write_atomic ?fault path write =
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
     Option.iter
       (fun keep ->
+         (* at least one byte and at most [len - 1]: a strict prefix,
+            and an empty stream stays empty *)
          let len = (Unix.stat tmp).Unix.st_size in
          Unix.truncate tmp
-           (max 1 (min (len - 1) (int_of_float (keep *. float_of_int len)))))
+           (max 0 (min (len - 1) (max 1 (int_of_float (keep *. float_of_int len))))))
       torn;
     Sys.rename tmp path
   with e ->

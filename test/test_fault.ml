@@ -1,13 +1,13 @@
-(* Fault-injection tests: deterministic seeded plans, scheduler
-   retry/backoff/deadline behaviour, priority shedding and the service
-   overload ladder, wire-garbage handling, and the 60-job storm
+(* Fault-injection tests: deterministic seeded plans, the service
+   core's retry/backoff/deadline behaviour and priority shedding, the
+   service overload ladder, wire-garbage handling, and the 60-job storm
    acceptance test (every job completes with a fault-free-identical
    result or a typed error; the pool survives; a damaged result store is
    recomputed, never served).  Crash-safety of the store itself is
    tested in test_store. *)
 
 module P = Fault.Plan
-module Sch = Server.Scheduler
+module SC = Server.Service_core
 
 let ok = function
   | Ok v -> v
@@ -111,104 +111,6 @@ let test_plan_file_roundtrip () =
    | Ok _ -> Alcotest.fail "malformed plan must be an error");
   Sys.remove path
 
-(* ---- scheduler: retry, deadline, shed ---- *)
-
-let test_retry_recovers () =
-  let reg = Obs.Registry.create () in
-  let s = Sch.create ~metrics:reg ~backoff:0.001 ~workers:1 ~capacity:4 () in
-  let attempts = Atomic.make 0 in
-  let t =
-    ok
-      (Sch.submit s ~retries:3 (fun ~should_stop:_ ->
-           if Atomic.fetch_and_add attempts 1 < 2 then failwith "flaky" else 7))
-  in
-  (match Sch.await s t with
-   | Sch.Done 7 -> ()
-   | _ -> Alcotest.fail "flaky job must succeed within its retry budget");
-  Alcotest.(check int) "two retries burned" 2 (Sch.stats s).Sch.retried;
-  Alcotest.(check int) "three attempts run" 3 (Atomic.get attempts);
-  Alcotest.(check int) "small_jobs_retried_total" 2
-    (Obs.Metric.Counter.get (Obs.Registry.counter reg "small_jobs_retried_total"));
-  Sch.shutdown s
-
-let test_retry_budget_exhausted () =
-  let s = Sch.create ~backoff:0.001 ~workers:1 ~capacity:4 () in
-  let attempts = Atomic.make 0 in
-  let t =
-    ok
-      (Sch.submit s ~retries:2 (fun ~should_stop:_ ->
-           Atomic.incr attempts;
-           failwith "always"))
-  in
-  (match Sch.await s t with
-   | Sch.Failed msg ->
-     Alcotest.(check bool) "failure text survives retries" true (contains msg "always")
-   | _ -> Alcotest.fail "exhausted budget must be Failed");
-  Alcotest.(check int) "1 + 2 retries attempts" 3 (Atomic.get attempts);
-  Sch.shutdown s
-
-(* The deadline is fixed at the FIRST attempt's start: a raising job
-   cannot buy itself unbounded time through its retry budget. *)
-let test_retry_respects_deadline () =
-  let s = Sch.create ~backoff:0.02 ~workers:1 ~capacity:4 () in
-  let attempts = Atomic.make 0 in
-  let t =
-    ok
-      (Sch.submit s ~timeout:0.05 ~retries:1000 (fun ~should_stop:_ ->
-           Atomic.incr attempts;
-           Unix.sleepf 0.02;
-           failwith "flaky"))
-  in
-  (match Sch.await s t with
-   | Sch.Timed_out | Sch.Failed _ -> ()
-   | _ -> Alcotest.fail "job past its deadline must not keep retrying");
-  Alcotest.(check bool)
-    (Printf.sprintf "deadline bounded the retries (%d attempts)" (Atomic.get attempts))
-    true
-    (Atomic.get attempts < 10);
-  Sch.shutdown s
-
-let test_shed_lower () =
-  let reg = Obs.Registry.create () in
-  let s = Sch.create ~metrics:reg ~workers:1 ~capacity:2 () in
-  let gate = Atomic.make false in
-  let blocker ~should_stop:_ =
-    while not (Atomic.get gate) do
-      Domain.cpu_relax ()
-    done;
-    0
-  in
-  let t_run = ok (Sch.submit s blocker) in
-  let rec wait_running n =
-    if (Sch.stats s).Sch.running = 1 then ()
-    else if n = 0 then Alcotest.fail "blocker never started"
-    else (Unix.sleepf 0.002; wait_running (n - 1))
-  in
-  wait_running 2000;
-  let t_low = ok (Sch.submit s ~priority:0 (fun ~should_stop:_ -> 1)) in
-  let t_mid = ok (Sch.submit s ~priority:1 (fun ~should_stop:_ -> 2)) in
-  (match Sch.submit s (fun ~should_stop:_ -> 3) with
-   | Error `Queue_full -> ()
-   | _ -> Alcotest.fail "queue must be full");
-  (* shedding picks the LOWEST priority strictly below the bar *)
-  Alcotest.(check bool) "shed makes room" true (Sch.shed_lower s ~priority:2);
-  (match Sch.await s t_low with
-   | Sch.Shed -> ()
-   | _ -> Alcotest.fail "lowest-priority job must be the one shed");
-  let t_new = ok (Sch.submit s ~priority:2 (fun ~should_stop:_ -> 4)) in
-  (* nothing strictly below priority 0 remains *)
-  Alcotest.(check bool) "no victim below lowest" false (Sch.shed_lower s ~priority:0);
-  Atomic.set gate true;
-  (match Sch.await s t_run, Sch.await s t_mid, Sch.await s t_new with
-   | Sch.Done 0, Sch.Done 2, Sch.Done 4 -> ()
-   | _ -> Alcotest.fail "surviving jobs must complete");
-  Alcotest.(check int) "shed counted" 1 (Sch.stats s).Sch.shed;
-  Alcotest.(check int) "shed outcome metric" 1
-    (Obs.Metric.Counter.get
-       (Obs.Registry.counter reg ~labels:[ ("outcome", "shed") ]
-          "small_sched_jobs_total"));
-  Sch.shutdown s
-
 (* ---- service: wire garbage, overload ladder, storm ---- *)
 
 let synth_capture = lazy (Trace.Synth.generate { Trace.Synth.default with length = 2000 })
@@ -223,6 +125,157 @@ let sim_job ?(priority = 0) seed =
     spec =
       Server.Job.Simulate { Core.Simulator.default_config with table_size = 64; seed };
     timeout = None; priority; deadline = None; wire_id = None }
+
+(* ---- scheduler: retry, deadline, shed, on the service core ---- *)
+
+(* Retry and shedding are decided by [Service_core]: these tests step it
+   with a simulated worker and clock, and every cache lookup misses. *)
+
+let core ?(capacity = 4) ?(retries = 0) ?(backoff = 0.01) () =
+  SC.create { SC.workers = 1; capacity; retries; backoff; jitter_seed = None; shard_id = None }
+
+let core_job ?timeout ?(priority = 0) n =
+  { Server.Job.source = Server.Job.Workload "slang";
+    spec = Server.Job.Simulate { Core.Simulator.default_config with seed = n };
+    timeout; priority; deadline = None; wire_id = None }
+
+let output_of n =
+  Server.Exec.Stats_out
+    { events = n; primitives = 0; functions = 0; max_depth = 0; distinct_lists = 0; mix = [] }
+
+let rec drive c ~now input =
+  List.concat_map
+    (function
+      | SC.Lookup { waiter; _ } as a -> a :: drive c ~now (SC.Looked_up { waiter; stored = None; now })
+      | SC.Store { key; _ } as a -> a :: drive c ~now (SC.Stored { key; now })
+      | a -> [ a ])
+    (SC.step c input)
+
+(* Job [n] arrives alone on session [n], under its own key. *)
+let submit c ~now ?timeout ?priority n =
+  let source = SC.Keyed { key = Printf.sprintf "k%d" n; expect = None } in
+  drive c ~now
+    (SC.Request
+       { session = n; now; request = SC.Parts [ SC.Job (core_job ?timeout ?priority n, source) ] })
+
+let answer_of n acts =
+  List.find_map
+    (function SC.Write { session; replies = [ r ]; _ } when session = n -> Some r | _ -> None)
+    acts
+
+let outcome_of n acts =
+  match answer_of n acts with
+  | Some (Ok r) -> Some r.SC.outcome
+  | Some (Error _) | None -> None
+
+(* Drives job [n] to its answer on one simulated worker: each attempt
+   takes [dur] seconds and ends as [attempt i] says (from 1); with no run
+   in flight the clock ticks in 1 ms steps, as a shell's ticker would.
+   Returns the outcome and the number of attempts. *)
+let run_to_answer c n ~dur ~attempt acts =
+  let rec go acts now attempts =
+    match outcome_of n acts with
+    | Some o -> (o, attempts)
+    | None ->
+      match List.find_map (function SC.Run { key; _ } -> Some key | _ -> None) acts with
+      | Some key ->
+        let now = now +. dur in
+        go (drive c ~now (SC.Finished { key; finish = attempt (attempts + 1); now })) now
+          (attempts + 1)
+      | None ->
+        if now > 60. then Alcotest.fail "the job was never answered";
+        let now = now +. 0.001 in
+        go (drive c ~now (SC.Tick now)) now attempts
+  in
+  go acts 0. 0
+
+(* A crash-only plan whose first draws at ["sched.job"] are [pattern]. *)
+let crash_plan pattern =
+  let cfg seed = { P.default with seed; crash = 0.5 } in
+  let draws seed =
+    let p = P.create (cfg seed) in
+    List.map (fun _ -> P.on_job p ~site:"sched.job") pattern
+  in
+  P.create (cfg (List.find (fun seed -> draws seed = pattern) (List.init 1000 Fun.id)))
+
+let test_retry_recovers () =
+  let c = core ~retries:3 ~backoff:0.001 () in
+  let outcome, attempts =
+    run_to_answer c 1 ~dur:0.001
+      ~attempt:(fun i -> if i <= 2 then SC.Raised "Failure(\"flaky\")" else SC.Done (output_of 7))
+      (submit c ~now:0. 1)
+  in
+  (match outcome with
+   | Ok out when out = output_of 7 -> ()
+   | _ -> Alcotest.fail "flaky job must succeed within its retry budget");
+  Alcotest.(check int) "two retries burned" 2 (SC.stats c).SC.retried;
+  Alcotest.(check int) "three attempts run" 3 attempts;
+  (* a service retries an injected crash the same way, and counts it *)
+  let plan = crash_plan P.[ Some Crash; Some Crash; None ] in
+  let svc = Server.Service.create ~fault:plan ~retries:3 ~workers:1 ~queue_capacity:4 () in
+  Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+  (match (ok (Server.Service.run_job svc (sim_job 1))).Server.Service.outcome with
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "flaky job must succeed within its retry budget");
+  Alcotest.(check int) "two crashes injected" 2 (List.assoc "crash" (P.counts plan));
+  Alcotest.(check int) "small_jobs_retried_total" 2
+    (Obs.Metric.Counter.get
+       (Obs.Registry.counter (Server.Service.metrics svc) "small_jobs_retried_total"))
+
+let test_retry_budget_exhausted () =
+  let c = core ~retries:2 ~backoff:0.001 () in
+  let outcome, attempts =
+    run_to_answer c 1 ~dur:0.001 ~attempt:(fun _ -> SC.Raised "Failure(\"always\")")
+      (submit c ~now:0. 1)
+  in
+  (match outcome with
+   | Error (SC.Exec_failed msg) ->
+     Alcotest.(check bool) "failure text survives retries" true (contains msg "always")
+   | _ -> Alcotest.fail "exhausted budget must be Failed");
+  Alcotest.(check int) "1 + 2 retries attempts" 3 attempts
+
+(* The deadline is fixed at the FIRST attempt's start: a raising job
+   cannot buy itself unbounded time through its retry budget. *)
+let test_retry_respects_deadline () =
+  let c = core ~retries:1000 ~backoff:0.02 () in
+  let outcome, attempts =
+    run_to_answer c 1 ~dur:0.02 ~attempt:(fun _ -> SC.Raised "Failure(\"flaky\")")
+      (submit c ~now:0. ~timeout:0.05 1)
+  in
+  (match outcome with
+   | Error (SC.Timed_out | SC.Exec_failed _) -> ()
+   | _ -> Alcotest.fail "job past its deadline must not keep retrying");
+  Alcotest.(check bool)
+    (Printf.sprintf "deadline bounded the retries (%d attempts)" attempts)
+    true (attempts < 10)
+
+let test_shed_lower () =
+  let c = core ~capacity:2 () in
+  let run_key acts = List.find_map (function SC.Run { key; _ } -> Some key | _ -> None) acts in
+  Alcotest.(check (option string)) "the first job runs" (Some "k1") (run_key (submit c ~now:0. 1));
+  ignore (submit c ~now:0. ~priority:0 2);
+  ignore (submit c ~now:0. ~priority:1 3);
+  (match answer_of 4 (submit c ~now:0. 4) with
+   | Some (Error `Overloaded) -> ()
+   | _ -> Alcotest.fail "queue must be full");
+  (* shedding picks the LOWEST priority strictly below the newcomer's *)
+  let acts = submit c ~now:0. ~priority:2 5 in
+  (match outcome_of 2 acts with
+   | Some (Error SC.Shed) -> ()
+   | _ -> Alcotest.fail "lowest-priority job must be the one shed");
+  Alcotest.(check bool) "shed makes room" true (answer_of 5 acts = None);
+  (* nothing strictly below priority 0 remains *)
+  (match answer_of 6 (submit c ~now:0. ~priority:0 6) with
+   | Some (Error `Overloaded) -> ()
+   | _ -> Alcotest.fail "no victim below lowest");
+  let finish n = drive c ~now:1. (SC.Finished { key = Printf.sprintf "k%d" n; finish = SC.Done (output_of n); now = 1. }) in
+  let done_ n acts = outcome_of n acts = Some (Ok (output_of n)) in
+  let a1 = finish 1 in
+  let a3 = finish 3 in
+  let a5 = finish 5 in
+  if not (done_ 1 a1 && done_ 3 a3 && done_ 5 a5) then
+    Alcotest.fail "surviving jobs must complete";
+  Alcotest.(check int) "shed counted" 1 (SC.stats c).SC.shed
 
 let test_wire_garbage_never_escapes () =
   let plan = P.create { P.default with seed = 17; garbage = 1.0 } in
@@ -252,18 +305,14 @@ let test_overload_ladder () =
   let svc = Server.Service.create ~fault:plan ~workers:1 ~queue_capacity:1 () in
   Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
   let join_a = ok (Server.Service.submit svc (sim_job ~priority:0 1)) in
-  (* give the worker a moment to pop job A, leaving the queue empty *)
-  let rec wait_started n =
-    if (Server.Service.scheduler_stats svc).Sch.running = 1 then ()
-    else if n = 0 then Alcotest.fail "first job never started"
-    else (Unix.sleepf 0.002; wait_started (n - 1))
-  in
-  wait_started 2000;
+  (* the core hands job A to the worker as it is submitted, leaving the
+     queue empty; the fault-plan delay holds it there *)
+  Alcotest.(check int) "first job started" 1 (Server.Service.scheduler_stats svc).SC.running;
   let join_b = ok (Server.Service.submit svc (sim_job ~priority:0 2)) in
   (* rung 1: a higher-priority job sheds the queued lower one *)
   let join_c = ok (Server.Service.submit svc (sim_job ~priority:1 3)) in
   (match (join_b ()).Server.Service.outcome with
-   | Error Server.Service.Shed -> ()
+   | Error Server.Service_core.Shed -> ()
    | _ -> Alcotest.fail "queued low-priority job must be shed");
   (* rung 2: nothing lower-priority queued -> (overloaded) *)
   (match Server.Service.submit svc (sim_job ~priority:0 4) with
@@ -274,13 +323,17 @@ let test_overload_ladder () =
    | Ok _, Ok _ -> ()
    | _ -> Alcotest.fail "running and high-priority jobs must complete");
   let s = Server.Service.scheduler_stats svc in
-  Alcotest.(check int) "one job shed" 1 s.Sch.shed;
+  Alcotest.(check int) "one job shed" 1 s.SC.shed;
   let shed_status =
     Obs.Metric.Counter.get
       (Obs.Registry.counter (Server.Service.metrics svc)
          ~labels:[ ("status", "shed") ] "small_svc_requests_total")
   in
-  Alcotest.(check int) "shed status counted" 1 shed_status
+  Alcotest.(check int) "shed status counted" 1 shed_status;
+  Alcotest.(check int) "shed outcome metric" 1
+    (Obs.Metric.Counter.get
+       (Obs.Registry.counter (Server.Service.metrics svc) ~labels:[ ("outcome", "shed") ]
+          "small_sched_jobs_total"))
 
 (* The acceptance storm: 60 mixed jobs through a service under a seeded
    plan injecting fs-write failures, torn writes, worker crashes, and
@@ -327,9 +380,9 @@ let run_storm svc =
            (List.assoc seed reference)
            (Server.Json.to_string (Server.Exec.output_to_json out))
        | Error
-           ( Server.Service.Exec_failed _ | Server.Service.Timed_out
-           | Server.Service.Cancelled | Server.Service.Shed
-           | Server.Service.Source_error _ ) -> incr errors)
+           ( Server.Service_core.Exec_failed _ | Server.Service_core.Timed_out
+           | Server.Service_core.Cancelled | Server.Service_core.Shed
+           | Server.Service_core.Source_error _ ) -> incr errors)
     joins;
   (!oks, !errors)
 
@@ -347,10 +400,10 @@ let test_storm_under_faults () =
     (match (ok (Server.Service.submit svc (sim_job 999)) ()).Server.Service.outcome with
      | Ok _ | Error _ -> ());
     Alcotest.(check int) "no stuck jobs" 0
-      (Server.Service.scheduler_stats svc).Sch.running;
+      (Server.Service.scheduler_stats svc).SC.running;
     Alcotest.(check bool) "faults were actually injected" true (P.total plan > 0);
     Alcotest.(check bool) "crashes forced retries" true
-      ((Server.Service.scheduler_stats svc).Sch.retried > 0);
+      ((Server.Service.scheduler_stats svc).SC.retried > 0);
     r
   in
   Alcotest.(check int) "every job answered" 60 (oks + errors);

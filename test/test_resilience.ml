@@ -731,7 +731,7 @@ let test_wire_cancel () =
   let t = Router.create ~shards:[ shard ] () in
   Fun.protect ~finally:(fun () -> Router.shutdown t; Domain.join d) @@ fun () ->
   let join = Router.submit_line t (job_line ~id:77 0) in
-  while (Server.Service.scheduler_stats svc).Server.Scheduler.running = 0 do
+  while (Server.Service.scheduler_stats svc).Server.Service_core.running = 0 do
     Domain.cpu_relax ()
   done;
   Router.cancel_client t 77;

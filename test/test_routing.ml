@@ -546,11 +546,11 @@ let service_lines () =
         Server.Service.shutdown shard)
   @@ fun () ->
   let outcomes =
-    [ Ok sim; Ok stats; Error Server.Service.Timed_out; Error Server.Service.Cancelled;
-      Error Server.Service.Shed ]
+    [ Ok sim; Ok stats; Error Server.Service_core.Timed_out; Error Server.Service_core.Cancelled;
+      Error Server.Service_core.Shed ]
     @ List.concat_map
         (fun m ->
-           [ Error (Server.Service.Exec_failed m); Error (Server.Service.Source_error m) ])
+           [ Error (Server.Service_core.Exec_failed m); Error (Server.Service_core.Source_error m) ])
         tricky
   in
   List.concat_map

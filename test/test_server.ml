@@ -1,9 +1,11 @@
-(* Tests for the job service: scheduler ordering/backpressure/timeouts/
-   cancellation, the content-addressed result cache (memory and disk),
-   job parsing and digesting, and the end-to-end guarantee that served
-   results are identical to direct Core.Simulator runs. *)
+(* Tests for the job service: the service core's scheduling policy
+   (ordering, backpressure, timeouts, cancellation) and its seeded
+   simulation battery, single-flight, the content-addressed result cache
+   (memory and disk), job parsing and digesting, and the end-to-end
+   guarantee that served results are identical to direct
+   Core.Simulator runs. *)
 
-module Sch = Server.Scheduler
+module SC = Server.Service_core
 module D = Sexp.Datum
 
 let ok = function
@@ -15,215 +17,11 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-let wait_for ?(tries = 2000) pred =
-  let rec go n =
-    if pred () then ()
-    else if n = 0 then Alcotest.fail "condition never became true"
-    else begin
-      Unix.sleepf 0.002;
-      go (n - 1)
-    end
-  in
-  go tries
-
 let temp_dir prefix =
   let d = Filename.temp_file prefix "" in
   Sys.remove d;
   Sys.mkdir d 0o755;
   d
-
-(* ---- scheduler ---- *)
-
-let test_fifo_order () =
-  let s = Sch.create ~workers:1 ~capacity:16 () in
-  let order = ref [] in
-  let lock = Mutex.create () in
-  let tickets =
-    List.map
-      (fun i ->
-         ok
-           (Sch.submit s (fun ~should_stop:_ ->
-                Mutex.lock lock;
-                order := i :: !order;
-                Mutex.unlock lock;
-                i)))
-      [ 1; 2; 3; 4; 5 ]
-  in
-  List.iteri
-    (fun idx t ->
-       match Sch.await s t with
-       | Sch.Done v -> Alcotest.(check int) "result" (idx + 1) v
-       | _ -> Alcotest.fail "job did not complete")
-    tickets;
-  Alcotest.(check (list int)) "single worker runs FIFO" [ 1; 2; 3; 4; 5 ]
-    (List.rev !order);
-  Sch.shutdown s
-
-let test_backpressure () =
-  let s = Sch.create ~workers:1 ~capacity:1 () in
-  let gate = Atomic.make false in
-  let blocker ~should_stop:_ =
-    while not (Atomic.get gate) do
-      Domain.cpu_relax ()
-    done;
-    0
-  in
-  let t1 = ok (Sch.submit s blocker) in
-  wait_for (fun () -> (Sch.stats s).Sch.running = 1);
-  let t2 = ok (Sch.submit s (fun ~should_stop:_ -> 1)) in
-  (match Sch.submit s (fun ~should_stop:_ -> 2) with
-   | Error `Queue_full -> ()
-   | Ok _ | Error `Shutdown -> Alcotest.fail "expected Queue_full");
-  Alcotest.(check int) "rejection counted" 1 (Sch.stats s).Sch.rejected;
-  Atomic.set gate true;
-  (match Sch.await s t1, Sch.await s t2 with
-   | Sch.Done 0, Sch.Done 1 -> ()
-   | _ -> Alcotest.fail "queued jobs must still run");
-  Sch.shutdown s
-
-let test_timeout () =
-  let s = Sch.create ~workers:1 ~capacity:4 () in
-  (* a polling job aborts early via Stop *)
-  let t1 =
-    ok
-      (Sch.submit s ~timeout:0.05 (fun ~should_stop ->
-           while not (should_stop ()) do
-             Unix.sleepf 0.002
-           done;
-           raise Sch.Stop))
-  in
-  (match Sch.await s t1 with
-   | Sch.Timed_out -> ()
-   | _ -> Alcotest.fail "polling job must time out");
-  (* a non-polling job is classified at completion, result discarded *)
-  let t2 =
-    ok (Sch.submit s ~timeout:0.01 (fun ~should_stop:_ -> Unix.sleepf 0.05; 7))
-  in
-  (match Sch.await s t2 with
-   | Sch.Timed_out -> ()
-   | _ -> Alcotest.fail "overdue job must be classified Timed_out");
-  Alcotest.(check int) "timeouts counted" 2 (Sch.stats s).Sch.timed_out;
-  Sch.shutdown s
-
-let test_cancel () =
-  let s = Sch.create ~workers:1 ~capacity:4 () in
-  let gate = Atomic.make false in
-  let t1 =
-    ok
-      (Sch.submit s (fun ~should_stop ->
-           while not (Atomic.get gate) && not (should_stop ()) do
-             Unix.sleepf 0.002
-           done;
-           if should_stop () then raise Sch.Stop;
-           0))
-  in
-  wait_for (fun () -> (Sch.stats s).Sch.running = 1);
-  let t2 = ok (Sch.submit s (fun ~should_stop:_ -> 1)) in
-  Alcotest.(check bool) "pending job cancels immediately" true (Sch.cancel s t2);
-  (match Sch.await s t2 with
-   | Sch.Cancelled -> ()
-   | _ -> Alcotest.fail "cancelled pending job");
-  Alcotest.(check bool) "running job only gets the flag" false (Sch.cancel s t1);
-  (match Sch.await s t1 with
-   | Sch.Cancelled -> ()
-   | _ -> Alcotest.fail "polling job must observe cancellation");
-  Sch.shutdown s
-
-let test_failure_capture () =
-  let s = Sch.create ~workers:1 ~capacity:4 () in
-  let t = ok (Sch.submit s (fun ~should_stop:_ -> failwith "boom")) in
-  (match Sch.await s t with
-   | Sch.Failed msg ->
-     Alcotest.(check bool) "exception text captured" true (contains msg "boom")
-   | _ -> Alcotest.fail "raising job must be Failed");
-  Sch.shutdown s
-
-(* A thunk that raises must settle its ticket as Failed, restore the
-   in-flight accounting, and leave the worker alive for the next job. *)
-let test_failure_keeps_pool_usable () =
-  let reg = Obs.Registry.create () in
-  let s = Sch.create ~metrics:reg ~workers:1 ~capacity:4 () in
-  let t1 = ok (Sch.submit s (fun ~should_stop:_ -> failwith "die")) in
-  (match Sch.await s t1 with
-   | Sch.Failed _ -> ()
-   | _ -> Alcotest.fail "raising job must be Failed");
-  let t2 = ok (Sch.submit s (fun ~should_stop:_ -> 9)) in
-  (match Sch.await s t2 with
-   | Sch.Done 9 -> ()
-   | _ -> Alcotest.fail "the worker must survive a raising thunk");
-  Alcotest.(check int) "running accounting restored" 0 (Sch.stats s).Sch.running;
-  let gauge name =
-    Obs.Metric.Gauge.get (Obs.Registry.gauge reg name)
-  in
-  Alcotest.(check int) "in-flight gauge restored" 0 (gauge "small_sched_inflight");
-  Alcotest.(check int) "queue-depth gauge empty" 0 (gauge "small_sched_queue_depth");
-  Sch.shutdown s
-
-(* N jobs across mixed outcomes on a shared registry: the per-outcome
-   counters must sum to N and the gauges must settle back to zero. *)
-let test_scheduler_metrics_concurrent () =
-  let reg = Obs.Registry.create () in
-  let s = Sch.create ~metrics:reg ~workers:4 ~capacity:128 () in
-  let submitted = ref 0 in
-  let tickets = ref [] in
-  let push t = incr submitted; tickets := t :: !tickets in
-  for i = 1 to 60 do
-    match i mod 4 with
-    | 0 -> push (ok (Sch.submit s (fun ~should_stop:_ -> i)))
-    | 1 -> push (ok (Sch.submit s (fun ~should_stop:_ -> failwith "boom")))
-    | 2 ->
-      push
-        (ok
-           (Sch.submit s ~timeout:0.005 (fun ~should_stop ->
-                while not (should_stop ()) do
-                  Unix.sleepf 0.001
-                done;
-                raise Sch.Stop)))
-    | _ ->
-      let t =
-        ok
-          (Sch.submit s (fun ~should_stop ->
-               Unix.sleepf 0.002;
-               if should_stop () then raise Sch.Stop;
-               i))
-      in
-      ignore (Sch.cancel s t : bool);
-      push t
-  done;
-  List.iter (fun t -> ignore (Sch.await s t : int Sch.outcome)) !tickets;
-  let counter labels =
-    Obs.Metric.Counter.get
-      (Obs.Registry.counter reg ~labels "small_sched_jobs_total")
-  in
-  let outcomes =
-    List.map (fun o -> counter [ ("outcome", o) ])
-      [ "done"; "failed"; "timed_out"; "cancelled" ]
-  in
-  Alcotest.(check int) "per-outcome counters sum to N" !submitted
-    (List.fold_left ( + ) 0 outcomes);
-  Alcotest.(check bool) "every class was exercised" true
-    (List.for_all (fun c -> c > 0) outcomes);
-  Alcotest.(check int) "rejected stays zero" 0
-    (counter [ ("outcome", "rejected") ]);
-  let gauge name = Obs.Metric.Gauge.get (Obs.Registry.gauge reg name) in
-  Alcotest.(check int) "queue depth settled to zero" 0 (gauge "small_sched_queue_depth");
-  Alcotest.(check int) "in-flight settled to zero" 0 (gauge "small_sched_inflight");
-  (* wait/run histograms saw every job that reached a worker *)
-  let hist_count name =
-    match
-      List.find_opt
-        (fun (x : Obs.Registry.sample) -> x.Obs.Registry.name = name)
-        (Obs.Registry.snapshot reg)
-    with
-    | Some { value = Obs.Registry.Histogram_v h; _ } ->
-      Obs.Metric.Histogram.count h
-    | _ -> Alcotest.fail (name ^ " not registered")
-  in
-  Alcotest.(check bool) "queue waits recorded" true
-    (hist_count "small_sched_queue_wait_seconds" > 0);
-  Alcotest.(check bool) "run times recorded" true
-    (hist_count "small_sched_run_seconds" > 0);
-  Sch.shutdown s
 
 (* ---- result cache ---- *)
 
@@ -399,6 +197,257 @@ let file_job path spec =
 let sim_job seed =
   file_job (Lazy.force saved_synth_trace) (Server.Job.Simulate (sim_config seed))
 
+(* A primitive wider than the packed kernel's 24 position bits: stats
+   reads it, simulate refuses it with a typed job error. *)
+let wide_capture () =
+  let l i = D.list [ D.int i; D.int (i + 1) ] in
+  let wide = List.init 25 (fun i -> if i mod 2 = 0 then D.int i else l i) in
+  let c = Trace.Capture.create () in
+  List.iter (Trace.Capture.record c)
+    [ Trace.Event.Call { name = "f"; nargs = 1 };
+      Trace.Event.Prim { prim = Trace.Event.Cons; args = [ D.int 0; l 1 ]; result = l 0 };
+      Trace.Event.Prim { prim = Trace.Event.Car; args = wide; result = D.int 1 };
+      Trace.Event.Return { name = "f" } ];
+  c
+
+let wide_trace = lazy (
+  let path = Filename.temp_file "wide" ".smtb" in
+  Trace.Io.save ~format:Trace.Io.Binary path (wide_capture ());
+  path)
+
+(* ---- the service core, driven alone ---- *)
+
+(* Scheduler policy — FIFO order, backpressure, timeouts, cancellation,
+   failure capture — is decided by [Service_core], so it is tested by
+   stepping the core with a hand-run clock and worker: no domains, no
+   sleeps.  Every job here has its own cache key and every lookup
+   misses. *)
+
+let core ?(workers = 1) ?(capacity = 16) ?(retries = 0) ?(backoff = 0.01) () =
+  SC.create { SC.workers; capacity; retries; backoff; jitter_seed = None; shard_id = None }
+
+let core_job ?timeout ?deadline ?(priority = 0) ?wire_id seed =
+  { Server.Job.source = Server.Job.Workload "slang";
+    spec = Server.Job.Simulate { Core.Simulator.default_config with seed };
+    timeout; priority; deadline; wire_id }
+
+(* A stand-in result: the run of job [n] yields [output_of n]. *)
+let output_of n =
+  Server.Exec.Stats_out
+    { events = n; primitives = 0; functions = 0; max_depth = 0; distinct_lists = 0; mix = [] }
+
+(* Steps [input], answering every cache lookup it asks for with a miss
+   and every store at once. *)
+let rec drive c ~now input =
+  List.concat_map
+    (function
+      | SC.Lookup { waiter; _ } as a -> a :: drive c ~now (SC.Looked_up { waiter; stored = None; now })
+      | SC.Store { key; _ } as a -> a :: drive c ~now (SC.Stored { key; now })
+      | a -> [ a ])
+    (SC.step c input)
+
+let key_of n = Printf.sprintf "k%d" n
+
+(* Job [n] arrives alone on session [n], under key [key_of n]. *)
+let submit c ~now n job =
+  drive c ~now
+    (SC.Request
+       { session = n; now;
+         request = SC.Parts [ SC.Job (job, SC.Keyed { key = key_of n; expect = None }) ] })
+
+let finish c ~now n f = drive c ~now (SC.Finished { key = key_of n; finish = f; now })
+let runs acts = List.filter_map (function SC.Run { key; _ } -> Some key | _ -> None) acts
+let stops acts = List.filter_map (function SC.Stop key -> Some key | _ -> None) acts
+
+(* The reply the step wrote on session [n], if it wrote one. *)
+let reply_of n acts =
+  List.find_map
+    (function SC.Write { session; replies = [ r ]; _ } when session = n -> Some r | _ -> None)
+    acts
+
+let answer_of n acts =
+  match reply_of n acts with Some (Ok r) -> Some r.SC.outcome | Some (Error _) | None -> None
+
+let refused n acts = match reply_of n acts with Some (Error _) -> true | _ -> false
+
+let test_fifo_order () =
+  let c = core () in
+  let acts = List.concat_map (fun i -> submit c ~now:0. i (core_job i)) [ 1; 2; 3; 4; 5 ] in
+  (* one worker: each finish starts the next run *)
+  let rec go acts order =
+    match runs acts with
+    | [] -> List.rev order
+    | [ key ] ->
+      let n = int_of_string (String.sub key 1 (String.length key - 1)) in
+      let acts = finish c ~now:0. n (SC.Done (output_of n)) in
+      (match answer_of n acts with
+       | Some (Ok out) -> Alcotest.(check bool) "result" true (out = output_of n)
+       | _ -> Alcotest.fail "job did not complete");
+      go acts (n :: order)
+    | _ -> Alcotest.fail "one worker ran two jobs at once"
+  in
+  Alcotest.(check (list int)) "single worker runs FIFO" [ 1; 2; 3; 4; 5 ] (go acts [])
+
+let test_backpressure () =
+  let c = core ~capacity:1 () in
+  Alcotest.(check (list string)) "the first job runs" [ "k1" ] (runs (submit c ~now:0. 1 (core_job 1)));
+  Alcotest.(check (list string)) "the second waits" [] (runs (submit c ~now:0. 2 (core_job 2)));
+  Alcotest.(check bool) "expected Queue_full" true (refused 3 (submit c ~now:0. 3 (core_job 3)));
+  Alcotest.(check int) "rejection counted" 1 (SC.stats c).SC.rejected;
+  let a1 = finish c ~now:0.1 1 (SC.Done (output_of 1)) in
+  let a2 = finish c ~now:0.2 2 (SC.Done (output_of 2)) in
+  match answer_of 1 a1, runs a1, answer_of 2 a2 with
+  | Some (Ok _), [ "k2" ], Some (Ok _) -> ()
+  | _ -> Alcotest.fail "queued jobs must still run"
+
+let test_timeout () =
+  let c = core () in
+  (* a polling job is told to stop at its deadline, and answers when it does *)
+  ignore (submit c ~now:0. 1 (core_job ~timeout:0.05 1));
+  let tick = SC.step c (SC.Tick 0.06) in
+  Alcotest.(check (list string)) "the overdue run is stopped" [ "k1" ] (stops tick);
+  (match answer_of 1 (finish c ~now:0.061 1 SC.Stopped) with
+   | Some (Error SC.Timed_out) -> ()
+   | _ -> Alcotest.fail "polling job must time out");
+  (* a non-polling job is classified at completion, result discarded *)
+  ignore (submit c ~now:1. 2 (core_job ~timeout:0.01 2));
+  let acts = finish c ~now:1.05 2 (SC.Done (output_of 2)) in
+  (match answer_of 2 acts with
+   | Some (Error SC.Timed_out) -> ()
+   | _ -> Alcotest.fail "overdue job must be classified Timed_out");
+  Alcotest.(check bool) "its result is not stored" false
+    (List.exists (function SC.Store _ -> true | _ -> false) acts);
+  Alcotest.(check int) "timeouts counted" 2 (SC.stats c).SC.timed_out
+
+let test_cancel () =
+  let c = core () in
+  ignore (submit c ~now:0. 1 (core_job ~wire_id:1 1));
+  ignore (submit c ~now:0. 2 (core_job ~wire_id:2 2));
+  let acts = SC.step c (SC.Cancel { id = 2; now = 0.01 }) in
+  Alcotest.(check bool) "pending job cancels immediately" true
+    (answer_of 2 acts = Some (Error SC.Cancelled));
+  let acts = SC.step c (SC.Cancel { id = 1; now = 0.02 }) in
+  Alcotest.(check bool) "running job only gets the flag" true
+    (stops acts = [ "k1" ] && answer_of 1 acts = None);
+  let acts = finish c ~now:0.03 1 SC.Stopped in
+  Alcotest.(check bool) "polling job must observe cancellation" true
+    (answer_of 1 acts = Some (Error SC.Cancelled));
+  Alcotest.(check (list string)) "the cancelled pending job never runs" [] (runs acts)
+
+let test_failure_capture () =
+  let c = core () in
+  ignore (submit c ~now:0. 1 (core_job 1));
+  match answer_of 1 (finish c ~now:0.01 1 (SC.Raised "Failure(\"boom\")")) with
+  | Some (Error (SC.Exec_failed msg)) ->
+    Alcotest.(check bool) "exception text captured" true (contains msg "boom")
+  | _ -> Alcotest.fail "raising job must be Failed"
+
+(* The first [n] draws a fault plan makes at ["sched.job"] under [cfg]. *)
+let job_draws cfg n =
+  let p = Fault.Plan.create cfg in
+  List.init n (fun _ -> Fault.Plan.on_job p ~site:"sched.job")
+
+(* A crash-only plan whose first draws at ["sched.job"] are [pattern]. *)
+let crash_plan pattern =
+  let cfg seed = { Fault.Plan.default with seed; crash = 0.5 } in
+  let seed =
+    List.find (fun seed -> job_draws (cfg seed) (List.length pattern) = pattern)
+      (List.init 1000 Fun.id)
+  in
+  Fault.Plan.create (cfg seed)
+
+(* A thunk that raises must settle its job as Failed, restore the
+   in-flight accounting, and leave the worker alive for the next job. *)
+let test_failure_keeps_pool_usable () =
+  let c = core () in
+  ignore (submit c ~now:0. 1 (core_job 1));
+  ignore (submit c ~now:0. 2 (core_job 2));
+  let acts = finish c ~now:0.01 1 (SC.Raised "die") in
+  Alcotest.(check bool) "raising job must be Failed" true
+    (match answer_of 1 acts with Some (Error (SC.Exec_failed _)) -> true | _ -> false);
+  Alcotest.(check (list string)) "the worker takes the next job" [ "k2" ] (runs acts);
+  ignore (finish c ~now:0.02 2 (SC.Done (output_of 2)));
+  Alcotest.(check int) "running accounting restored" 0 (SC.stats c).SC.running;
+  (* the same through a service, whose worker domain takes an injected
+     crash and then a job that runs *)
+  let fault = crash_plan [ Some Fault.Plan.Crash; None ] in
+  let svc = Server.Service.create ~fault ~workers:1 ~queue_capacity:4 () in
+  Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+  let run seed =
+    match Server.Service.run_job svc (sim_job seed) with
+    | Ok r -> r.Server.Service.outcome
+    | Error _ -> Alcotest.fail "unexpected submit error"
+  in
+  (match run 1 with
+   | Error (Server.Service_core.Exec_failed _) -> ()
+   | _ -> Alcotest.fail "raising job must be Failed");
+  (match run 2 with
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "the worker must survive a raising thunk");
+  Alcotest.(check int) "running accounting restored" 0
+    (Server.Service.scheduler_stats svc).SC.running;
+  let gauge name = Obs.Metric.Gauge.get (Obs.Registry.gauge (Server.Service.metrics svc) name) in
+  Alcotest.(check int) "in-flight gauge restored" 0 (gauge "small_sched_inflight");
+  Alcotest.(check int) "queue-depth gauge empty" 0 (gauge "small_sched_queue_depth")
+
+(* N jobs across mixed outcomes through one service: the per-outcome
+   counters must sum to N and the gauges must settle back to zero.  Each
+   outcome is forced without timing: a 25-argument primitive fails to
+   simulate, a 1 ns timeout is overdue at completion, and a cancel is
+   sent right behind its job while 45 others are ahead of it. *)
+let test_scheduler_metrics_concurrent () =
+  let svc = Server.Service.create ~workers:4 ~queue_capacity:128 () in
+  Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+  let reg = Server.Service.metrics svc in
+  let wide = Lazy.force wide_trace in
+  let joins =
+    List.init 60 (fun i ->
+        let job =
+          match i mod 4 with
+          | 0 -> sim_job (100 + i)
+          | 1 -> file_job wide (Server.Job.Simulate (sim_config (100 + i)))
+          | 2 -> { (sim_job (100 + i)) with timeout = Some 1e-9 }
+          | _ -> { (sim_job (100 + i)) with wire_id = Some (1000 + i) }
+        in
+        ok (Server.Service.submit svc job))
+  in
+  List.iteri
+    (fun i _ -> if i mod 4 = 3 then ignore (Server.Service.handle_line svc (Printf.sprintf "(cancel %d)" (1000 + i))))
+    joins;
+  List.iter (fun join -> ignore (join () : Server.Service.response)) joins;
+  let counter labels =
+    Obs.Metric.Counter.get
+      (Obs.Registry.counter reg ~labels "small_sched_jobs_total")
+  in
+  let outcomes =
+    List.map (fun o -> counter [ ("outcome", o) ])
+      [ "done"; "failed"; "timed_out"; "cancelled" ]
+  in
+  Alcotest.(check int) "per-outcome counters sum to N" 60
+    (List.fold_left ( + ) 0 outcomes);
+  Alcotest.(check bool) "every class was exercised" true
+    (List.for_all (fun c -> c > 0) outcomes);
+  Alcotest.(check int) "rejected stays zero" 0
+    (counter [ ("outcome", "rejected") ]);
+  let gauge name = Obs.Metric.Gauge.get (Obs.Registry.gauge reg name) in
+  Alcotest.(check int) "queue depth settled to zero" 0 (gauge "small_sched_queue_depth");
+  Alcotest.(check int) "in-flight settled to zero" 0 (gauge "small_sched_inflight");
+  (* wait/run histograms saw every job that reached a worker *)
+  let hist_count name =
+    match
+      List.find_opt
+        (fun (x : Obs.Registry.sample) -> x.Obs.Registry.name = name)
+        (Obs.Registry.snapshot reg)
+    with
+    | Some { value = Obs.Registry.Histogram_v h; _ } ->
+      Obs.Metric.Histogram.count h
+    | _ -> Alcotest.fail (name ^ " not registered")
+  in
+  Alcotest.(check bool) "queue waits recorded" true
+    (hist_count "small_sched_queue_wait_seconds" > 0);
+  Alcotest.(check bool) "run times recorded" true
+    (hist_count "small_sched_run_seconds" > 0)
+
 let result_bytes (r : Server.Service.response) =
   match r.Server.Service.outcome with
   | Ok out -> Server.Json.to_string (Server.Exec.output_to_json out)
@@ -445,14 +494,7 @@ let test_service_matches_direct_runs () =
    exactly as on the sexp-lines file; simulate still refuses the trace
    with a typed job error, not a crash. *)
 let test_wide_primitive_stats () =
-  let l i = D.list [ D.int i; D.int (i + 1) ] in
-  let wide = List.init 25 (fun i -> if i mod 2 = 0 then D.int i else l i) in
-  let c = Trace.Capture.create () in
-  List.iter (Trace.Capture.record c)
-    [ Trace.Event.Call { name = "f"; nargs = 1 };
-      Trace.Event.Prim { prim = Trace.Event.Cons; args = [ D.int 0; l 1 ]; result = l 0 };
-      Trace.Event.Prim { prim = Trace.Event.Car; args = wide; result = D.int 1 };
-      Trace.Event.Return { name = "f" } ];
+  let c = wide_capture () in
   let save format suffix =
     let path = Filename.temp_file "wide" suffix in
     Trace.Io.save ~format path c;
@@ -468,7 +510,7 @@ let test_wide_primitive_stats () =
     (result_bytes (run sexp Server.Job.Stats))
     (result_bytes (run bin Server.Job.Stats));
   match (run bin (Server.Job.Simulate (sim_config 1))).Server.Service.outcome with
-  | Error (Server.Service.Exec_failed _) -> ()
+  | Error (Server.Service_core.Exec_failed _) -> ()
   | Ok _ -> Alcotest.fail "simulate accepted a 25-argument primitive"
   | Error _ -> Alcotest.fail "simulate failed with an unexpected outcome"
 
@@ -496,7 +538,7 @@ let test_rewrite_while_queued () =
   let join = ok (Server.Service.submit svc job) in
   save 2;
   (match (join ()).Server.Service.outcome with
-   | Error (Server.Service.Source_error _) -> ()
+   | Error (Server.Service_core.Source_error _) -> ()
    | Ok _ -> Alcotest.fail "the job answered over rewritten bytes"
    | Error _ -> Alcotest.fail "the job failed, but not with a source error");
   save 1;
@@ -523,7 +565,7 @@ let test_service_cache_hit () =
   let r2 = ok (Server.Service.run_job svc (sim_job 1)) in
   Alcotest.(check bool) "second resubmission hits memory" true r2.Server.Service.cached;
   Alcotest.(check int) "nothing was executed"
-    0 (Server.Service.scheduler_stats svc).Sch.completed
+    0 (Server.Service.scheduler_stats svc).SC.completed
 
 let test_handle_line () =
   with_service @@ fun svc ->
@@ -715,7 +757,7 @@ let test_inline_replies_keep_order () =
     with_session svc @@ fun ic oc ->
     let send lines = List.iter (fun l -> output_string oc (l ^ "\n")) lines; flush oc in
     send [ miss ];
-    while (Server.Service.scheduler_stats svc).Sch.running = 0 do
+    while (Server.Service.scheduler_stats svc).SC.running = 0 do
       Domain.cpu_relax ()
     done;
     send [ hit; "(stats)"; "(cancel 7)" ];
@@ -726,7 +768,7 @@ let test_inline_replies_keep_order () =
     Server.Json.to_string
       (Server.Service.response_json svc
          { Server.Service.job = miss_job; cached = false; elapsed = 0.;
-           outcome = Error Server.Service.Cancelled })
+           outcome = Error Server.Service_core.Cancelled })
   in
   (match replies with
    | [ r_miss; r_hit; r_stats ] ->
@@ -794,7 +836,7 @@ let test_hit_memo_never_stale () =
        Server.Result_cache.store cache key corrupt;
        for _ = 1 to 3 do
          (match (hit ()).Server.Service.outcome with
-          | Error (Server.Service.Exec_failed msg) ->
+          | Error (Server.Service_core.Exec_failed msg) ->
             Alcotest.(check bool) ("corrupt entry reported: " ^ msg) true
               (contains msg "corrupt cache entry")
           | Ok _ -> Alcotest.fail "a corrupt entry answered a result"
@@ -806,6 +848,433 @@ let test_hit_memo_never_stale () =
     [ "(simulate-out (events"; "(no-such-out)" ];
   Server.Result_cache.store cache key (Sexp.to_string (Server.Exec.output_to_sexp other_out));
   Alcotest.(check string) "a valid value answers again" other (result_bytes (hit ()))
+
+(* ---- single-flight ---- *)
+
+(* Two identical misses pipelined on one session run once: the second
+   joins the first's run and answers its bytes, [cached:true]. *)
+let test_duplicate_runs_once () =
+  with_service @@ fun svc ->
+  let line = sim_line 60 in
+  let replies =
+    with_session svc @@ fun ic oc ->
+    output_string oc (line ^ "\n" ^ line ^ "\n(stats)\n");
+    flush oc;
+    List.init 3 (fun _ -> input_line ic)
+  in
+  match replies with
+  | [ a; b; stats ] ->
+    let body l =
+      let marker = "\"result\":" in
+      let rec find i = if String.sub l i (String.length marker) = marker then i else find (i + 1) in
+      String.sub l (find 0) (String.length l - find 0)
+    in
+    Alcotest.(check bool) "the first executes" true (contains a "\"cached\":false");
+    Alcotest.(check bool) "the second joins it" true (contains b "\"cached\":true");
+    Alcotest.(check string) "both carry the same result bytes" (body a) (body b);
+    Alcotest.(check bool) "one execution" true
+      (contains stats "\"jobs_executed\":1" && contains stats "\"misses\":1"
+       && contains stats "\"completed\":1")
+  | _ -> Alcotest.fail "three replies expected"
+
+(* N concurrent identical submits, from N domains, execute once: a
+   fault-plan delay holds the first run while the others arrive; one
+   arriving after it finished is a cache hit, which executes nothing. *)
+let prop_concurrent_duplicates_run_once =
+  QCheck.Test.make ~name:"concurrent identical submits execute once" ~count:8
+    QCheck.(pair (2 -- 6) (0 -- 1000))
+    (fun (n, seed) ->
+       let fault = Fault.Plan.create { Fault.Plan.default with delay = 1.0; delay_s = 0.05 } in
+       let svc = Server.Service.create ~fault ~workers:2 ~queue_capacity:8 () in
+       Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+       let job = sim_job (1000 + seed) in
+       let replies =
+         List.init n (fun _ -> Domain.spawn (fun () -> ok (Server.Service.run_job svc job)))
+         |> List.map Domain.join
+       in
+       let s = Server.Service.scheduler_stats svc in
+       s.SC.completed = 1 && s.SC.executed = 1
+       && List.length (List.filter (fun r -> not r.Server.Service.cached) replies) = 1
+       && List.for_all (fun r -> result_bytes r = result_bytes (List.hd replies)) replies)
+
+(* ---- simulation: the core under seeded interleavings ---- *)
+
+(* Each plan drives [Service_core] alone through a seeded interleaving:
+   three sessions pipeline jobs (single and batched, some spent or
+   unreadable, with deadlines, timeouts and priorities over a few cache
+   keys, so duplicates are common), pings, stats and cancels of earlier
+   wire ids; API callers submit too.  The simulated shell answers
+   lookups and stores after seeded delays, and its workers finish, raise,
+   change files under a run, and notice (or ignore) stops.  After every
+   step the invariants the core promises are checked; a failure names the
+   plan, and [svc_sim_run P] replays it exactly. *)
+
+type sim_job = {
+  wire : int;
+  key : int;
+  src : [ `Key | `Spent | `Unreadable ];
+  jdeadline : float option;
+  jtimeout : float option;
+  prio : int;
+}
+
+type sim_line = Jobs of sim_job list | Stats_req | Ping | Cancel_req of int
+
+type sim_ev =
+  | Send of int                 (* the session's next line *)
+  | Api of sim_job
+  | Look of SC.waiter * int
+  | Ends of int * SC.finish     (* worker token, how it ends *)
+  | Stored_ev of int
+  | Tick_ev
+
+module Events = Map.Make (struct
+    type t = float * int
+    let compare = compare
+  end)
+
+type sim = {
+  plan : int;
+  rng : Random.State.t;
+  c : SC.t;
+  mutable now : float;
+  mutable events : sim_ev Events.t;
+  mutable seq : int;
+  lines : sim_line array array;
+  next : int array;
+  owed : (int, sim_line Queue.t) Hashtbl.t;   (* per session: lines sent, reply not yet written *)
+  cache : (int, unit) Hashtbl.t;          (* keys stored *)
+  executing : (int, int) Hashtbl.t;       (* key -> its live worker token *)
+  tokens : (int, int) Hashtbl.t;          (* live token -> key *)
+  storing : (int, unit) Hashtbl.t;
+  jobs : (int, sim_job * float) Hashtbl.t;   (* wire id -> job, arrival *)
+  answered : (int, unit) Hashtbl.t;
+  cancelled : (int, unit) Hashtbl.t;      (* cancels the core honoured *)
+  mutable scenarios : int;
+  mutable joins : int;
+  mutable depth_waits : int;
+  trace : Buffer.t;
+}
+
+let svc_sim_fail w msg =
+  Alcotest.fail
+    (Printf.sprintf "service simulation plan %d at t=%.4f: %s (replay: svc_sim_run %d)"
+       w.plan w.now msg w.plan)
+
+let sim_at w time ev =
+  w.seq <- w.seq + 1;
+  w.events <- Events.add (time, w.seq) ev w.events
+
+let sim_out k =
+  Server.Exec.Stats_out
+    { events = k; primitives = k; functions = 0; max_depth = 0; distinct_lists = 0; mix = [] }
+
+let sim_json k = Server.Json.to_string (Server.Exec.output_to_json (sim_out k))
+let sim_key k = Printf.sprintf "key%d" k
+
+let key_of_string s = int_of_string (String.sub s 3 (String.length s - 3))
+
+let sim_core_job j =
+  core_job ?timeout:j.jtimeout ?deadline:j.jdeadline ~priority:j.prio ~wire_id:j.wire j.key
+
+let sim_source j =
+  match j.src with
+  | `Key -> SC.Keyed { key = sim_key j.key; expect = None }
+  | `Spent -> SC.Spent
+  | `Unreadable -> SC.Unreadable "no such file"
+
+let sim_check w =
+  let s = SC.stats w.c in
+  if s.SC.done_ + s.SC.failed + s.SC.cancelled + s.SC.timed_out + s.SC.shed <> s.SC.completed
+  then svc_sim_fail w "outcome counters do not sum to completed";
+  Array.iteri
+    (fun sid _ ->
+       if SC.owed w.c sid > SC.pipeline_depth then
+         svc_sim_fail w (Printf.sprintf "session %d owes %d replies" sid (SC.owed w.c sid)))
+    w.lines
+
+(* One job's answer: exactly once, and never ok bytes for a waiter that
+   was cancelled or whose deadline had passed when it was answered. *)
+let sim_answered w j (reply : SC.reply) =
+  if Hashtbl.mem w.answered j.wire then svc_sim_fail w (Printf.sprintf "job %d answered twice" j.wire);
+  Hashtbl.replace w.answered j.wire ();
+  let cancelled = Hashtbl.mem w.cancelled j.wire in
+  match reply with
+  | Ok { outcome = Ok out; elapsed; cached; _ } ->
+    if cancelled then svc_sim_fail w (Printf.sprintf "cancelled job %d got ok" j.wire);
+    (match j.jdeadline with
+     | Some d when elapsed > d +. 1e-9 ->
+       svc_sim_fail w (Printf.sprintf "expired job %d got ok" j.wire)
+     | _ -> ());
+    if out <> sim_out j.key then svc_sim_fail w (Printf.sprintf "job %d got another key's result" j.wire);
+    if cached && not (Hashtbl.mem w.cache j.key) then w.joins <- w.joins + 1
+  | Ok { outcome = Error SC.Cancelled; _ } -> ()
+  | Ok _ | Error _ ->
+    if cancelled then svc_sim_fail w (Printf.sprintf "cancelled job %d answered otherwise" j.wire)
+
+let sim_write w sid lines replies =
+  match Queue.take_opt (Hashtbl.find w.owed sid) with
+  | None -> svc_sim_fail w (Printf.sprintf "session %d got a reply it is not owed" sid)
+  | Some (Jobs js) ->
+    if List.length js <> List.length lines || List.length js <> List.length replies then
+      svc_sim_fail w "batch reply has the wrong length";
+    List.iter2
+      (fun j l ->
+         if not (String.starts_with ~prefix:(Printf.sprintf "{\"id\":%d," j.wire) l) then
+           svc_sim_fail w (Printf.sprintf "session %d: reply out of order: %s" sid l);
+         if contains l "\"status\":\"ok\"" && not (contains l ("\"result\":" ^ sim_json j.key ^ "}"))
+         then svc_sim_fail w ("ok reply without its result bytes: " ^ l))
+      js lines;
+    List.iter2 (sim_answered w) js replies
+  | Some Ping -> if lines <> [ "pong" ] then svc_sim_fail w "ping answered out of order"
+  | Some (Stats_req | Cancel_req _) -> svc_sim_fail w "a stats line answered as lines"
+
+let sim_trace w a =
+  Buffer.add_string w.trace (Printf.sprintf "%.6f " w.now);
+  Buffer.add_string w.trace
+    (match (a : SC.action) with
+     | Lookup { key; _ } -> "lookup " ^ key
+     | Run { key; _ } -> "run " ^ key
+     | Stop key -> "stop " ^ key
+     | Store { key; _ } -> "store " ^ key
+     | Write { session; lines; _ } -> Printf.sprintf "write %d %s" session (String.concat "|" lines)
+     | Write_stats session -> Printf.sprintf "stats %d" session);
+  Buffer.add_char w.trace '\n'
+
+let rec sim_step w input =
+  List.iter (sim_action w) (SC.step w.c input);
+  sim_check w
+
+and sim_action w a =
+  sim_trace w a;
+  let r = w.rng in
+  match a with
+  | Lookup { waiter; key } ->
+    let k = key_of_string key in
+    if Hashtbl.mem w.executing k || Hashtbl.mem w.storing k then
+      svc_sim_fail w ("a lookup for a key whose run is in flight: " ^ key);
+    sim_at w (w.now +. Random.State.float r 0.002) (Look (waiter, k))
+  | Run { key; _ } ->
+    let k = key_of_string key in
+    if Hashtbl.mem w.executing k || Hashtbl.mem w.storing k then
+      svc_sim_fail w ("a key executes twice: " ^ key);
+    w.seq <- w.seq + 1;
+    let token = w.seq in
+    Hashtbl.replace w.executing k token;
+    Hashtbl.replace w.tokens token k;
+    let u = Random.State.float r 1.0 in
+    let finish =
+      if u < 0.72 then SC.Done (sim_out k)
+      else if u < 0.95 then SC.Raised "Failure(\"flaky\")"
+      else SC.Changed "trace changed"
+    in
+    sim_at w (w.now +. 0.001 +. Random.State.float r 0.03) (Ends (token, finish))
+  | Stop key ->
+    (* most jobs poll and stop soon; some never poll and run to the end *)
+    (match Hashtbl.find_opt w.executing (key_of_string key) with
+     | Some token when Random.State.float r 1.0 < 0.7 ->
+       sim_at w (w.now +. Random.State.float r 0.001) (Ends (token, SC.Stopped))
+     | _ -> ())
+  | Store { key; out } ->
+    let k = key_of_string key in
+    if out <> sim_out k then svc_sim_fail w ("stored another key's result under " ^ key);
+    Hashtbl.replace w.storing k ();
+    sim_at w (w.now +. Random.State.float r 0.002) (Stored_ev k)
+  | Write { session; lines; replies } -> sim_write w session lines replies
+  | Write_stats session ->
+    (match Queue.take_opt (Hashtbl.find w.owed session) with
+     | Some Stats_req -> ()
+     | _ -> svc_sim_fail w "a stats reply out of order")
+
+let sim_event w = function
+  | Send sid ->
+    let line = w.lines.(sid).(w.next.(sid)) in
+    let advance () =
+      w.next.(sid) <- w.next.(sid) + 1;
+      if w.next.(sid) < Array.length w.lines.(sid) then
+        (* a burst session writes its lines back to back *)
+        let gap = if Array.length w.lines.(sid) > 100 then 1e-5 else Random.State.float w.rng 0.004 in
+        sim_at w (w.now +. gap) (Send sid)
+    in
+    (match line with
+     | Cancel_req id ->
+       let before = (SC.stats w.c).SC.cancels in
+       sim_step w (SC.Cancel { id; now = w.now });
+       if (SC.stats w.c).SC.cancels > before then Hashtbl.replace w.cancelled id ();
+       advance ()
+     | _ when SC.owed w.c sid >= SC.pipeline_depth ->
+       (* the reader waits for the writer *)
+       w.depth_waits <- w.depth_waits + 1;
+       sim_at w (w.now +. 0.001) (Send sid)
+     | Jobs js ->
+       w.scenarios <- w.scenarios + 1;
+       List.iter (fun j -> Hashtbl.replace w.jobs j.wire (j, w.now)) js;
+       Queue.push line (Hashtbl.find w.owed sid);
+       let parts = List.map (fun j -> SC.Job (sim_core_job j, sim_source j)) js in
+       sim_step w (SC.Request { session = sid; request = SC.Parts parts; now = w.now });
+       advance ()
+     | Stats_req | Ping ->
+       w.scenarios <- w.scenarios + 1;
+       Queue.push line (Hashtbl.find w.owed sid);
+       let request = if line = Ping then SC.Parts [ SC.Line "pong" ] else SC.Stats in
+       sim_step w (SC.Request { session = sid; request; now = w.now });
+       advance ())
+  | Api j ->
+    (* an API caller's submit is a session of its own *)
+    w.scenarios <- w.scenarios + 1;
+    Hashtbl.replace w.jobs j.wire (j, w.now);
+    let q = Queue.create () in
+    Queue.push (Jobs [ j ]) q;
+    Hashtbl.replace w.owed (1000 + j.wire) q;
+    sim_step w
+      (SC.Request
+         { session = 1000 + j.wire; now = w.now;
+           request = SC.Parts [ SC.Job (sim_core_job j, sim_source j) ] })
+  | Look (waiter, k) ->
+    let stored =
+      if not (Hashtbl.mem w.cache k) then None
+      else if Random.State.float w.rng 1.0 < 0.05 then Some "(simulate-out (events"
+      else Some (Sexp.to_string (Server.Exec.output_to_sexp (sim_out k)))
+    in
+    sim_step w (SC.Looked_up { waiter; stored; now = w.now })
+  | Ends (token, finish) ->
+    (match Hashtbl.find_opt w.tokens token with
+     | None -> ()            (* it already ended: a stop it noticed *)
+     | Some k ->
+       Hashtbl.remove w.tokens token;
+       Hashtbl.remove w.executing k;
+       sim_step w (SC.Finished { key = sim_key k; finish; now = w.now }))
+  | Stored_ev k ->
+    (* the run's waiters are answered in this step: they joined it, the
+       cache did not answer them *)
+    Hashtbl.remove w.storing k;
+    sim_step w (SC.Stored { key = sim_key k; now = w.now });
+    Hashtbl.replace w.cache k ()
+  | Tick_ev ->
+    (* the shell's ticker, every 5 ms while anything is left to do *)
+    sim_step w (SC.Tick w.now);
+    let s = SC.stats w.c in
+    if not (Events.is_empty w.events && s.SC.queued + s.SC.running = 0) then
+      sim_at w (w.now +. 0.005) Tick_ev
+
+(* One plan's requests: three sessions of about a dozen lines, a burst
+   of 140 lines on session 0 in every eighth plan (past the pipeline
+   depth), and a few API submits. *)
+let sim_requests p rng =
+  let wire = ref 0 in
+  let keys = 3 + (p mod 4) in
+  let job () =
+    incr wire;
+    let u = Random.State.float rng 1.0 in
+    { wire = !wire; key = Random.State.int rng keys;
+      src = (if u < 0.04 then `Spent else if u < 0.07 then `Unreadable else `Key);
+      jdeadline =
+        (if Random.State.float rng 1.0 < 0.2 then Some (0.002 +. Random.State.float rng 0.06)
+         else None);
+      jtimeout =
+        (if Random.State.float rng 1.0 < 0.15 then Some (0.002 +. Random.State.float rng 0.04)
+         else None);
+      prio = Random.State.int rng 3 }
+  in
+  let line () =
+    let u = Random.State.float rng 1.0 in
+    if u < 0.6 then Jobs [ job () ]
+    else if u < 0.72 then Jobs (List.init (2 + Random.State.int rng 2) (fun _ -> job ()))
+    else if u < 0.8 then Stats_req
+    else if u < 0.86 then Ping
+    else if !wire = 0 then Ping
+    else Cancel_req (1 + Random.State.int rng !wire)
+  in
+  let session sid =
+    let n = 10 + Random.State.int rng 5 + if sid = 0 && p mod 8 = 0 then 140 else 0 in
+    Array.init n (fun _ -> line ())
+  in
+  let lines = Array.init 3 session in
+  let api = List.init (Random.State.int rng 4) (fun _ -> job ()) in
+  (lines, api)
+
+let svc_sim_run p =
+  let rng = Random.State.make [| p |] in
+  let cfg =
+    { SC.workers = 1 + (p mod 3); capacity = [| 1; 2; 4; 8 |].(p / 3 mod 4);
+      retries = p mod 3; backoff = 0.005;
+      jitter_seed = (if p mod 2 = 0 then Some p else None); shard_id = None }
+  in
+  let lines, api = sim_requests p rng in
+  let w =
+    { plan = p; rng; c = SC.create cfg; now = 0.; events = Events.empty; seq = 0; lines;
+      next = Array.make 3 0; owed = Hashtbl.create 8;
+      cache = Hashtbl.create 8; executing = Hashtbl.create 8; tokens = Hashtbl.create 8;
+      storing = Hashtbl.create 8; jobs = Hashtbl.create 64; answered = Hashtbl.create 64;
+      cancelled = Hashtbl.create 8; scenarios = 0; joins = 0;
+      depth_waits = 0; trace = Buffer.create 4096 }
+  in
+  if p mod 5 = 0 then Hashtbl.replace w.cache 0 ();
+  Array.iteri
+    (fun sid _ ->
+       Hashtbl.replace w.owed sid (Queue.create ());
+       sim_at w (Random.State.float rng 0.002) (Send sid))
+    lines;
+  List.iter (fun j -> sim_at w (Random.State.float rng 0.05) (Api j)) api;
+  sim_at w 0.005 Tick_ev;
+  let rec loop () =
+    match Events.min_binding_opt w.events with
+    | None -> ()
+    | Some (((time, _) as k), ev) ->
+      if time > 60. then svc_sim_fail w "still busy after 60 simulated seconds";
+      w.events <- Events.remove k w.events;
+      w.now <- time;
+      sim_event w ev;
+      loop ()
+  in
+  loop ();
+  Hashtbl.iter
+    (fun sid q ->
+       if not (Queue.is_empty q) then
+         svc_sim_fail w (Printf.sprintf "session %d: %d lines never answered" sid (Queue.length q)))
+    w.owed;
+  Hashtbl.iter
+    (fun id _ -> if not (Hashtbl.mem w.answered id) then svc_sim_fail w (Printf.sprintf "job %d never answered" id))
+    w.jobs;
+  sim_step w SC.Shutdown;
+  if not (SC.drained w.c) then svc_sim_fail w "the core is not drained at the end";
+  w
+
+let test_svc_sim_battery () =
+  let plans = 160 in
+  let scenarios = ref 0 and joins = ref 0 and depth_waits = ref 0 in
+  let totals = ref [] in
+  let t0 = Unix.gettimeofday () in
+  for p = 0 to plans - 1 do
+    let w = svc_sim_run p in
+    scenarios := !scenarios + w.scenarios;
+    joins := !joins + w.joins;
+    depth_waits := !depth_waits + w.depth_waits;
+    totals := SC.stats w.c :: !totals
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  Printf.printf "service simulation: %d scenarios in %.2fs (%.0f per second)\n%!" !scenarios dt
+    (float_of_int !scenarios /. dt);
+  Alcotest.(check bool) (Printf.sprintf "%d scenarios (>= 5000)" !scenarios) true
+    (!scenarios >= 5000);
+  (* every policy the core owns was exercised somewhere in the battery *)
+  let sum f = List.fold_left (fun a s -> a + f s) 0 !totals in
+  List.iter
+    (fun (name, n) ->
+       Alcotest.(check bool) (Printf.sprintf "%s exercised (%d)" name n) true (n > 0))
+    [ ("joins", !joins); ("depth waits", !depth_waits);
+      ("executed", sum (fun s -> s.SC.executed)); ("failed", sum (fun s -> s.SC.failed));
+      ("retried", sum (fun s -> s.SC.retried)); ("shed", sum (fun s -> s.SC.shed));
+      ("rejected", sum (fun s -> s.SC.rejected));
+      ("cancelled", sum (fun s -> s.SC.cancelled)); ("cancels", sum (fun s -> s.SC.cancels));
+      ("timed out", sum (fun s -> s.SC.timed_out)) ]
+
+let test_svc_sim_replays () =
+  let trace p = Buffer.contents (svc_sim_run p).trace in
+  let a = trace 7 and b = trace 7 in
+  Alcotest.(check bool) "the trace is not empty" true (String.length a > 1000);
+  Alcotest.(check string) "a seed replays byte for byte" a b;
+  Alcotest.(check bool) "another seed differs" false (String.equal a (trace 8))
 
 let test_remove_stale_socket () =
   let socket () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -854,7 +1323,14 @@ let test_remove_stale_socket () =
 
 let () =
   Alcotest.run "server"
-    [ ("scheduler",
+    [ ("sim",
+       [ Alcotest.test_case "service core under seeded interleavings, invariants every step"
+           `Quick test_svc_sim_battery;
+         Alcotest.test_case "a seed replays byte-identical actions" `Quick test_svc_sim_replays ]);
+      ("single-flight",
+       [ Alcotest.test_case "pipelined duplicate misses run once" `Quick test_duplicate_runs_once;
+         QCheck_alcotest.to_alcotest prop_concurrent_duplicates_run_once ]);
+      ("scheduler",
        [ Alcotest.test_case "fifo order" `Quick test_fifo_order;
          Alcotest.test_case "backpressure" `Quick test_backpressure;
          Alcotest.test_case "timeout" `Quick test_timeout;

@@ -218,6 +218,26 @@ let test_save_is_atomic () =
   Sys.remove path;
   Sys.rmdir dir
 
+(* A torn write lands a strict prefix of what the untorn save writes;
+   an empty capture has no prefix shorter than itself, so it lands as an
+   empty file, never extended. *)
+let test_torn_empty_save () =
+  let empty = Trace.Capture.create () in
+  let size path = (Unix.stat path).Unix.st_size in
+  let path = Filename.temp_file "empty" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace.Io.save path empty;
+  let untorn = size path in
+  let fault =
+    Fault.Plan.create { Fault.Plan.default with torn_write = 1.0 }
+  in
+  Trace.Io.save ~fault path empty;
+  Alcotest.(check int) "a torn write was drawn" 1 (Fault.Plan.total fault);
+  Alcotest.(check bool)
+    (Printf.sprintf "torn file (%d bytes) no longer than the untorn one (%d)"
+       (size path) untorn)
+    true (size path <= untorn)
+
 (* ---- preprocessing ---- *)
 
 module P = Trace.Preprocess
@@ -485,7 +505,8 @@ let () =
       ("io",
        [ Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
          Alcotest.test_case "malformed" `Quick test_io_rejects_malformed;
-         Alcotest.test_case "atomic save" `Quick test_save_is_atomic ]);
+         Alcotest.test_case "atomic save" `Quick test_save_is_atomic;
+         Alcotest.test_case "torn save of an empty capture" `Quick test_torn_empty_save ]);
       ("binary",
        [ Alcotest.test_case "multi-chunk roundtrip" `Quick test_binary_roundtrip_synth;
          Alcotest.test_case "edge datums" `Quick test_binary_edge_datums;
