@@ -599,26 +599,29 @@ let gen_wide_prim =
       (list_size (int_range 20 30) gen_datum)
       gen_datum)
 
+(* [widen ~extra ~big synth] puts, [extra] times evenly through the
+   events of [synth], a call whose body conses and reads a list of a
+   symbol, large ints (multi-byte varints) and a fresh string. *)
+let widen ~extra ~big synth =
+  let wide i =
+    let l = D.list [ D.sym (Printf.sprintf "s%d" i); D.int (big + i);
+                     D.list [ D.str (Printf.sprintf "t%d" i); D.int (-big - i) ] ] in
+    [ E.Call { name = Printf.sprintf "fn%d" i; nargs = 1 };
+      prim E.Cons [ D.int max_int; D.nil ] l;
+      prim E.Car [ l ] (D.sym (Printf.sprintf "s%d" i));
+      E.Return { name = Printf.sprintf "fn%d" i } ]
+  in
+  let events = Array.to_list (Trace.Capture.events synth) in
+  let every = max 1 (List.length events / extra) in
+  mk_capture
+    (List.concat
+       (List.mapi (fun j e -> if j mod every = 0 then e :: wide (j / every) else [ e ]) events))
+
 let gen_wide_trace =
   QCheck.Gen.(
     map3
       (fun (length, seed) extra big ->
-         let synth = Trace.Synth.generate { Trace.Synth.default with length; seed } in
-         let wide i =
-           let l = D.list [ D.sym (Printf.sprintf "s%d" i); D.int (big + i);
-                            D.list [ D.str (Printf.sprintf "t%d" i); D.int (-big - i) ] ] in
-           [ E.Call { name = Printf.sprintf "fn%d" i; nargs = 1 };
-             prim E.Cons [ D.int max_int; D.nil ] l;
-             prim E.Car [ l ] (D.sym (Printf.sprintf "s%d" i));
-             E.Return { name = Printf.sprintf "fn%d" i } ]
-         in
-         let events = Array.to_list (Trace.Capture.events synth) in
-         let every = max 1 (List.length events / extra) in
-         mk_capture
-           (List.concat
-              (List.mapi
-                 (fun j e -> if j mod every = 0 then e :: wide (j / every) else [ e ])
-                 events)))
+         widen ~extra ~big (Trace.Synth.generate { Trace.Synth.default with length; seed }))
       (pair (int_range 200 1500) (int_range 0 1000))
       (int_range 130 300)
       (oneofl [ 1 lsl 20; 1 lsl 40; max_int / 2; min_int / 2 ]))
@@ -691,6 +694,77 @@ let test_run_source_matches_run_synth () =
        [ prim E.Cons [ D.int 0; l 1 ] (l 0);
          prim E.Car (l 0 :: wide) (D.int 0);
          prim E.Rplaca wide (l 2) ])
+
+(* ---- golden forms ---- *)
+
+(* The MD5 of every field of a flat form, read through its accessors:
+   the codes, the reference stream, the (n, p) table, the distinct
+   list count and the statistics. *)
+let form_digest (f : Trace.Preprocess.t) =
+  let b = Buffer.create 65536 in
+  let ints a =
+    Array.iter (fun x -> Printf.bprintf b "%d," x) a;
+    Buffer.add_char b '|'
+  in
+  ints f.codes;
+  ints (Array.init (Trace.Preprocess.ref_count f) (Trace.Preprocess.ref_id f));
+  ints f.np;
+  let s = f.stats in
+  ints [| f.distinct_lists; s.functions; s.primitives; s.max_depth |];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Forms recorded before the token layout last changed: the synthetic
+   trace at 20k primitives, the edge-chunking trace at both extremes of
+   chunking, and a trace with large ints, interned strings past the
+   one-byte tags and 30-argument primitives.  Both producers must give
+   exactly these. *)
+let test_golden_forms () =
+  let wide =
+    let base = widen ~extra:150 ~big:(1 lsl 40)
+        (Trace.Synth.generate { Trace.Synth.default with length = 1000; seed = 3 }) in
+    let l k = D.list [ D.int (k mod 7); D.sym "w"; D.int (max_int - k) ] in
+    let thirty k = List.init 30 (fun j -> if j mod 3 = 0 then D.int (j + k) else l (j + k)) in
+    mk_capture
+      (List.concat
+         (List.mapi
+            (fun j e ->
+               if j mod 40 = 0 then [ e; prim E.Rplaca (thirty j) (l j) ] else [ e ])
+            (Array.to_list (Trace.Capture.events base))))
+  in
+  let edge = Trace.Synth.generate { Trace.Synth.default with length = 64; seed = 11 } in
+  List.iter
+    (fun (label, c, chunkings, want) ->
+       Alcotest.(check string) (label ^ ": run") want (form_digest (Trace.Preprocess.run c));
+       List.iter
+         (fun chunk_events ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: run_source, %d-event chunks" label chunk_events)
+              want
+              (form_digest
+                 (Trace.Preprocess.run_source (B.source_of_string (encode ~chunk_events c)))))
+         chunkings)
+    [ ("synth 20k", Trace.Synth.generate { Trace.Synth.default with length = 20_000 },
+       [ 4096 ], "d8dd5308e4a2e5f74ddcf7ea197f009a");
+      ("edge chunking", edge, [ 1; 4096 ], "88040c0918b7889a8e6a200d95c1bc68");
+      ("wide", wide, [ 512 ], "70eb0e0a85f1256f3f878684a7219e48") ]
+
+(* Ints at the ends of the int range and around 2^59 inside list
+   arguments: lists that differ only in such an int keep distinct
+   identities, and each list used twice keeps its one id. *)
+let test_extreme_ints () =
+  let values =
+    List.concat_map
+      (fun v -> [ v; v lxor (1 lsl 60); v lxor (1 lsl 61); v lxor min_int ])
+      [ 0; 1; -1; 1 lsl 59; -(1 lsl 59); (1 lsl 59) - 1; -(1 lsl 59) - 1; max_int;
+        min_int; 5 ]
+    |> List.sort_uniq compare
+  in
+  let lists = List.map (fun v -> D.list [ D.int v; D.int (v asr 3) ]) values in
+  let c = mk_capture (List.concat_map (fun l -> [ prim E.Car [ l ] D.nil ]) (lists @ lists)) in
+  let pre = Trace.Preprocess.run_source (B.source_of_string (encode ~chunk_events:7 c)) in
+  Alcotest.(check int) "one id per distinct list" (List.length values) pre.distinct_lists;
+  Alcotest.(check bool) "run_source = run . capture" true (pre = Trace.Preprocess.run c);
+  Alcotest.(check (option string)) "every field checks" None (form_mismatch pre c)
 
 (* ---- the scanner's replacements for datum oracles ---- *)
 
@@ -982,7 +1056,9 @@ let () =
            test_simulator_identical_over_source;
          Alcotest.test_case "prim mix parity" `Quick test_prim_mix_parity;
          Alcotest.test_case "token (n, p) of list tails" `Quick test_token_np_list_tail;
-         Alcotest.test_case "canonical tokens" `Quick test_canonical_tokens ]);
+         Alcotest.test_case "canonical tokens" `Quick test_canonical_tokens;
+         Alcotest.test_case "golden forms" `Quick test_golden_forms;
+         Alcotest.test_case "extreme ints keep their identities" `Quick test_extreme_ints ]);
       ("kept memory",
        [ Alcotest.test_case "large, small, failed, again" `Quick test_reuse_sequence;
          Alcotest.test_case "nested scan" `Quick test_nested_scan;
