@@ -225,22 +225,29 @@ let writer ?chunk_events oc = writer_of_sink ?chunk_events (channel_sink oc)
    a stream that defines a string twice still names it one way.
    [index] finds a string's first index: open addressing over ints,
    [0] for an empty slot, else [1 +] a first index; it holds each
-   distinct string once, at most half full. *)
+   distinct string once, at most half full.  [distinct] holds while no
+   string has been defined twice, so that [canon] is the identity and
+   the decoder need not read it. *)
 type table = {
   mutable strs : string array;
   mutable canon : int array;
   mutable len : int;
   mutable index : int array;
+  mutable distinct : bool;
 }
 
 let table_create () =
-  { strs = Array.make 64 ""; canon = Array.make 64 0; len = 0; index = Array.make 128 0 }
+  { strs = Array.make 64 ""; canon = Array.make 64 0; len = 0; index = Array.make 128 0;
+    distinct = true }
 
 (* Empty the table for another stream, keeping its storage. *)
 let table_reset tbl =
   Array.fill tbl.strs 0 tbl.len "";
   Array.fill tbl.index 0 (Array.length tbl.index) 0;
-  tbl.len <- 0
+  tbl.len <- 0;
+  tbl.distinct <- true
+
+let[@inline] canonical tbl i = if tbl.distinct then i else Array.unsafe_get tbl.canon i
 
 (* The slot of [s] in [index]: the one holding it, or the empty one
    where it belongs. *)
@@ -271,7 +278,10 @@ let table_add tbl s =
   end;
   let k = index_slot tbl.index tbl.strs s in
   let c =
-    if tbl.index.(k) > 0 then tbl.index.(k) - 1
+    if tbl.index.(k) > 0 then begin
+      tbl.distinct <- false;
+      tbl.index.(k) - 1
+    end
     else begin
       tbl.index.(k) <- tbl.len + 1;
       tbl.len
@@ -403,28 +413,38 @@ let with_fd_source fd len f =
      (-1 for primitives);
    - datums [ev_dat.(i) .. ev_dat.(i+1)) are the event's top-level
      datums (a primitive's arguments in order, then its result; none
-     for calls and returns).  Datum d is the preorder token span
-     [dat_tok.(d) .. dat_tok.(d+1)) and [dat_hash.(d)] is the hash of
-     that span, folded in as the decoder pushes each token — so a
-     consumer reads a datum's bounds and hash without walking it.
+     for calls and returns), and datum d is the preorder token span
+     [dat_start.(d) .. dat_stop.(d)).  A datum whose span repeats an
+     earlier one of the chunk may share that one's tokens.
 
-   Tokens are interleaved [tag, val] pairs in [toks].  Token tags:
-   0 nil; 1 sym (value = intern index); 2 int (value, zigzag already
-   undone); 3 str (value = intern index); 4 proper list (value = car
-   count >= 1, the cars follow as trees); 5 improper spine (value =
-   car count >= 1, the cars then an atom tail).  The stream is
-   canonical for every accepted encoding: a spine's nil tail ends a
+   A token is one int, [(value lsl 3) lor tag].  Token tags: 0 nil
+   (value 0); 1 sym (value = intern index); 2 int (the value, when it
+   fits in 60 signed bits); 3 str (value = intern index); 4 proper list
+   (value = car count >= 1, the cars follow as trees); 5 improper spine
+   (value = car count >= 1, the cars then an atom tail); 6 then 7, an
+   int that does not fit in 60 bits: the tag-6 token holds its high
+   bits ([v asr 32]), the tag-7 token after it the low 32.  The stream
+   is canonical for every accepted encoding: a spine's nil tail ends a
    proper list, a list tail continues the spine, a degenerate spine
-   becomes its tail, and a string carries its first intern index
-   however often it was defined.  So two datums are structurally equal
-   iff their token spans are identical — which is what lets
-   preprocessing assign list identities without ever building datums
-   for repeat arguments.  A list header's hash is folded in after its
-   cars, once its tag and count are final: the hash stays a function
-   of the span. *)
+   becomes its tail, a string carries its first intern index however
+   often it was defined, and each int has exactly one form.  So two
+   datums are structurally equal iff their token spans are identical —
+   which is what lets preprocessing assign list identities without
+   ever building datums for repeat arguments.
 
-let hash_init = 0x811c9dc5
-let[@inline] mix h x = (h lxor x) * 16777619 land max_int
+   Every token and every top-level datum costs at least one payload
+   byte, so a batch reserved for a chunk's payload length takes the
+   decoder's writes unchecked. *)
+
+(* A datum's hash: one multiply per token, in the order the decoder
+   writes them — atoms in place, a list header once its spine closes —
+   so a function of the datum's span.  The high bits mix every token
+   bit. *)
+let hash_init = 0x2C3B_9A1F_0E5D_4781
+let[@inline] mix h tok = (h lxor tok) * 0x2545_F491_4F6C_DD1D
+
+(* How many recently decoded lists the decoder remembers. *)
+let recent_lists = 1024
 
 module Batch = struct
   type t = {
@@ -432,93 +452,69 @@ module Batch = struct
     mutable tags : int array;
     mutable names : int array;
     mutable ev_dat : int array;    (* n + 1 entries *)
-    mutable ndat : int;
-    mutable dat_tok : int array;   (* ndat + 1 entries *)
+    mutable dat_start : int array;
+    mutable dat_stop : int array;
     mutable dat_hash : int array;
-    mutable ntok : int;
-    mutable toks : int array;      (* 2 * ntok: tag, val, tag, val ... *)
-    mutable hash : int;            (* running hash of the current datum *)
+    mutable dat_same : int array;
+    mutable toks : int array;
+    mutable stack : int array;     (* the decoder's enclosing open spines *)
+    recent : int array;            (* lists decoded lately, see [decode_events] *)
+    mutable stamp : int;           (* marks the current chunk's [recent] entries *)
+    mutable cursor : int;          (* where the decoder's general varint stopped *)
+    mutable ntok : int;            (* tokens decoded so far in the chunk *)
+    mutable hash : int;            (* the hash of the datum last decoded *)
     tbl : table;
   }
 
-  let ttag_nil = 0
   let ttag_sym = 1
   let ttag_int = 2
-  let ttag_str = 3
   let ttag_list = 4
   let ttag_improper = 5
+  let ttag_int_high = 6
+  let ttag_int_low = 7
+
+  let[@inline] token tag v = (v lsl 3) lor tag
 
   (* sized for a small chunk; the first large chunk grows it *)
   let create tbl =
     { n = 0; tags = Array.make 256 0; names = Array.make 256 (-1);
-      ev_dat = Array.make 257 0; ndat = 0; dat_tok = Array.make 512 0;
-      dat_hash = Array.make 512 0; ntok = 0; toks = Array.make 2048 0;
-      hash = hash_init; tbl }
+      ev_dat = Array.make 257 0; dat_start = Array.make 1024 0;
+      dat_stop = Array.make 1024 0; dat_hash = Array.make 1024 0;
+      dat_same = Array.make 1024 0;
+      toks = Array.make 1024 0;
+      stack = Array.make 64 0; recent = Array.make (4 * recent_lists) 0; stamp = 0;
+      cursor = 0; ntok = 0; hash = 0; tbl }
 
   let grow a n = let g = Array.make (max n (2 * Array.length a)) 0 in
     Array.blit a 0 g 0 (Array.length a); g
 
-  let reserve_events b n =
-    if n + 1 > Array.length b.ev_dat then begin
-      b.tags <- grow b.tags (n + 1);
-      b.names <- grow b.names (n + 1);
-      b.ev_dat <- grow b.ev_dat (n + 2)
-    end
-
-  (* Also resets the running hash, which a chunk that failed mid-datum
-     leaves behind in a batch kept for the next stream. *)
-  let clear b =
-    b.n <- 0;
-    b.ndat <- 0;
-    b.ntok <- 0;
-    b.ev_dat.(0) <- 0;
-    b.dat_tok.(0) <- 0;
-    b.hash <- hash_init
-
-  let[@inline] push_raw b tag v =
-    let j = 2 * b.ntok in
-    if j = Array.length b.toks then b.toks <- grow b.toks 0;
-    let toks = b.toks in
-    Array.unsafe_set toks j tag;
-    Array.unsafe_set toks (j + 1) v;
-    b.ntok <- b.ntok + 1
-
-  let[@inline] push_tok b tag v =
-    push_raw b tag v;
-    b.hash <- mix (mix b.hash tag) v
-
-  (* A list header: reserved before its cars, set and hashed after. *)
-  let open_spine b =
-    push_raw b 0 0;
-    b.ntok - 1
-
-  let close_spine b k tag count =
-    b.toks.(2 * k) <- tag;
-    b.toks.(2 * k + 1) <- count;
-    b.hash <- mix (mix b.hash tag) count
-
-  (* Close the datum whose tokens were pushed since the last call. *)
-  let end_datum b =
-    let d = b.ndat in
-    if d + 2 > Array.length b.dat_tok then begin
-      b.dat_tok <- grow b.dat_tok (d + 2);
-      b.dat_hash <- grow b.dat_hash (d + 2)
+  (* Room for a chunk of [count] events in [len] payload bytes. *)
+  let reserve b ~count ~len =
+    if count + 1 > Array.length b.ev_dat then begin
+      b.tags <- grow b.tags (count + 1);
+      b.names <- grow b.names (count + 1);
+      b.ev_dat <- grow b.ev_dat (count + 1)
     end;
-    b.dat_hash.(d) <- b.hash;
-    b.dat_tok.(d + 1) <- b.ntok;
-    b.ndat <- d + 1;
-    b.hash <- hash_init
+    if len > Array.length b.dat_start then begin
+      b.dat_start <- grow b.dat_start len;
+      b.dat_stop <- grow b.dat_stop len;
+      b.dat_hash <- grow b.dat_hash len;
+      b.dat_same <- grow b.dat_same len
+    end;
+    if len > Array.length b.toks then b.toks <- grow b.toks len
 
   let length b = b.n
   let kind b i = b.tags.(i) land 7
   let nargs b i = b.tags.(i) lsr 3
   let name b i = b.tbl.strs.(b.names.(i))
   let first_datum b i = b.ev_dat.(i)
-  let datum_start b d = b.dat_tok.(d)
+  let datum_start b d = b.dat_start.(d)
+  let datum_stop b d = b.dat_stop.(d)
   let datum_hash b d = b.dat_hash.(d)
+  let datum_same b d = b.dat_same.(d)
   let tokens b = b.toks
-  let tok_tag b k = b.toks.(2 * k)
-  let tok_val b k = b.toks.(2 * k + 1)
+  let tok_tag b k = b.toks.(k) land 7
+  let tok_val b k = b.toks.(k) asr 3
   let tok_str b k = b.tbl.strs.(tok_val b k)
 
   (* Materialise the datum rooted at token [k]; returns it and the next
@@ -529,6 +525,7 @@ module Batch = struct
     | 1 -> (Sym (tok_str b k), k + 1)
     | 2 -> (Int (tok_val b k), k + 1)
     | 3 -> (Str (tok_str b k), k + 1)
+    | 6 -> (Int ((tok_val b k lsl 32) lor tok_val b (k + 1)), k + 2)
     | tag ->
       let count = tok_val b k in
       let cars = Array.make count Sexp.Datum.Nil in
@@ -558,147 +555,385 @@ module Batch = struct
       let prim : Event.prim =
         match kd with 2 -> Car | 3 -> Cdr | 4 -> Cons | 5 -> Rplaca | _ -> Rplacd
       in
-      let k = ref (datum_start b (first_datum b i)) in
-      let args =
-        List.init na (fun _ ->
-            let d, k' = datum b !k in
-            k := k';
-            d)
-      in
-      let result, _ = datum b !k in
-      Prim { prim; args; result }
+      let d0 = first_datum b i in
+      let arg j = fst (datum b (datum_start b (d0 + j))) in
+      Prim { prim; args = List.init na arg; result = arg na }
 end
 
 (* ---- chunk decoding into a batch ---- *)
 
-let varint_tail buf ~limit pos what first =
-  let n = ref (first land 0x7f) and shift = ref 7 and continue = ref true in
+external bigstring_get32u : bigbytes -> int -> int32 = "%caml_bigstring_get32u"
+external bigstring_get64u : bigbytes -> int -> int64 = "%caml_bigstring_get64u"
+
+(* The [recent] entry for a datum whose first four bytes are at [p]. *)
+let[@inline] recent_slot buf p =
+  ((Int32.to_int (bigstring_get32u buf p) * 0x9E37_79B1) lsr 16) land (recent_lists - 1)
+
+(* Whether the [len] bytes at [a] and at [b] are equal.  Wider reads
+   overlap at the end rather than read past it. *)
+let bytes_equal buf a b len =
+  if len >= 8 then begin
+    let i = ref 0 in
+    while !i < len - 8 && (bigstring_get64u buf (a + !i) : int64) = bigstring_get64u buf (b + !i)
+    do
+      i := !i + 8
+    done;
+    !i >= len - 8
+    && (bigstring_get64u buf (a + len - 8) : int64) = bigstring_get64u buf (b + len - 8)
+  end
+  else if len >= 4 then
+    (bigstring_get32u buf a : int32) = bigstring_get32u buf b
+    && (bigstring_get32u buf (a + len - 4) : int32) = bigstring_get32u buf (b + len - 4)
+  else begin
+    let i = ref 0 in
+    while !i < len && sbyte buf (a + !i) = sbyte buf (b + !i) do
+      incr i
+    done;
+    !i = len
+  end
+
+(* The varint at [p]: its value, with the position after it left in
+   [b.cursor]. *)
+let varint buf ~limit p what (b : Batch.t) =
+  let n = ref 0 and shift = ref 0 and p = ref p and continue = ref true in
   while !continue do
-    if !pos >= limit then corrupt_at !pos (what ^ ": varint past end");
-    if !shift > Sys.int_size - 1 then corrupt_at !pos (what ^ ": varint too long");
-    let c = sbyte buf !pos in
-    incr pos;
+    if !p >= limit then corrupt_at !p (what ^ ": varint past end");
+    if !shift > Sys.int_size - 1 then corrupt_at !p (what ^ ": varint too long");
+    let c = sbyte buf !p in
+    incr p;
     n := !n lor ((c land 0x7f) lsl !shift);
     shift := !shift + 7;
     continue := c land 0x80 <> 0
   done;
+  b.cursor <- !p;
   !n
 
-(* One-byte values (the common case) take the fast path; the past-end
-   check guards both. *)
-let[@inline] get_varint_src buf ~limit pos what =
-  let p = !pos in
-  if p >= limit then corrupt_at p (what ^ ": varint past end");
-  let c = sbyte buf p in
-  pos := p + 1;
-  if c < 0x80 then c else varint_tail buf ~limit pos what c
-
-let get_string_id buf ~limit pos tbl =
-  let r = get_varint_src buf ~limit pos "string ref" in
+(* The string reference at [p]: a canonical intern index, with the
+   position after it in [b.cursor]. *)
+let string_id buf ~limit p (b : Batch.t) =
+  let tbl = b.tbl in
+  let r = varint buf ~limit p "string ref" b in
   if r = 0 then begin
-    let len = get_varint_src buf ~limit pos "string length" in
-    if len < 0 || !pos + len > limit then corrupt_at !pos "string past chunk end";
-    let s = ssub buf !pos len in
-    pos := !pos + len;
-    table_add tbl s
+    let len = varint buf ~limit b.cursor "string length" b in
+    let pos = b.cursor in
+    if len < 0 || pos + len > limit then corrupt_at pos "string past chunk end";
+    b.cursor <- pos + len;
+    table_add tbl (ssub buf pos len)
   end
-  else if r - 1 < tbl.len then tbl.canon.(r - 1)
-  else corrupt_at !pos "string reference out of range"
+  else if r - 1 < tbl.len then canonical tbl (r - 1)
+  else corrupt_at b.cursor "string reference out of range"
 
-let list_count buf ~limit pos =
-  let count = get_varint_src buf ~limit pos "list length" in
-  (* every car costs at least one byte, so a sane count fits the chunk *)
-  if count < 0 || count > limit - !pos then corrupt_at !pos "list longer than chunk";
+(* A list's car count at [p]; every car costs at least one byte, so a
+   sane count fits the chunk. *)
+let list_count buf ~limit p (b : Batch.t) =
+  let count = varint buf ~limit p "list length" b in
+  if count < 0 || count > limit - b.cursor then corrupt_at b.cursor "list longer than chunk";
   count
 
-let rec decode_datum_tokens buf ~limit pos (b : Batch.t) =
-  let p = !pos in
-  if p >= limit then corrupt_at p "datum past chunk end";
-  let tag = sbyte buf p in
-  pos := p + 1;
-  if tag >= small_sym_base then begin
-    let id = tag - small_sym_base in
-    if id < b.Batch.tbl.len then Batch.push_tok b Batch.ttag_sym b.Batch.tbl.canon.(id)
-    else corrupt_at !pos "symbol index out of range"
-  end
-  else
-    match tag with
-    | 0 -> Batch.push_tok b Batch.ttag_nil 0
-    | 1 -> Batch.push_tok b Batch.ttag_sym (get_string_id buf ~limit pos b.Batch.tbl)
-    | 2 ->
-      Batch.push_tok b Batch.ttag_int
-        (unzigzag (get_varint_src buf ~limit pos "int datum"))
-    | 3 -> Batch.push_tok b Batch.ttag_str (get_string_id buf ~limit pos b.Batch.tbl)
-    | 5 | 6 ->
-      let count = list_count buf ~limit pos in
-      (* a degenerate spine is its tail: nil, or the explicit tail *)
-      if count = 0 then begin
-        if tag = 5 then Batch.push_tok b Batch.ttag_nil 0
-        else decode_datum_tokens buf ~limit pos b
+(* [decode_datum buf ~limit b p] decodes the datum at [p] into tokens
+   from [b.ntok] on, and returns the position after it, with [b.ntok]
+   past its tokens and [b.hash] their hash.
+
+   Datums decode without recursion.  The innermost open spine is held
+   in locals: its header token [top_k], its cars so far [top_cars], the
+   cars still to come in its current wire segment [top_rem], and that
+   segment's wire tag [top_wt] (5 proper, 6 with an explicit tail, 7
+   once the tail is known to be an atom, which the next datum is).
+   The [depth - 1] enclosing spines wait on [b.stack], four ints each.
+   A list header is written when its spine closes, once its tag and
+   count are final.  The one- and two-byte forms of string references
+   and ints, nearly all of them, are read in line; everything else goes
+   through {!varint} and {!string_id}, which raise the same errors at
+   the same offsets. *)
+let decode_datum buf ~limit (b : Batch.t) p =
+  let module B = Batch in
+  let tbl = b.tbl and toks = b.toks in
+  let pos = ref p and ntok = ref b.ntok and h = ref hash_init in
+  let depth = ref 0 and top_k = ref 0 and top_cars = ref 0 and top_rem = ref 0
+  and top_wt = ref 0 in
+  let fin = ref false in
+  while not !fin do
+    (* a datum starts at [pos] *)
+    let p = !pos in
+    if p >= limit then corrupt_at p "datum past chunk end";
+    let t = sbyte buf p in
+    let complete =
+      if t >= small_sym_base then begin
+        let id = t - small_sym_base in
+        if id >= tbl.len then corrupt_at (p + 1) "symbol index out of range";
+        let tok = B.token B.ttag_sym (canonical tbl id) in
+        Array.unsafe_set toks !ntok tok;
+        incr ntok;
+        h := mix !h tok;
+        pos := p + 1;
+        true
       end
-      else begin
-        let k = Batch.open_spine b in
-        for _ = 1 to count do
-          decode_datum_tokens buf ~limit pos b
-        done;
-        if tag = 5 then Batch.close_spine b k Batch.ttag_list count
+      else if t = 1 || t = 3 then begin
+        (* a string reference: in line when it is one or two
+           bytes naming a string already defined *)
+        let r =
+          if p + 2 < limit then begin
+            let c = sbyte buf (p + 1) in
+            if c < 0x80 then begin pos := p + 2; c end
+            else
+              let c2 = sbyte buf (p + 2) in
+              if c2 < 0x80 then begin
+                pos := p + 3;
+                (c land 0x7f) lor (c2 lsl 7)
+              end
+              else 0
+          end
+          else 0
+        in
+        let id =
+          if r > 0 && r - 1 < tbl.len then canonical tbl (r - 1)
+          else begin
+            let id = string_id buf ~limit (p + 1) b in
+            pos := b.cursor;
+            id
+          end
+        in
+        let tok = B.token t id in
+        Array.unsafe_set toks !ntok tok;
+        incr ntok;
+        h := mix !h tok;
+        true
+      end
+      else if t = 2 then begin
+        let u =
+          let c = if p + 1 < limit then sbyte buf (p + 1) else 0x80 in
+          if c < 0x80 then begin pos := p + 2; c end
+          else if p + 2 < limit && sbyte buf (p + 2) < 0x80 then begin
+            pos := p + 3;
+            (c land 0x7f) lor (sbyte buf (p + 2) lsl 7)
+          end
+          else begin
+            let u = varint buf ~limit (p + 1) "int datum" b in
+            pos := b.cursor;
+            u
+          end
+        in
+        let v = unzigzag u in
+        if (v lsl 3) asr 3 = v then begin
+          let tok = B.token B.ttag_int v in
+          Array.unsafe_set toks !ntok tok;
+          incr ntok;
+          h := mix !h tok
+        end
         else begin
-          let t = spine_tail buf ~limit pos b count in
-          Batch.close_spine b k
-            (if t land 1 = 1 then Batch.ttag_list else Batch.ttag_improper) (t lsr 1)
+          let high = B.token B.ttag_int_high (v asr 32)
+          and low = B.token B.ttag_int_low (v land 0xFFFF_FFFF) in
+          Array.unsafe_set toks !ntok high;
+          Array.unsafe_set toks (!ntok + 1) low;
+          ntok := !ntok + 2;
+          h := mix (mix !h high) low
+        end;
+        true
+      end
+      else if t = 0 then begin
+        (* nil *)
+        Array.unsafe_set toks !ntok 0;
+        incr ntok;
+        h := mix !h 0;
+        pos := p + 1;
+        true
+      end
+      else if t = 5 || t = 6 then begin
+        let count =
+          let c = if p + 1 < limit then sbyte buf (p + 1) else 0x80 in
+          if c < 0x80 && c <= limit - (p + 2) then begin pos := p + 2; c end
+          else begin
+            let c = list_count buf ~limit (p + 1) b in
+            pos := b.cursor;
+            c
+          end
+        in
+        if count = 0 then begin
+          (* a degenerate spine is its tail: nil, or the explicit
+             tail, which the next round decodes in its place *)
+          if t = 5 then begin
+            Array.unsafe_set toks !ntok 0;
+            incr ntok;
+            h := mix !h 0
+          end;
+          t = 5
+        end
+        else begin
+          if !depth > 0 then begin
+            let d = 4 * (!depth - 1) in
+            if d + 4 > Array.length b.stack then b.stack <- B.grow b.stack (d + 4);
+            let st = b.stack in
+            Array.unsafe_set st d !top_k;
+            Array.unsafe_set st (d + 1) !top_cars;
+            Array.unsafe_set st (d + 2) !top_rem;
+            Array.unsafe_set st (d + 3) !top_wt
+          end;
+          incr depth;
+          top_k := !ntok;
+          incr ntok;
+          top_cars := count;
+          top_rem := count;
+          top_wt := t;
+          false
         end
       end
-    | t -> corrupt_at (!pos - 1) (Printf.sprintf "datum tag %d" t)
+      else corrupt_at p (Printf.sprintf "datum tag %d" t)
+    in
+    (* a datum is complete: it fills a car (or the tail) of the
+       open spine, which may then close, and so on outwards *)
+    let up = ref complete in
+    while !up do
+      if !depth = 0 then begin fin := true; up := false end
+      else begin
+        let closing =
+          if !top_wt = 7 then B.ttag_improper
+          else begin
+            decr top_rem;
+            if !top_rem > 0 then -1
+            else begin
+              (* the segment is done: a proper one closes the
+                 spine, an explicit tail ends or continues it *)
+              let closing = ref (-2) in
+              while !closing = -2 do
+                if !top_wt = 5 then closing := B.ttag_list
+                else begin
+                  let p = !pos in
+                  if p >= limit then corrupt_at p "datum past chunk end";
+                  let c = sbyte buf p in
+                  if c = 0 then begin pos := p + 1; closing := B.ttag_list end
+                  else if c = 5 || c = 6 then begin
+                    let count = list_count buf ~limit (p + 1) b in
+                    pos := b.cursor;
+                    top_cars := !top_cars + count;
+                    top_rem := count;
+                    top_wt := c;
+                    if count > 0 then closing := -1
+                  end
+                  else begin
+                    (* an atom tail: the next datum *)
+                    top_wt := 7;
+                    closing := -1
+                  end
+                end
+              done;
+              !closing
+            end
+          end
+        in
+        if closing < 0 then up := false
+        else begin
+          let tok = B.token closing !top_cars in
+          Array.unsafe_set toks !top_k tok;
+          h := mix !h tok;
+          decr depth;
+          if !depth > 0 then begin
+            let d = 4 * (!depth - 1) in
+            let st = b.stack in
+            top_k := Array.unsafe_get st d;
+            top_cars := Array.unsafe_get st (d + 1);
+            top_rem := Array.unsafe_get st (d + 2);
+            top_wt := Array.unsafe_get st (d + 3)
+          end
+        end
+      end
+    done
+  done;
+  b.ntok <- !ntok;
+  b.hash <- !h;
+  !pos
 
-(* The explicit tail of a spine of [cars] cars so far: a nil ends a
-   proper list, a list continues the spine (its cars count too), and
-   anything else is the spine's atom tail.  Returns [2 * cars + 1] for
-   a proper list, [2 * cars] for an atom tail — no allocation.  Reads
-   and errors are those of decoding the tail as a datum. *)
-and spine_tail buf ~limit pos b cars =
-  let p = !pos in
-  if p >= limit then corrupt_at p "datum past chunk end";
-  match sbyte buf p with
-  | 0 -> pos := p + 1; (2 * cars) + 1
-  | (5 | 6) as tag ->
+(* [decode_chunk buf ~payload ~limit ~count b] decodes the [count]
+   events of the payload [payload .. limit) into [b].
+
+   A top-level list whose bytes are those of one decoded earlier in the
+   chunk has the same tokens, unless it defines a string, so it shares
+   that one's span: [recent] remembers, by their first four bytes, the
+   lists decoded lately (the chunk's [stamp], where the bytes are and
+   how many, and the datum). *)
+let decode_chunk buf ~payload ~limit ~count (b : Batch.t) =
+  Batch.reserve b ~count ~len:(limit - payload);
+  b.n <- 0;
+  b.ntok <- 0;
+  b.stamp <- b.stamp + 1;
+  let tbl = b.tbl and dat_start = b.dat_start and dat_stop = b.dat_stop
+  and dat_hash = b.dat_hash and dat_same = b.dat_same and recent = b.recent
+  and stamp = b.stamp in
+  let pos = ref payload and ndat = ref 0 in
+  b.ev_dat.(0) <- 0;
+  for i = 0 to count - 1 do
+    let p = !pos in
+    if p >= limit then corrupt_at p "event past chunk end";
+    let tag = sbyte buf p in
     pos := p + 1;
-    let count = list_count buf ~limit pos in
-    for _ = 1 to count do
-      decode_datum_tokens buf ~limit pos b
-    done;
-    if tag = 5 then (2 * (cars + count)) + 1 else spine_tail buf ~limit pos b (cars + count)
-  | _ -> decode_datum_tokens buf ~limit pos b; 2 * cars
-
-let decode_event buf ~limit pos (b : Batch.t) =
-  if !pos >= limit then corrupt_at !pos "event past chunk end";
-  let tag = sbyte buf !pos in
-  incr pos;
-  let i = b.Batch.n in
-  (match tag with
-   | 0 ->
-     let id = get_string_id buf ~limit pos b.Batch.tbl in
-     let nargs = get_varint_src buf ~limit pos "call arity" in
-     b.Batch.tags.(i) <- 0 lor (nargs lsl 3);
-     b.Batch.names.(i) <- id
-   | 1 ->
-     let id = get_string_id buf ~limit pos b.Batch.tbl in
-     b.Batch.tags.(i) <- 1;
-     b.Batch.names.(i) <- id
-   | 2 | 3 | 4 | 5 | 6 ->
-     let nargs = get_varint_src buf ~limit pos "argument count" in
-     (* each argument costs at least one byte *)
-     if nargs < 0 || nargs > limit - !pos then
-       corrupt_at !pos "argument count past chunk end";
-     (* the arguments, then the result: one top-level datum each *)
-     for _ = 0 to nargs do
-       decode_datum_tokens buf ~limit pos b;
-       Batch.end_datum b
-     done;
-     b.Batch.tags.(i) <- tag lor (nargs lsl 3);
-     b.Batch.names.(i) <- -1
-   | t -> corrupt_at (!pos - 1) (Printf.sprintf "event tag %d" t));
-  b.Batch.n <- i + 1;
-  b.Batch.ev_dat.(i + 1) <- b.Batch.ndat
+    (match tag with
+     | 0 ->
+       let id = string_id buf ~limit !pos b in
+       let nargs = varint buf ~limit b.cursor "call arity" b in
+       pos := b.cursor;
+       b.tags.(i) <- nargs lsl 3;
+       b.names.(i) <- id
+     | 1 ->
+       let id = string_id buf ~limit !pos b in
+       pos := b.cursor;
+       b.tags.(i) <- 1;
+       b.names.(i) <- id
+     | 2 | 3 | 4 | 5 | 6 ->
+       let nargs =
+         let c = if p + 1 < limit then sbyte buf (p + 1) else 0x80 in
+         if c < 0x80 then begin pos := p + 2; c end
+         else begin
+           let n = varint buf ~limit (p + 1) "argument count" b in
+           pos := b.cursor;
+           n
+         end
+       in
+       (* each argument costs at least one byte *)
+       if nargs < 0 || nargs > limit - !pos then
+         corrupt_at !pos "argument count past chunk end";
+       (* the arguments, then the result: one top-level datum each *)
+       for _ = 0 to nargs do
+         let start = !pos and d = !ndat in
+         (* [e]: the entry in [recent] of a list, or -1 *)
+         let e =
+           if start + 4 <= limit && (let t = sbyte buf start in t = 5 || t = 6) then
+             4 * recent_slot buf start
+           else -1
+         in
+         if e >= 0 && Array.unsafe_get recent e = stamp
+            && (let len = Array.unsafe_get recent (e + 2) in
+                start + len <= limit
+                && bytes_equal buf (Array.unsafe_get recent (e + 1)) start len)
+         then begin
+           let same = Array.unsafe_get recent (e + 3) in
+           Array.unsafe_set dat_same d same;
+           Array.unsafe_set dat_start d (Array.unsafe_get dat_start same);
+           Array.unsafe_set dat_stop d (Array.unsafe_get dat_stop same);
+           Array.unsafe_set dat_hash d (Array.unsafe_get dat_hash same);
+           pos := start + Array.unsafe_get recent (e + 2)
+         end
+         else begin
+           let defined = tbl.len in
+           Array.unsafe_set dat_same d (-1);
+           Array.unsafe_set dat_start d b.ntok;
+           pos := decode_datum buf ~limit b start;
+           Array.unsafe_set dat_stop d b.ntok;
+           Array.unsafe_set dat_hash d b.hash;
+           if e >= 0 && tbl.len = defined then begin
+             Array.unsafe_set recent e stamp;
+             Array.unsafe_set recent (e + 1) start;
+             Array.unsafe_set recent (e + 2) (!pos - start);
+             Array.unsafe_set recent (e + 3) d
+           end
+         end;
+         ndat := d + 1
+       done;
+       b.tags.(i) <- tag lor (nargs lsl 3);
+       b.names.(i) <- -1
+     | t -> corrupt_at (!pos - 1) (Printf.sprintf "event tag %d" t));
+    b.n <- i + 1;
+    b.ev_dat.(i + 1) <- !ndat
+  done;
+  if !pos <> limit then corrupt_at !pos "chunk length mismatch"
 
 (* ---- batched replay reader ---- *)
 
@@ -777,17 +1012,7 @@ let next_chunk ~decode r =
       if decode && fnv_span r.src.buf fnv_init payload len <> !expected then
         corrupt_at payload "chunk checksum mismatch";
       r.pos <- payload + len;
-      if decode then begin
-        let b = r.batch in
-        Batch.clear b;
-        Batch.reserve_events b count;
-        let p = ref payload in
-        let limit = payload + len in
-        for _ = 1 to count do
-          decode_event r.src.buf ~limit p b
-        done;
-        if !p <> limit then corrupt_at !p "chunk length mismatch"
-      end;
+      if decode then decode_chunk r.src.buf ~payload ~limit:(payload + len) ~count r.batch;
       Some count
     end
   end

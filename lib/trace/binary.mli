@@ -104,16 +104,20 @@ module Batch : sig
   (** Function name of a call/return event. *)
   val name : t -> int -> string
 
-  (** Token tags: 0 nil; 1 sym; 2 int; 3 str; 4 proper list (value =
-      car count >= 1); 5 improper spine (value = car count >= 1,
-      followed by its non-nil atom tail).  The stream is canonical for
-      every accepted encoding (list tails merge into their spine, a nil
-      tail makes a proper list, a string re-defined inline keeps its
-      first intern index): token spans are identical iff the datums are
-      structurally equal. *)
+  (** A token is one int, [(value lsl 3) lor tag].  Token tags: 0 nil;
+      1 sym; 2 int (one that fits in 60 signed bits); 3 str; 4 proper
+      list (value = car count >= 1); 5 improper spine (value = car count
+      >= 1, followed by its non-nil atom tail); 6 then 7, an int that
+      does not fit in 60 bits (its high bits, then its low 32).  The
+      stream is canonical for every accepted encoding (list tails merge
+      into their spine, a nil tail makes a proper list, a string
+      re-defined inline keeps its first intern index, an int has one
+      form): token spans are identical iff the datums are structurally
+      equal. *)
   val tok_tag : t -> int -> int
 
-  (** Sym/str: intern index.  Int: the value.  Lists: the car count. *)
+  (** Sym/str: intern index.  Int: the value.  Lists: the car count.
+      Tags 6 and 7: the high and the low bits of a wide int. *)
   val tok_val : t -> int -> int
 
   (** The interned string behind a sym/str token. *)
@@ -122,18 +126,25 @@ module Batch : sig
   (** Top-level datums.  A primitive's arguments in order, then its
       result, are datums [first_datum b i .. first_datum b (i+1)); a
       call or return has none.  Datum [d] is the token span
-      [datum_start b d .. datum_start b (d+1)), and [datum_hash b d] is
-      a non-negative hash of that span's (tag, value) pairs, computed
-      by the decoder as it pushed the tokens: identical spans have
-      equal hashes. *)
+      [datum_start b d .. datum_stop b d), and [datum_hash b d] is
+      a hash of that span, computed by the decoder as it wrote the
+      tokens: identical spans have equal hashes, and the hash's high
+      bits depend on every bit of every token. *)
   val first_datum : t -> int -> int
 
   val datum_start : t -> int -> int
 
+  val datum_stop : t -> int -> int
+
   val datum_hash : t -> int -> int
 
+  (** [datum_same b d] is an earlier datum of the batch whose span is
+      identical to datum [d]'s, when the decoder saw it (the decoder
+      looks only among recent lists); otherwise [-1]. *)
+  val datum_same : t -> int -> int
+
   (** The live token array, valid until the next batch is decoded:
-      token [k]'s tag is at [2k], its value at [2k+1]. *)
+      token [k] is at [k]. *)
   val tokens : t -> int array
 
   (** Materialise the datum rooted at token [k] (cold paths only). *)

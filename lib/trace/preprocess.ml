@@ -1,8 +1,6 @@
-type refs = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type t = {
   codes : int array;
-  refs : refs;
+  refs : Bytes.t;
   np : int array;
   distinct_lists : int;
   stats : Capture.stats;
@@ -30,8 +28,8 @@ let return_code = 1
 let prim_code ~kind ~arity =
   kind lor (min arity 0xFF lsl 4) lor (if arity > 24 then wide else 0)
 
-let ref_count t = Bigarray.Array1.dim t.refs
-let ref_id t k = Int32.to_int (Bigarray.Array1.get t.refs k)
+let ref_count t = Bytes.length t.refs / 4
+let ref_id t k = Int32.to_int (Bytes.get_int32_le t.refs (4 * k))
 
 let kind code = code land 7
 let call_nargs code = code lsr 3
@@ -56,48 +54,40 @@ let[@inline] add_list_arg code j ~chained =
 (* ---- the builder both producers write through ----
 
    Neither the reference stream's length nor the (n, p) table's is
-   known until the scan ends.  Both grow in the domain's kept storage
-   (see {!Scratch}) and are copied out at their exact length, so a
-   worker that serves job after job allocates only what the form keeps.
-   The reference stream, the longest array of the form, is 32-bit ids
-   off the OCaml heap: as OCaml ints, kept and copied out, it raised
-   the service's peak memory on cold misses by a quarter. *)
+   known until the scan ends.  Both are written in place into arrays
+   the form keeps, sized at the lengths the domain's last build ended
+   with: a worker that serves job after job over one trace writes them
+   at their final length, and copies neither.  Otherwise they grow by
+   doubling and are cut to length once.  The reference stream is
+   32-bit ids in a [Bytes.t], which the collector neither scans nor
+   accounts as foreign memory: as OCaml ints it raised the service's
+   peak memory on cold misses by a quarter, and as a [Bigarray] each
+   cold miss's copy drove a major collection. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let ref_pool = Scratch.create Bigarray.int32
-let np_pool = Scratch.create Bigarray.int
 
 (* A pool's starting length: the kept length, capped by [bound] (what
    the input can need), or [default] on the domain's first use. *)
 let start pool bound default =
   match Scratch.kept_length pool with 0 -> default | kept -> max 1 (min kept bound)
 
+(* The reference stream's and the (n, p) table's lengths at the end of
+   the domain's last build. *)
+let last_lengths = Domain.DLS.new_key (fun () -> ref (0, 0))
+
 type builder = {
   codes : int array;
   mutable events : int;
-  refs : (int32, Bigarray.int32_elt) Scratch.lease;
+  mutable refs : Bytes.t;
   mutable n_refs : int;
-  nps : (int, Bigarray.int_elt) Scratch.lease;
+  mutable np : int array;
   mutable ids : int;             (* ids assigned; id i's (n, p) at 2i *)
   mutable prev : int;            (* the previous primitive's list result; -1 none *)
-  mutable scratch : int array;   (* a primitive's list ids, see [prim] *)
   mutable functions : int;
   mutable primitives : int;
   mutable depth : int;
   mutable max_depth : int;
 }
-
-(* Replace a kept buffer by one that holds element [i], at least
-   twice as long. *)
-let grow (type a b) (l : (a, b) Scratch.lease) i =
-  let module A = Bigarray.Array1 in
-  let n = A.dim l.buf in
-  let g = A.create (A.kind l.buf) Bigarray.c_layout (max (i + 1) (2 * n)) in
-  A.blit l.buf (A.sub g 0 n);
-  l.buf <- g
-
-let[@inline] room l i = if i >= Bigarray.Array1.dim l.Scratch.buf then grow l i
 
 let[@inline] event b code =
   if b.events < Array.length b.codes then b.codes.(b.events) <- code;
@@ -116,61 +106,66 @@ let return_ b =
 let fresh b ~n ~p =
   let id = b.ids in
   if id = Int32.to_int Int32.max_int then invalid_arg "Trace.Preprocess: 2^31 distinct lists";
-  room b.nps ((2 * id) + 1);
-  let nps : ints = b.nps.buf in
-  Bigarray.Array1.unsafe_set nps (2 * id) n;
-  Bigarray.Array1.unsafe_set nps ((2 * id) + 1) p;
+  if 2 * id + 1 >= Array.length b.np then begin
+    let g = Array.make (2 * Array.length b.np + 2) 0 in
+    Array.blit b.np 0 g 0 (2 * id);
+    b.np <- g
+  end;
+  Array.unsafe_set b.np (2 * id) n;
+  Array.unsafe_set b.np ((2 * id) + 1) p;
   b.ids <- id + 1;
   id
 
-(* An array of at least [nargs + 1] slots for a primitive's list ids. *)
-let scratch b nargs =
-  if nargs >= Array.length b.scratch then b.scratch <- Array.make (2 * nargs + 1) (-1);
-  b.scratch
+(* A primitive is written in steps: [prim_code] starts its code, [arg]
+   adds each argument in order and [result] ends it.  A list id is
+   [-1] for an atom. *)
+let[@inline] push_ref b id =
+  let k = 4 * b.n_refs in
+  if k = Bytes.length b.refs then begin
+    let g = Bytes.create (2 * k + 4) in
+    Bytes.blit b.refs 0 g 0 k;
+    b.refs <- g
+  end;
+  Bytes.set_int32_le b.refs k (Int32.of_int id);
+  b.n_refs <- b.n_refs + 1
 
-(* A primitive whose list ids are in [ids]: [ids.(j)] for argument [j],
-   [ids.(nargs)] for the result, [-1] for an atom.  An argument is
-   chained when it is the previous primitive's list result. *)
-let prim b ~kind ~nargs ids =
-  let code = ref (prim_code ~kind ~arity:nargs) in
-  for j = 0 to nargs do
-    let id = ids.(j) in
-    if id >= 0 then begin
-      code :=
-        if j < nargs then add_list_arg !code j ~chained:(id = b.prev) else !code lor 8;
-      room b.refs b.n_refs;
-      let refs : refs = b.refs.buf in
-      Bigarray.Array1.unsafe_set refs b.n_refs (Int32.of_int id);
-      b.n_refs <- b.n_refs + 1
-    end
-  done;
-  b.prev <- ids.(nargs);
+(* Argument [j], of list id [id], of a primitive whose code so far is
+   [code]; it is chained when it is the previous primitive's list
+   result. *)
+let[@inline] arg b code j id =
+  if id < 0 then code
+  else begin
+    push_ref b id;
+    add_list_arg code j ~chained:(id = b.prev)
+  end
+
+let result b code id =
+  let code = if id < 0 then code else begin push_ref b id; code lor 8 end in
+  b.prev <- id;
   b.primitives <- b.primitives + 1;
-  event b !code
+  event b code
 
-(* [build ~events ~bound f] runs [f] on a builder for [events] events
-   whose input bounds the reference stream and the (n, p) table by
-   [bound] ints each.  A domain's first build sizes them from the event
-   count (traces hold about 1.4 references and at most a quarter of a
-   distinct list per event), so they grow a few times at most. *)
-let build ~events ~bound f =
-  let module A = Bigarray.Array1 in
-  Scratch.use ref_pool (start ref_pool bound (max 1 events)) @@ fun refs ->
-  Scratch.use np_pool (start np_pool bound (max 2 (events / 2))) @@ fun nps ->
+(* [build ~events f] runs [f] on a builder for [events] events.  A
+   domain's first build sizes the reference stream and the (n, p) table
+   from the event count (traces hold about 1.4 references and at most a
+   quarter of a distinct list per event). *)
+let build ~events f =
+  let last = Domain.DLS.get last_lengths in
+  let refs_len, np_len =
+    match !last with 0, 0 -> (3 * (events / 2), events / 2) | lengths -> lengths
+  in
   let b =
-    { codes = Array.make events 0; events = 0; refs; n_refs = 0; nps; ids = 0; prev = -1;
-      scratch = Array.make 8 (-1); functions = 0; primitives = 0; depth = 0;
-      max_depth = 0 }
+    { codes = Array.make events 0; events = 0; refs = Bytes.create (4 * refs_len);
+      n_refs = 0; np = Array.make np_len 0; ids = 0; prev = -1; functions = 0;
+      primitives = 0; depth = 0; max_depth = 0 }
   in
   f b;
   if b.events <> events then
     raise (Binary.Corrupt { offset = 0; reason = "event count changed while reading" });
+  last := (b.n_refs, 2 * b.ids);
   { codes = b.codes;
-    refs =
-      (let r = A.create Bigarray.int32 Bigarray.c_layout b.n_refs in
-       A.blit (A.sub b.refs.buf 0 b.n_refs) r;
-       r);
-    np = Array.init (2 * b.ids) (A.unsafe_get b.nps.buf);
+    refs = (if 4 * b.n_refs = Bytes.length b.refs then b.refs else Bytes.sub b.refs 0 (4 * b.n_refs));
+    np = (if 2 * b.ids = Array.length b.np then b.np else Array.sub b.np 0 (2 * b.ids));
     distinct_lists = b.ids;
     stats =
       { Capture.functions = b.functions; primitives = b.primitives;
@@ -200,7 +195,7 @@ let run capture =
      looks — without this, recurring small numeric lists stitch unrelated
      structures together. *)
   let ids = Dtbl.create 1024 in
-  build ~events:(Capture.length capture) ~bound:max_int @@ fun b ->
+  build ~events:(Capture.length capture) @@ fun b ->
   let fresh_id d =
     let n, p = Sexp.Metrics.np d in
     let id = fresh b ~n ~p in
@@ -217,15 +212,13 @@ let run capture =
        match e with
        | Call { nargs; _ } -> call b nargs
        | Return _ -> return_ b
-       | Prim { prim = p; args; result } ->
-         let nargs = List.length args in
-         let s = scratch b nargs in
-         List.iteri (fun j d -> s.(j) <- id_of d) args;
-         s.(nargs) <-
-           (match result, p with
-            | Cons _, (Cons | Rplaca | Rplacd) -> fresh_id result
-            | _ -> id_of result);
-         prim b ~kind:(wire_kind p) ~nargs s)
+       | Prim { prim = p; args; result = r } ->
+         let code = ref (prim_code ~kind:(wire_kind p) ~arity:(List.length args)) in
+         List.iteri (fun j d -> code := arg b !code j (id_of d)) args;
+         result b !code
+           (match r, p with
+            | Cons _, (Cons | Rplaca | Rplacd) -> fresh_id r
+            | _ -> id_of r))
     (Capture.events capture)
 
 (* ---- off a binary source: list identity by token spans ---- *)
@@ -235,23 +228,22 @@ let run capture =
 let slot_pool = Scratch.create Bigarray.int
 let key_pool = Scratch.create Bigarray.int
 
+let recent_size = 1024
+
 (* [run_source] is [run] off the flat batches of a binary trace.  The
    token stream of a batch is canonical — two datums are structurally
-   equal iff their token spans are identical (intern ids are
-   first-occurrence indices, fixed for the whole stream) — so list
-   identity is assigned from span equality alone and no datum is ever
-   built: the decoder hands over each argument's span bounds and hash,
-   and a fresh id's (n, p) is counted off its tokens. *)
+   equal iff their token spans are identical (see {!Binary.Batch}) — so
+   list identity is assigned from span equality alone and no datum is
+   ever built, and a fresh id's (n, p) is counted off its tokens. *)
 let run_source src =
   let module B = Binary.Batch in
   let module A = Bigarray.Array1 in
-  (* Open-addressing span -> latest-id table, replacing {!Dtbl}.  Slot
-     s is three ints at [3s] of the slot storage: the span's full hash
-     ([-1]: empty), its latest id, and the offset of its key.  A key is
-     the span's interleaved [tag, val, ...] tokens, stored as
-     [len; tokens] in an append-only arena.  A probe compares stored
-     hashes, reads a key only on a hash match, and then compares it
-     exactly.
+  (* The span table maps a span to the latest id of its shape.  Each
+     distinct span is stored once, as a key in an append-only arena:
+     [len; latest id; the len tokens].  A slot of the open-addressing
+     table is one int: [-1] when empty, else 30 high bits of the span's
+     hash above the offset of its key.  A probe compares those bits,
+     then the key, and reads the id beside it.
 
      Both stores are the domain's kept storage: a scan clears the slots
      and rewinds the arena, starting at the capacity the last scan
@@ -262,143 +254,161 @@ let run_source src =
      the (n, p) table. *)
   let slen = Binary.source_length src in
   let rec pow2 c = if c >= slen then c else pow2 (2 * c) in
-  Scratch.use slot_pool (start slot_pool (3 * pow2 1024) (3 * 1024))
+  Scratch.use slot_pool (start slot_pool (pow2 1024) 4096)
   @@ fun sl ->
   Scratch.use key_pool (start key_pool (3 * slen + 1) 65536)
   @@ fun kl ->
   A.fill sl.buf (-1);
-  let cap = ref (A.dim sl.buf / 3) in
-  let mask = ref (!cap - 1) in
+  let mask = ref (A.dim sl.buf - 1) in
   let used = ref 0 in
   let filled = ref 0 in
-  let key_matches toks koff k0 stop =
+  let key_matches toks k0 len koff =
     let key : ints = kl.buf in
-    let len = 2 * (stop - k0) in
-    A.get key koff = len
-    && (let ok = ref true and j = ref 0 in
-        let base = 2 * k0 and off = koff + 1 in
-        while !ok && !j < len do
-          if A.unsafe_get key (off + !j) <> Array.unsafe_get toks (base + !j) then
-            ok := false;
+    A.unsafe_get key koff = len
+    && (let j = ref 0 and off = koff + 2 - k0 in
+        while !j < len && A.unsafe_get key (off + k0 + !j) = Array.unsafe_get toks (k0 + !j) do
           incr j
         done;
-        !ok)
+        !j = len)
   in
-  let find_slot toks k0 stop h =
+  (* The key offset of the span, or [-1 - s] for the empty slot [s]
+     where it belongs. *)
+  let find toks k0 len top =
     let slots : ints = sl.buf and mask = !mask in
-    let s = ref (h land mask) in
-    let continue = ref true in
-    while !continue do
-      let i = 3 * !s in
-      let sh = A.unsafe_get slots i in
-      if sh = -1 || (sh = h && key_matches toks (A.unsafe_get slots (i + 2)) k0 stop) then
-        continue := false
-      else s := (!s + 1) land mask
-    done;
-    3 * !s
+    let rec probe s =
+      let v = A.unsafe_get slots s in
+      if v = -1 then -1 - s
+      else if v lsr 32 = top && key_matches toks k0 len (v land 0xFFFF_FFFF) then
+        v land 0xFFFF_FFFF
+      else probe ((s + 1) land mask)
+    in
+    probe (top land mask)
   in
   let grow () =
-    let ncap = 2 * !cap in
-    let nmask = ncap - 1 in
     let old : ints = sl.buf in
-    let nslots : ints = A.create Bigarray.int Bigarray.c_layout (3 * ncap) in
+    let ncap = 2 * A.dim old in
+    let nmask = ncap - 1 in
+    let nslots : ints = A.create Bigarray.int Bigarray.c_layout ncap in
     A.fill nslots (-1);
-    for i = 0 to !cap - 1 do
-      let h = A.get old (3 * i) in
-      if h <> -1 then begin
-        let s = ref (h land nmask) in
-        while A.get nslots (3 * !s) <> -1 do
+    for i = 0 to A.dim old - 1 do
+      let v = A.get old i in
+      if v <> -1 then begin
+        let s = ref ((v lsr 32) land nmask) in
+        while A.get nslots !s <> -1 do
           s := (!s + 1) land nmask
         done;
-        for f = 0 to 2 do
-          A.set nslots ((3 * !s) + f) (A.get old ((3 * i) + f))
-        done
+        A.set nslots !s v
       end
     done;
     sl.buf <- nslots;
-    cap := ncap;
     mask := nmask
   in
-  (* store the key of a span in slot [i], doubling the arena when full *)
-  let add_key i toks k0 stop =
-    let len = 2 * (stop - k0) in
-    let need = !used + len + 1 in
+  (* store the span as a new key in the empty slot [s] *)
+  let add_key s toks k0 len top id =
+    let koff = !used in
+    let need = koff + len + 2 in
+    if need > 0xFFFF_FFFF then invalid_arg "Trace.Preprocess: span keys past 2^32 words";
     if need > A.dim kl.buf then begin
       let g : ints = A.create Bigarray.int Bigarray.c_layout (max need (2 * A.dim kl.buf)) in
-      A.blit (A.sub kl.buf 0 !used) (A.sub g 0 !used);
+      A.blit (A.sub kl.buf 0 koff) (A.sub g 0 koff);
       kl.buf <- g
     end;
-    let key : ints = kl.buf and base = 2 * k0 and off = !used + 1 in
-    A.set key !used len;
+    let key : ints = kl.buf in
+    A.unsafe_set key koff len;
+    A.unsafe_set key (koff + 1) id;
     for j = 0 to len - 1 do
-      A.unsafe_set key (off + j) (Array.unsafe_get toks (base + j))
+      A.unsafe_set key (koff + 2 + j) (Array.unsafe_get toks (k0 + j))
     done;
-    A.set sl.buf (i + 2) !used;
-    used := need
-  in
-  (* (n, p) of §3.3.1 off the tokens of the list at [k]: atoms add to
-     n, nested lists to p, and an improper spine's tail — an atom in
-     the canonical stream — to n: the counts {!Sexp.Metrics.np} gives
-     for the datum. *)
-  let n_acc = ref 0 and p_acc = ref 0 in
-  let rec np_tree toks k =
-    match toks.(2 * k) with
-    | 0 -> k + 1
-    | 1 | 2 | 3 -> incr n_acc; k + 1
-    | _ -> incr p_acc; np_spine toks k
-  and np_spine toks k =
-    let improper = toks.(2 * k) = 5 in
-    let count = toks.(2 * k + 1) in
-    let k = ref (k + 1) in
-    for _ = 1 to count do k := np_tree toks !k done;
-    if improper then begin incr n_acc; !k + 1 end else !k
+    A.set sl.buf s ((top lsl 32) lor koff);
+    used := need;
+    incr filled;
+    if 2 * (!filled + 1) >= A.dim sl.buf then grow ()
   in
   (* the chunk headers give the event count up front *)
   let events = (Binary.header_stats src).Binary.h_events in
-  build ~events ~bound:slen @@ fun b ->
-  (* Same replace semantics as [run]: a fresh id always advances the
-     counter and takes over its shape's table slot. *)
-  let fresh_id toks k0 stop h =
-    if 2 * (!filled + 1) >= !cap then grow ();
-    let i = find_slot toks k0 stop h in
-    if A.get sl.buf i = -1 then begin
-      A.set sl.buf i h;
-      add_key i toks k0 stop;
-      incr filled
-    end;
-    n_acc := 0;
-    p_acc := 0;
-    ignore (np_spine toks k0 : int);
-    let id = fresh b ~n:!n_acc ~p:!p_acc in
-    A.set sl.buf (i + 1) id;
-    id
+  build ~events @@ fun b ->
+  (* (n, p) of §3.3.1 off the tokens of the list spanning [k0, stop):
+     atoms add to n (nil does not, and a wide int's second token does
+     not), nested lists to p, and an improper spine's tail — an atom in
+     the canonical stream — to n: the counts {!Sexp.Metrics.np} gives
+     for the datum. *)
+  let fresh_np toks k0 stop =
+    let n = ref 0 and p = ref (-1) in
+    for k = k0 to stop - 1 do
+      let tag = Array.unsafe_get toks k land 7 in
+      n := !n + ((0b1001110 lsr tag) land 1);
+      p := !p + ((0b0110000 lsr tag) land 1)
+    done;
+    fresh b ~n:!n ~p:!p
   in
-  let id_of toks k0 stop h =
-    let i = find_slot toks k0 stop h in
-    if A.get sl.buf i = -1 then fresh_id toks k0 stop h else A.get sl.buf (i + 1)
+  (* The id of the list spanning [k0, stop).  [result] (a cons or rplac
+     result) is a fresh cell, however familiar its shape, and takes
+     over its shape's key — the replace semantics of [run]. *)
+  let recent = Array.make (2 * recent_size) 0 in
+  (* the key offset of each list datum of the current batch *)
+  let keys = ref (Array.make 1024 0) in
+  let resolve toks k0 stop h same =
+    if same >= 0 then Array.unsafe_get !keys same
+    else begin
+    let len = stop - k0 in
+    let top = h lsr 33 in
+    let r = 2 * ((h lsr 20) land (recent_size - 1)) in
+    let e = Array.unsafe_get recent (r + 1) in
+    let found =
+      if e > 0 && Array.unsafe_get recent r = h && key_matches toks k0 len (e - 1) then e - 1
+      else find toks k0 len top
+    in
+    if found < 0 then begin
+      let koff = !used in
+      Array.unsafe_set recent r h;
+      Array.unsafe_set recent (r + 1) (koff + 1);
+      add_key (-1 - found) toks k0 len top (-1);
+      koff
+    end
+    else begin
+      if e - 1 <> found then begin
+        Array.unsafe_set recent r h;
+        Array.unsafe_set recent (r + 1) (found + 1)
+      end;
+      found
+    end
+    end
+  in
+  (* The list id of datum [d], or -1 for an atom.  [result] (a cons or
+     rplac result) is a fresh cell, however familiar its shape, and
+     takes over its shape's key — the replace semantics of [run].  A new
+     key holds id -1 until it is given one. *)
+  let id_of bt toks d ~result =
+    let k0 = B.datum_start bt d in
+    let tag = Array.unsafe_get toks k0 land 7 in
+    if tag <> 4 && tag <> 5 then -1
+    else
+    let stop = B.datum_stop bt d in
+    let koff = resolve toks k0 stop (B.datum_hash bt d) (B.datum_same bt d) in
+    Array.unsafe_set !keys d koff;
+    let key : ints = kl.buf in
+    let id = A.unsafe_get key (koff + 1) in
+    if result || id < 0 then begin
+      let id = fresh_np toks k0 stop in
+      A.unsafe_set key (koff + 1) id;
+      id
+    end
+    else id
   in
   Binary.iter_batches src (fun bt ->
       let toks = B.tokens bt in
+      let datums = B.first_datum bt (B.length bt) in
+      if datums > Array.length !keys then keys := Array.make (2 * datums) 0;
       for i = 0 to B.length bt - 1 do
         match B.kind bt i with
         | 0 -> call b (B.nargs bt i)
         | 1 -> return_ b
         | kind ->
           let nargs = B.nargs bt i in
-          let ids = scratch b nargs in
           let d0 = B.first_datum bt i in
-          for j = 0 to nargs do
-            let d = d0 + j in
-            let k0 = B.datum_start bt d in
-            ids.(j) <-
-              (match toks.(2 * k0) with
-               | 4 | 5 ->
-                 let stop = B.datum_start bt (d + 1) and h = B.datum_hash bt d in
-                 (* a cons/rplac result is a fresh cell, however familiar
-                    its shape — as in [run] *)
-                 if j = nargs && kind >= 4 then fresh_id toks k0 stop h
-                 else id_of toks k0 stop h
-               | _ -> -1)
+          let code = ref (prim_code ~kind ~arity:nargs) in
+          for j = 0 to nargs - 1 do
+            code := arg b !code j (id_of bt toks (d0 + j) ~result:false)
           done;
-          prim b ~kind ~nargs ids
+          result b !code (id_of bt toks (d0 + nargs) ~result:(kind >= 4))
       done)
