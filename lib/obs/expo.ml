@@ -82,16 +82,21 @@ let text samples =
 let of_registry reg = text (Registry.snapshot reg)
 
 (* Temp file in the target directory, then rename: a scraper never reads
-   a half-written exposition. *)
+   a half-written exposition.  The close is where a full disk shows (the
+   flush), so it is inside the handler; a failed write leaves no temp
+   file behind. *)
 let write_file reg path =
   let text = of_registry reg in
-  try
-    let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "metrics" ".tmp" in
-    try
-      let oc = open_out_bin tmp in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text);
-      Sys.rename tmp path
-    with e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
-  with Sys_error _ -> ()
+  match Filename.temp_file ~temp_dir:(Filename.dirname path) "metrics" ".tmp" with
+  | exception Sys_error _ -> ()
+  | tmp ->
+    (try
+       let oc = open_out_bin tmp in
+       (try
+          output_string oc text;
+          close_out oc
+        with e ->
+          close_out_noerr oc;
+          raise e);
+       Sys.rename tmp path
+     with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ()))

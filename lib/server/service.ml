@@ -336,7 +336,7 @@ let collect t (sid, s) =
   List.of_seq (Queue.to_seq s.outbox)
 
 let submit t job =
-  let session = one_shot t (Parts [ Job (job, source job) ]) (clock ()) in
+  let session = one_shot t (Submit (job, source job)) (clock ()) in
   (* a refusal is decided before the step returns; an answer may wait for a worker *)
   match Mutex.protect t.m (fun () -> Queue.peek_opt (snd session).outbox) with
   | Some (_, [ Error e ]) -> ignore (collect t session); Error e

@@ -27,7 +27,7 @@ type source =
   | Spent
 
 type part = Job of Job.t * source | Line of string
-type request = Parts of part list | Stats
+type request = Parts of part list | Stats | Submit of Job.t * source
 type attempt = { key : string; job : Job.t; expect : Trace.Io.stamp option; queued_at : float }
 type finish = Done of Exec.output | Changed of string | Raised of string | Stopped
 
@@ -51,7 +51,9 @@ type reply = (response, [ `Overloaded | `Shutdown ]) result
 (* A request line's replies, filled in as its jobs are answered. *)
 type slot = { parts : (string * reply option) array; mutable owed : int; is_stats : bool }
 
-type session = { sid : int; slots : slot Queue.t }
+(* A session that no one reads ([render] false, an API caller's) gets
+   empty lines: its replies are all it is owed. *)
+type session = { sid : int; slots : slot Queue.t; render : bool }
 
 type waiter = {
   wjob : Job.t;
@@ -65,7 +67,7 @@ type waiter = {
   mutable run : run option;
 }
 
-and state = Queued | Running | Backoff of float | Storing of Exec.output * string
+and state = Queued | Running | Backoff of float | Storing of Exec.output * string Lazy.t
 
 and run = {
   mutable attempt : attempt;      (* the first waiter's job: every waiter's key is the same *)
@@ -199,19 +201,21 @@ let rec flush t s =
   | Some _ -> ()
   | None -> Hashtbl.remove t.sessions s.sid
 
+(* [line] renders the reply's line, for a session that is read. *)
 let deliver t w reply line =
   if not w.answered then begin
     w.answered <- true;
     Option.iter (Hashtbl.remove t.ids) w.wjob.wire_id;
     let s, slot, i = w.dest in
-    slot.parts.(i) <- (line, Some reply);
+    slot.parts.(i) <- ((if s.render then line () else ""), Some reply);
     slot.owed <- slot.owed - 1;
     flush t s
   end
 
 let answer ?result ?(cached = false) t w ~now outcome =
   let r = { job = w.wjob; cached = cached || w.joined; elapsed = now -. w.arrived; outcome } in
-  deliver t w (Ok r) (Json.to_string (response_json ?result t r))
+  deliver t w (Ok r) (fun () ->
+      Json.to_string (response_json ?result:(Option.map Lazy.force result) t r))
 
 (* ---- runs ---- *)
 
@@ -302,16 +306,16 @@ let start_run t w now =
       attempts = 0; last_backoff = 0.; stop = None }
   in
   w.run <- Some r;
-  let refuse e = deliver t w (Error e) (overloaded_line t w.wjob) in
+  let refuse e = deliver t w (Error e) (fun () -> overloaded_line t w.wjob) in
   if t.closed then refuse `Shutdown
-  else if
-    t.c.queued < t.cfg.capacity
-    || (t.c.rejected <- t.c.rejected + 1; shed_lower t r.priority now)
-  then begin
+  else if t.c.queued < t.cfg.capacity || shed_lower t r.priority now then begin
     Hashtbl.replace t.runs r.attempt.key r;
     enqueue t r now
   end
-  else refuse `Overloaded
+  else begin
+    t.c.rejected <- t.c.rejected + 1;
+    refuse `Overloaded
+  end
 
 let rec dispatch t now =
   if t.c.running < t.cfg.workers then
@@ -357,7 +361,7 @@ let finished t r finish now =
   else
     match finish, ended with
     | Done out, _ ->
-      let json = Json.to_string (Exec.output_to_json out) in
+      let json = lazy (Json.to_string (Exec.output_to_json out)) in
       count t None;
       t.c.executed <- t.c.executed + 1;
       r.state <- Storing (out, json);
@@ -429,11 +433,17 @@ let request t sid request now =
     match Hashtbl.find_opt t.sessions sid with
     | Some s -> s
     | None ->
-      let s = { sid; slots = Queue.create () } in
+      let render = match request with Submit _ -> false | Parts _ | Stats -> true in
+      let s = { sid; slots = Queue.create (); render } in
       Hashtbl.replace t.sessions sid s;
       s
   in
-  let parts, is_stats = match request with Parts ps -> (ps, false) | Stats -> ([], true) in
+  let parts, is_stats =
+    match request with
+    | Parts ps -> (ps, false)
+    | Stats -> ([], true)
+    | Submit (job, source) -> ([ Job (job, source) ], false)
+  in
   let slot =
     { parts = Array.make (List.length parts) ("", None);
       owed = List.length (List.filter (function Job _ -> true | Line _ -> false) parts);
@@ -465,7 +475,8 @@ let step t input =
    | Looked_up { waiter = w; stored; now } ->
      (if not w.answered then
         match Option.map (decode t w.key) stored with
-        | Some (Ok (out, json)) -> answer ~result:json ~cached:true t w ~now (Ok out)
+        | Some (Ok (out, json)) ->
+          answer ~result:(Lazy.from_val json) ~cached:true t w ~now (Ok out)
         | Some (Error msg) ->
           answer ~cached:true t w ~now (Error (Exec_failed ("corrupt cache entry: " ^ msg)))
         | None ->

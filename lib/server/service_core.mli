@@ -52,7 +52,12 @@ type source =
 (** One element of a request line: a job, or a ready reply line. *)
 type part = Job of Job.t * source | Line of string
 
-type request = Parts of part list | Stats   (** [(stats)]: see {!Write_stats} *)
+type request =
+  | Parts of part list
+  | Stats                     (** [(stats)]: see {!Write_stats} *)
+  | Submit of Job.t * source
+      (** an API caller's job, on a session of its own: answered with its
+          reply, and an empty line, since no one reads it *)
 
 (** One attempt at a run; [queued_at] is when it joined the queue. *)
 type attempt = { key : string; job : Job.t; expect : Trace.Io.stamp option; queued_at : float }
@@ -92,7 +97,7 @@ type stats = {
   mutable queued : int;
   mutable running : int;
   mutable completed : int;    (** runs settled, whatever the outcome *)
-  mutable rejected : int;     (** runs refused by a full queue (before any shed) *)
+  mutable rejected : int;     (** runs refused by a full queue, nothing to shed *)
   mutable cancelled : int;
   mutable timed_out : int;
   mutable shed : int;

@@ -349,6 +349,60 @@ let test_span_monotone () =
   Alcotest.(check int) "time passes the result through" 42 v;
   Alcotest.(check int) "time records once" 1 (H.count (H.snapshot h))
 
+(* ---- a metrics file on a full disk ----
+
+   Under a file-size limit of zero every write fails (EFBIG, with
+   SIGXFSZ ignored): the exposition cannot be flushed when the file is
+   closed, and a text longer than the channel's buffer cannot even be
+   written.  [write_file] must swallow both and leave no temp file.  The
+   limit is set by [ulimit] in a child process, which runs this
+   executable in the mode below. *)
+
+let full_disk_env = "OBS_EXPO_FULL_DISK_DIR"
+
+let full_disk_child dir =
+  Sys.set_signal Sys.sigxfsz Sys.Signal_ignore;
+  let reg = Obs.Registry.create () in
+  let write () =
+    match Obs.Expo.write_file reg (Filename.concat dir "metrics.prom") with
+    | () -> ()
+    | exception _ -> exit 3
+  in
+  Obs.Metric.Counter.incr (Obs.Registry.counter reg ~help:"small" "small_total");
+  write ();                                   (* fails at the close *)
+  for i = 1 to 2000 do
+    Obs.Metric.Counter.incr
+      (Obs.Registry.counter reg ~help:"wide" ~labels:[ ("i", string_of_int i) ] "wide_total")
+  done;
+  write ();                                   (* fails at the write *)
+  exit (if Array.length (Sys.readdir dir) = 0 then 0 else 4)
+
+let () = Option.iter full_disk_child (Sys.getenv_opt full_disk_env)
+
+let test_write_file_full_disk () =
+  let dir = Filename.temp_file "expo" ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let env = Array.append [| full_disk_env ^ "=" ^ dir |] (Unix.environment ()) in
+  (* the child's output goes where the limit does not apply *)
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+    Unix.create_process_env "/bin/sh"
+      [| "sh"; "-c"; "trap '' XFSZ; ulimit -f 0 && exec \"$0\""; Sys.executable_name |]
+      env Unix.stdin null null
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED 3 -> Alcotest.fail "an exception escaped write_file"
+  | _, Unix.WEXITED 4 -> Alcotest.fail "a temp file was left behind"
+  | _, Unix.WEXITED n -> Alcotest.failf "the full-disk child exited %d" n
+  | _ -> Alcotest.fail "the full-disk child was killed"
+
 let () =
   Alcotest.run "obs"
     [ ("histogram properties", qcheck_cases);
@@ -367,4 +421,7 @@ let () =
       ("determinism",
        [ Alcotest.test_case "run with/without registry" `Quick test_run_determinism;
          Alcotest.test_case "knee across jobs" `Quick test_knee_determinism ]);
-      ("span", [ Alcotest.test_case "monotone clock" `Quick test_span_monotone ]) ]
+      ("span", [ Alcotest.test_case "monotone clock" `Quick test_span_monotone ]);
+      ("exposition file",
+       [ Alcotest.test_case "full disk: nothing escapes, no temp file" `Quick
+           test_write_file_full_disk ]) ]

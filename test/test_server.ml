@@ -300,6 +300,20 @@ let test_backpressure () =
   | Some (Ok _), [ "k2" ], Some (Ok _) -> ()
   | _ -> Alcotest.fail "queued jobs must still run"
 
+(* A full queue that sheds a lower-priority run to admit a higher one
+   refuses nothing: only the run that finds nothing to shed counts as
+   rejected. *)
+let test_shed_is_not_a_rejection () =
+  let c = core ~capacity:1 () in
+  ignore (submit c ~now:0. 1 (core_job 1));
+  ignore (submit c ~now:0. 2 (core_job 2));
+  let a3 = submit c ~now:0. 3 (core_job ~priority:1 3) in
+  Alcotest.(check bool) "the queued run is shed" true (answer_of 2 a3 = Some (Error SC.Shed));
+  Alcotest.(check bool) "the urgent run is admitted" false (refused 3 a3);
+  Alcotest.(check bool) "the next is refused" true (refused 4 (submit c ~now:0. 4 (core_job 4)));
+  let s = SC.stats c in
+  Alcotest.(check (pair int int)) "rejected, shed" (1, 1) (s.SC.rejected, s.SC.shed)
+
 let test_timeout () =
   let c = core () in
   (* a polling job is told to stop at its deadline, and answers when it does *)
@@ -950,6 +964,7 @@ type sim = {
   jobs : (int, sim_job * float) Hashtbl.t;   (* wire id -> job, arrival *)
   answered : (int, unit) Hashtbl.t;
   cancelled : (int, unit) Hashtbl.t;      (* cancels the core honoured *)
+  mutable overloaded : int;               (* replies refusing a full queue *)
   mutable scenarios : int;
   mutable joins : int;
   mutable depth_waits : int;
@@ -987,6 +1002,8 @@ let sim_check w =
   let s = SC.stats w.c in
   if s.SC.done_ + s.SC.failed + s.SC.cancelled + s.SC.timed_out + s.SC.shed <> s.SC.completed
   then svc_sim_fail w "outcome counters do not sum to completed";
+  (* a refusal is counted when it is decided, and answered in session order *)
+  if w.overloaded > s.SC.rejected then svc_sim_fail w "an overloaded reply not counted rejected";
   Array.iteri
     (fun sid _ ->
        if SC.owed w.c sid > SC.pipeline_depth then
@@ -1010,6 +1027,7 @@ let sim_answered w j (reply : SC.reply) =
     if cached && not (Hashtbl.mem w.cache j.key) then w.joins <- w.joins + 1
   | Ok { outcome = Error SC.Cancelled; _ } -> ()
   | Ok _ | Error _ ->
+    if reply = Error `Overloaded then w.overloaded <- w.overloaded + 1;
     if cancelled then svc_sim_fail w (Printf.sprintf "cancelled job %d answered otherwise" j.wire)
 
 let sim_write w sid lines replies =
@@ -1020,7 +1038,11 @@ let sim_write w sid lines replies =
       svc_sim_fail w "batch reply has the wrong length";
     List.iter2
       (fun j l ->
-         if not (String.starts_with ~prefix:(Printf.sprintf "{\"id\":%d," j.wire) l) then
+         if sid >= 1000 then begin
+           (* an API caller's session: no line is rendered *)
+           if l <> "" then svc_sim_fail w ("an API reply rendered a line: " ^ l)
+         end
+         else if not (String.starts_with ~prefix:(Printf.sprintf "{\"id\":%d," j.wire) l) then
            svc_sim_fail w (Printf.sprintf "session %d: reply out of order: %s" sid l);
          if contains l "\"status\":\"ok\"" && not (contains l ("\"result\":" ^ sim_json j.key ^ "}"))
          then svc_sim_fail w ("ok reply without its result bytes: " ^ l))
@@ -1129,7 +1151,7 @@ let sim_event w = function
     sim_step w
       (SC.Request
          { session = 1000 + j.wire; now = w.now;
-           request = SC.Parts [ SC.Job (sim_core_job j, sim_source j) ] })
+           request = SC.Submit (sim_core_job j, sim_source j) })
   | Look (waiter, k) ->
     let stored =
       if not (Hashtbl.mem w.cache k) then None
@@ -1206,7 +1228,7 @@ let svc_sim_run p =
       next = Array.make 3 0; owed = Hashtbl.create 8;
       cache = Hashtbl.create 8; executing = Hashtbl.create 8; tokens = Hashtbl.create 8;
       storing = Hashtbl.create 8; jobs = Hashtbl.create 64; answered = Hashtbl.create 64;
-      cancelled = Hashtbl.create 8; scenarios = 0; joins = 0;
+      cancelled = Hashtbl.create 8; overloaded = 0; scenarios = 0; joins = 0;
       depth_waits = 0; trace = Buffer.create 4096 }
   in
   if p mod 5 = 0 then Hashtbl.replace w.cache 0 ();
@@ -1236,6 +1258,10 @@ let svc_sim_run p =
   Hashtbl.iter
     (fun id _ -> if not (Hashtbl.mem w.answered id) then svc_sim_fail w (Printf.sprintf "job %d never answered" id))
     w.jobs;
+  if (SC.stats w.c).SC.rejected <> w.overloaded then
+    svc_sim_fail w
+      (Printf.sprintf "rejected %d, but %d overloaded replies" (SC.stats w.c).SC.rejected
+         w.overloaded);
   sim_step w SC.Shutdown;
   if not (SC.drained w.c) then svc_sim_fail w "the core is not drained at the end";
   w
@@ -1333,6 +1359,7 @@ let () =
       ("scheduler",
        [ Alcotest.test_case "fifo order" `Quick test_fifo_order;
          Alcotest.test_case "backpressure" `Quick test_backpressure;
+         Alcotest.test_case "a shed admission is not a rejection" `Quick test_shed_is_not_a_rejection;
          Alcotest.test_case "timeout" `Quick test_timeout;
          Alcotest.test_case "cancel" `Quick test_cancel;
          Alcotest.test_case "failure" `Quick test_failure_capture;
