@@ -458,7 +458,7 @@ module Batch = struct
     mutable dat_same : int array;
     mutable toks : int array;
     mutable stack : int array;     (* the decoder's enclosing open spines *)
-    recent : int array;            (* lists decoded lately, see [decode_events] *)
+    mutable recent : int array;    (* lists decoded lately, see [decode_chunk] *)
     mutable stamp : int;           (* marks the current chunk's [recent] entries *)
     mutable cursor : int;          (* where the decoder's general varint stopped *)
     mutable ntok : int;            (* tokens decoded so far in the chunk *)
@@ -475,14 +475,10 @@ module Batch = struct
 
   let[@inline] token tag v = (v lsl 3) lor tag
 
-  (* sized for a small chunk; the first large chunk grows it *)
+  (* empty: the first chunk sizes it *)
   let create tbl =
-    { n = 0; tags = Array.make 256 0; names = Array.make 256 (-1);
-      ev_dat = Array.make 257 0; dat_start = Array.make 1024 0;
-      dat_stop = Array.make 1024 0; dat_hash = Array.make 1024 0;
-      dat_same = Array.make 1024 0;
-      toks = Array.make 1024 0;
-      stack = Array.make 64 0; recent = Array.make (4 * recent_lists) 0; stamp = 0;
+    { n = 0; tags = [||]; names = [||]; ev_dat = [||]; dat_start = [||]; dat_stop = [||];
+      dat_hash = [||]; dat_same = [||]; toks = [||]; stack = [||]; recent = [||]; stamp = 0;
       cursor = 0; ntok = 0; hash = 0; tbl }
 
   let grow a n = let g = Array.make (max n (2 * Array.length a)) 0 in
@@ -490,6 +486,7 @@ module Batch = struct
 
   (* Room for a chunk of [count] events in [len] payload bytes. *)
   let reserve b ~count ~len =
+    if Array.length b.recent = 0 then b.recent <- Array.make (4 * recent_lists) 0;
     if count + 1 > Array.length b.ev_dat then begin
       b.tags <- grow b.tags (count + 1);
       b.names <- grow b.names (count + 1);

@@ -227,6 +227,7 @@ let run capture =
    OCaml heap (see {!Scratch}). *)
 let slot_pool = Scratch.create Bigarray.int
 let key_pool = Scratch.create Bigarray.int
+let datum_pool = Scratch.create Bigarray.int
 
 let recent_size = 1024
 
@@ -275,14 +276,17 @@ let run_source src =
      where it belongs. *)
   let find toks k0 len top =
     let slots : ints = sl.buf and mask = !mask in
-    let rec probe s =
-      let v = A.unsafe_get slots s in
-      if v = -1 then -1 - s
-      else if v lsr 32 = top && key_matches toks k0 len (v land 0xFFFF_FFFF) then
-        v land 0xFFFF_FFFF
-      else probe ((s + 1) land mask)
-    in
-    probe (top land mask)
+    let s = ref (top land mask) and found = ref 0 and probing = ref true in
+    while !probing do
+      let v = A.unsafe_get slots !s in
+      if v = -1 then begin found := -1 - !s; probing := false end
+      else if v lsr 32 = top && key_matches toks k0 len (v land 0xFFFF_FFFF) then begin
+        found := v land 0xFFFF_FFFF;
+        probing := false
+      end
+      else s := (!s + 1) land mask
+    done;
+    !found
   in
   let grow () =
     let old : ints = sl.buf in
@@ -346,9 +350,9 @@ let run_source src =
      over its shape's key — the replace semantics of [run]. *)
   let recent = Array.make (2 * recent_size) 0 in
   (* the key offset of each list datum of the current batch *)
-  let keys = ref (Array.make 1024 0) in
+  Scratch.use datum_pool (start datum_pool slen 8192) @@ fun kd ->
   let resolve toks k0 stop h same =
-    if same >= 0 then Array.unsafe_get !keys same
+    if same >= 0 then A.unsafe_get (kd.buf : ints) same
     else begin
     let len = stop - k0 in
     let top = h lsr 33 in
@@ -385,7 +389,7 @@ let run_source src =
     else
     let stop = B.datum_stop bt d in
     let koff = resolve toks k0 stop (B.datum_hash bt d) (B.datum_same bt d) in
-    Array.unsafe_set !keys d koff;
+    A.unsafe_set (kd.buf : ints) d koff;
     let key : ints = kl.buf in
     let id = A.unsafe_get key (koff + 1) in
     if result || id < 0 then begin
@@ -398,7 +402,7 @@ let run_source src =
   Binary.iter_batches src (fun bt ->
       let toks = B.tokens bt in
       let datums = B.first_datum bt (B.length bt) in
-      if datums > Array.length !keys then keys := Array.make (2 * datums) 0;
+      if datums > A.dim kd.buf then kd.buf <- A.create Bigarray.int Bigarray.c_layout datums;
       for i = 0 to B.length bt - 1 do
         match B.kind bt i with
         | 0 -> call b (B.nargs bt i)
