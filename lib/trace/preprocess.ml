@@ -1,6 +1,8 @@
+type refs = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   codes : int array;
-  refs : Bytes.t;
+  refs : refs;
   np : int array;
   distinct_lists : int;
   stats : Capture.stats;
@@ -28,8 +30,8 @@ let return_code = 1
 let prim_code ~kind ~arity =
   kind lor (min arity 0xFF lsl 4) lor (if arity > 24 then wide else 0)
 
-let ref_count t = Bytes.length t.refs / 4
-let ref_id t k = Int32.to_int (Bytes.get_int32_le t.refs (4 * k))
+let ref_count t = Bigarray.Array1.dim t.refs
+let ref_id t k = Int32.to_int (Bigarray.Array1.get t.refs k)
 
 let kind code = code land 7
 let call_nargs code = code lsr 3
@@ -59,10 +61,10 @@ let[@inline] add_list_arg code j ~chained =
    with: a worker that serves job after job over one trace writes them
    at their final length, and copies neither.  Otherwise they grow by
    doubling and are cut to length once.  The reference stream is
-   32-bit ids in a [Bytes.t], which the collector neither scans nor
-   accounts as foreign memory: as OCaml ints it raised the service's
-   peak memory on cold misses by a quarter, and as a [Bigarray] each
-   cold miss's copy drove a major collection. *)
+   32-bit ids off the OCaml heap.  On the heap it raised the service's
+   peak memory on cold misses by a quarter, as OCaml ints and as a
+   [Bytes.t] alike: the [Bigarray]'s foreign memory paces the major
+   collector, which then keeps less garbage around. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -78,7 +80,7 @@ let last_lengths = Domain.DLS.new_key (fun () -> ref (0, 0))
 type builder = {
   codes : int array;
   mutable events : int;
-  mutable refs : Bytes.t;
+  mutable refs : refs;
   mutable n_refs : int;
   mutable np : int array;
   mutable ids : int;             (* ids assigned; id i's (n, p) at 2i *)
@@ -120,14 +122,15 @@ let fresh b ~n ~p =
    adds each argument in order and [result] ends it.  A list id is
    [-1] for an atom. *)
 let[@inline] push_ref b id =
-  let k = 4 * b.n_refs in
-  if k = Bytes.length b.refs then begin
-    let g = Bytes.create (2 * k + 4) in
-    Bytes.blit b.refs 0 g 0 k;
+  let module A = Bigarray.Array1 in
+  let k = b.n_refs in
+  if k = A.dim b.refs then begin
+    let g = A.create Bigarray.int32 Bigarray.c_layout (2 * k + 1) in
+    A.blit b.refs (A.sub g 0 k);
     b.refs <- g
   end;
-  Bytes.set_int32_le b.refs k (Int32.of_int id);
-  b.n_refs <- b.n_refs + 1
+  A.unsafe_set b.refs k (Int32.of_int id);
+  b.n_refs <- k + 1
 
 (* Argument [j], of list id [id], of a primitive whose code so far is
    [code]; it is chained when it is the previous primitive's list
@@ -155,7 +158,8 @@ let build ~events f =
     match !last with 0, 0 -> (3 * (events / 2), events / 2) | lengths -> lengths
   in
   let b =
-    { codes = Array.make events 0; events = 0; refs = Bytes.create (4 * refs_len);
+    { codes = Array.make events 0; events = 0;
+      refs = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout refs_len;
       n_refs = 0; np = Array.make np_len 0; ids = 0; prev = -1; functions = 0;
       primitives = 0; depth = 0; max_depth = 0 }
   in
@@ -164,7 +168,14 @@ let build ~events f =
     raise (Binary.Corrupt { offset = 0; reason = "event count changed while reading" });
   last := (b.n_refs, 2 * b.ids);
   { codes = b.codes;
-    refs = (if 4 * b.n_refs = Bytes.length b.refs then b.refs else Bytes.sub b.refs 0 (4 * b.n_refs));
+    refs =
+      (let module A = Bigarray.Array1 in
+       if b.n_refs = A.dim b.refs then b.refs
+       else begin
+         let r = A.create Bigarray.int32 Bigarray.c_layout b.n_refs in
+         A.blit (A.sub b.refs 0 b.n_refs) r;
+         r
+       end);
     np = (if 2 * b.ids = Array.length b.np then b.np else Array.sub b.np 0 (2 * b.ids));
     distinct_lists = b.ids;
     stats =

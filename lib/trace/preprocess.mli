@@ -13,10 +13,12 @@
     event, the list reference stream, and the per-id (n, p) table.
     Function names and atom values are not kept; nothing reads them. *)
 
+type refs = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   codes : int array;
       (** one code per event, in trace order; see {!kind} and below *)
-  refs : Bytes.t;
+  refs : refs;
       (** the list reference stream (Chapter 3): per primitive, the ids
           of its list arguments in order, then its result's id when the
           result is a list; see {!ref_id} *)
