@@ -225,29 +225,22 @@ let writer ?chunk_events oc = writer_of_sink ?chunk_events (channel_sink oc)
    a stream that defines a string twice still names it one way.
    [index] finds a string's first index: open addressing over ints,
    [0] for an empty slot, else [1 +] a first index; it holds each
-   distinct string once, at most half full.  [distinct] holds while no
-   string has been defined twice, so that [canon] is the identity and
-   the decoder need not read it. *)
+   distinct string once, at most half full. *)
 type table = {
   mutable strs : string array;
   mutable canon : int array;
   mutable len : int;
   mutable index : int array;
-  mutable distinct : bool;
 }
 
 let table_create () =
-  { strs = Array.make 64 ""; canon = Array.make 64 0; len = 0; index = Array.make 128 0;
-    distinct = true }
+  { strs = Array.make 64 ""; canon = Array.make 64 0; len = 0; index = Array.make 128 0 }
 
 (* Empty the table for another stream, keeping its storage. *)
 let table_reset tbl =
   Array.fill tbl.strs 0 tbl.len "";
   Array.fill tbl.index 0 (Array.length tbl.index) 0;
-  tbl.len <- 0;
-  tbl.distinct <- true
-
-let[@inline] canonical tbl i = if tbl.distinct then i else Array.unsafe_get tbl.canon i
+  tbl.len <- 0
 
 (* The slot of [s] in [index]: the one holding it, or the empty one
    where it belongs. *)
@@ -278,10 +271,7 @@ let table_add tbl s =
   end;
   let k = index_slot tbl.index tbl.strs s in
   let c =
-    if tbl.index.(k) > 0 then begin
-      tbl.distinct <- false;
-      tbl.index.(k) - 1
-    end
+    if tbl.index.(k) > 0 then tbl.index.(k) - 1
     else begin
       tbl.index.(k) <- tbl.len + 1;
       tbl.len
@@ -617,7 +607,7 @@ let string_id buf ~limit p (b : Batch.t) =
     b.cursor <- pos + len;
     table_add tbl (ssub buf pos len)
   end
-  else if r - 1 < tbl.len then canonical tbl (r - 1)
+  else if r - 1 < tbl.len then tbl.canon.(r - 1)
   else corrupt_at b.cursor "string reference out of range"
 
 (* A list's car count at [p]; every car costs at least one byte, so a
@@ -639,7 +629,7 @@ let list_count buf ~limit p (b : Batch.t) =
    The [depth - 1] enclosing spines wait on [b.stack], four ints each.
    A list header is written when its spine closes, once its tag and
    count are final.  The one- and two-byte forms of string references
-   and ints, nearly all of them, are read in line; everything else goes
+   and ints, most of them, are read in line; everything else goes
    through {!varint} and {!string_id}, which raise the same errors at
    the same offsets. *)
 let decode_datum buf ~limit (b : Batch.t) p =
@@ -658,7 +648,7 @@ let decode_datum buf ~limit (b : Batch.t) p =
       if t >= small_sym_base then begin
         let id = t - small_sym_base in
         if id >= tbl.len then corrupt_at (p + 1) "symbol index out of range";
-        let tok = B.token B.ttag_sym (canonical tbl id) in
+        let tok = B.token B.ttag_sym tbl.canon.(id) in
         Array.unsafe_set toks !ntok tok;
         incr ntok;
         h := mix !h tok;
@@ -683,7 +673,7 @@ let decode_datum buf ~limit (b : Batch.t) p =
           else 0
         in
         let id =
-          if r > 0 && r - 1 < tbl.len then canonical tbl (r - 1)
+          if r > 0 && r - 1 < tbl.len then tbl.canon.(r - 1)
           else begin
             let id = string_id buf ~limit (p + 1) b in
             pos := b.cursor;

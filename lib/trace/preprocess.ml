@@ -240,6 +240,7 @@ let slot_pool = Scratch.create Bigarray.int
 let key_pool = Scratch.create Bigarray.int
 let datum_pool = Scratch.create Bigarray.int
 
+(* Entries of the cache of recently used keys in front of the table. *)
 let recent_size = 1024
 
 (* [run_source] is [run] off the flat batches of a binary trace.  The
@@ -257,13 +258,22 @@ let run_source src =
      hash above the offset of its key.  A probe compares those bits,
      then the key, and reads the id beside it.
 
-     Both stores are the domain's kept storage: a scan clears the slots
+     Most lookups repeat a shape used a few lists before.  A list the
+     decoder found to repeat an earlier datum of its batch
+     ({!Binary.Batch.datum_same}) takes that datum's key, kept per batch
+     datum in [kd].  Otherwise a small direct-mapped cache of
+     [hash; key offset + 1] pairs, indexed by other bits of the hash, is
+     tried before the table: it points at the same key the table would
+     find, so it gives the same id.  On the 465k-event trace perfbench
+     reads, 72% of the 648,608 list lookups are shared by the decoder,
+     19% hit the cache and 9% reach the table.
+
+     The stores are the domain's kept storage: a scan clears the slots
      and rewinds the arena, starting at the capacity the last scan
      reached.  The source length bounds what a scan can need — every
      list costs at least two bytes, every token one — so a scan of a
      far smaller trace lets {!Scratch.use} replace the kept storage by
-     storage that fits; the same bound caps the reference stream and
-     the (n, p) table. *)
+     storage that fits. *)
   let slen = Binary.source_length src in
   let rec pow2 c = if c >= slen then c else pow2 (2 * c) in
   Scratch.use slot_pool (start slot_pool (pow2 1024) 4096)
@@ -277,8 +287,8 @@ let run_source src =
   let key_matches toks k0 len koff =
     let key : ints = kl.buf in
     A.unsafe_get key koff = len
-    && (let j = ref 0 and off = koff + 2 - k0 in
-        while !j < len && A.unsafe_get key (off + k0 + !j) = Array.unsafe_get toks (k0 + !j) do
+    && (let j = ref 0 in
+        while !j < len && A.unsafe_get key (koff + 2 + !j) = Array.unsafe_get toks (k0 + !j) do
           incr j
         done;
         !j = len)
@@ -356,39 +366,24 @@ let run_source src =
     done;
     fresh b ~n:!n ~p:!p
   in
-  (* The id of the list spanning [k0, stop).  [result] (a cons or rplac
-     result) is a fresh cell, however familiar its shape, and takes
-     over its shape's key — the replace semantics of [run]. *)
   let recent = Array.make (2 * recent_size) 0 in
-  (* the key offset of each list datum of the current batch *)
-  Scratch.use datum_pool (start datum_pool slen 8192) @@ fun kd ->
-  let resolve toks k0 stop h same =
-    if same >= 0 then A.unsafe_get (kd.buf : ints) same
-    else begin
-    let len = stop - k0 in
-    let top = h lsr 33 in
+  (* The key offset of the span [k0, stop) of hash [h], added with id
+     -1 when new. *)
+  let key_of toks k0 stop h =
+    let len = stop - k0 and top = h lsr 33 in
     let r = 2 * ((h lsr 20) land (recent_size - 1)) in
     let e = Array.unsafe_get recent (r + 1) in
-    let found =
-      if e > 0 && Array.unsafe_get recent r = h && key_matches toks k0 len (e - 1) then e - 1
-      else find toks k0 len top
-    in
-    if found < 0 then begin
-      let koff = !used in
+    if e > 0 && Array.unsafe_get recent r = h && key_matches toks k0 len (e - 1) then e - 1
+    else begin
+      let found = find toks k0 len top in
+      let koff = if found < 0 then !used else found in
+      if found < 0 then add_key (-1 - found) toks k0 len top (-1);
       Array.unsafe_set recent r h;
       Array.unsafe_set recent (r + 1) (koff + 1);
-      add_key (-1 - found) toks k0 len top (-1);
       koff
     end
-    else begin
-      if e - 1 <> found then begin
-        Array.unsafe_set recent r h;
-        Array.unsafe_set recent (r + 1) (found + 1)
-      end;
-      found
-    end
-    end
   in
+  Scratch.use datum_pool (start datum_pool slen 8192) @@ fun kd ->
   (* The list id of datum [d], or -1 for an atom.  [result] (a cons or
      rplac result) is a fresh cell, however familiar its shape, and
      takes over its shape's key — the replace semantics of [run].  A new
@@ -398,8 +393,11 @@ let run_source src =
     let tag = Array.unsafe_get toks k0 land 7 in
     if tag <> 4 && tag <> 5 then -1
     else
-    let stop = B.datum_stop bt d in
-    let koff = resolve toks k0 stop (B.datum_hash bt d) (B.datum_same bt d) in
+    let stop = B.datum_stop bt d and same = B.datum_same bt d in
+    let koff =
+      if same >= 0 then A.unsafe_get (kd.buf : ints) same
+      else key_of toks k0 stop (B.datum_hash bt d)
+    in
     A.unsafe_set (kd.buf : ints) d koff;
     let key : ints = kl.buf in
     let id = A.unsafe_get key (koff + 1) in
