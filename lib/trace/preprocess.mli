@@ -41,9 +41,10 @@ val run : Capture.t -> t
 
 (** [run_source src] preprocesses a binary trace off its flat event
     batches, assigning list identity from token spans: no [Event.t] and
-    no datum is built.  Its span table, reference stream and (n, p)
-    table grow in the calling domain's {!Scratch} storage, kept between
-    calls; the form itself owns its arrays.
+    no datum is built.  Its span table grows in the calling domain's
+    {!Scratch} storage, kept between calls; the reference stream and
+    the (n, p) table are written in place into arrays the form owns,
+    at the lengths the domain's last call ended with.
     @raise Binary.Corrupt on a damaged stream. *)
 val run_source : Binary.source -> t
 
