@@ -434,7 +434,7 @@ let hash_init = 0x2C3B_9A1F_0E5D_4781
 let[@inline] mix h tok = (h lxor tok) * 0x2545_F491_4F6C_DD1D
 
 (* How many recently decoded lists the decoder remembers. *)
-let recent_lists = 1024
+let recent_lists = 4096
 
 module Batch = struct
   type t = {
@@ -552,9 +552,9 @@ end
 external bigstring_get32u : bigbytes -> int -> int32 = "%caml_bigstring_get32u"
 external bigstring_get64u : bigbytes -> int -> int64 = "%caml_bigstring_get64u"
 
-(* The [recent] entry for a datum whose first four bytes are at [p]. *)
+(* The [recent] entry for a datum whose first eight bytes are at [p]. *)
 let[@inline] recent_slot buf p =
-  ((Int32.to_int (bigstring_get32u buf p) * 0x9E37_79B1) lsr 16) land (recent_lists - 1)
+  ((Int64.to_int (bigstring_get64u buf p) * 0x9E37_79B1_7F4A_7C1) lsr 40) land (recent_lists - 1)
 
 (* Whether the [len] bytes at [a] and at [b] are equal.  Wider reads
    overlap at the end rather than read past it. *)
@@ -834,7 +834,7 @@ let decode_datum buf ~limit (b : Batch.t) p =
 
    A top-level list whose bytes are those of one decoded earlier in the
    chunk has the same tokens, unless it defines a string, so it shares
-   that one's span: [recent] remembers, by their first four bytes, the
+   that one's span: [recent] remembers, by their first eight bytes, the
    lists decoded lately (the chunk's [stamp], where the bytes are and
    how many, and the datum). *)
 let decode_chunk buf ~payload ~limit ~count (b : Batch.t) =
@@ -882,7 +882,7 @@ let decode_chunk buf ~payload ~limit ~count (b : Batch.t) =
          let start = !pos and d = !ndat in
          (* [e]: the entry in [recent] of a list, or -1 *)
          let e =
-           if start + 4 <= limit && (let t = sbyte buf start in t = 5 || t = 6) then
+           if start + 8 <= limit && (let t = sbyte buf start in t = 5 || t = 6) then
              4 * recent_slot buf start
            else -1
          in
@@ -930,6 +930,9 @@ type reader = {
   mutable pos : int;
   mutable hash : int64;   (* FNV of magic + headers + end marker *)
   mutable finished : bool;
+  mutable ahead : int;     (* a later chunk's payload, summed early; -1 none *)
+  mutable ahead_len : int;
+  mutable ahead_sum : int64;
 }
 
 let reader_of src batch =
@@ -938,7 +941,7 @@ let reader_of src batch =
     batch;
     pos = String.length magic;
     hash = fnv_span src.buf fnv_init 0 (String.length magic);
-    finished = false }
+    finished = false; ahead = -1; ahead_len = 0; ahead_sum = 0L }
 
 let read_source src = reader_of src (Batch.create (table_create ()))
 
@@ -966,6 +969,58 @@ let check_trailer r =
     corrupt_at r.pos "bad checksum trailer";
   if ssub r.src.buf (r.pos + String.length checksum_tag) 8 <> hash_to_string r.hash then
     corrupt_at r.pos "checksum mismatch"
+
+(* The payload of the chunk whose header is at [p], as (offset,
+   length), when the header reads as a data chunk that fits the
+   source; otherwise (-1, 0).  Nothing is raised: the chunk's own turn
+   reports its damage. *)
+let peek_payload src p =
+  let p = ref p and ok = ref true in
+  let varint () =
+    let n = ref 0 and shift = ref 0 and continue = ref true in
+    while !ok && !continue do
+      if !p >= src.slen || !shift > Sys.int_size - 1 then ok := false
+      else begin
+        let c = sbyte src.buf !p in
+        incr p;
+        n := !n lor ((c land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        continue := c land 0x80 <> 0
+      end
+    done;
+    !n
+  in
+  let count = varint () in
+  let len = varint () in
+  let payload = !p + 8 in
+  if !ok && count > 0 && len >= 0 && len <= src.slen - payload then (payload, len) else (-1, 0)
+
+(* The sums of two payloads in one pass: two independent chains of
+   multiplies run side by side, where one alone waits on each. *)
+let fnv_span2 buf a la b lb =
+  let n = min la lb in
+  let h = ref fnv_init and h' = ref fnv_init in
+  for i = 0 to n - 1 do
+    h := fnv_byte !h (sbyte buf (a + i));
+    h' := fnv_byte !h' (sbyte buf (b + i))
+  done;
+  (fnv_span buf !h (a + n) (la - n), fnv_span buf !h' (b + n) (lb - n))
+
+(* The sum of the payload [payload, payload + len): the chunk checksum
+   must hold before a single event of the chunk is decoded.  It is
+   summed together with the next chunk's payload, whose sum waits for
+   that chunk's turn. *)
+let payload_sum r payload len =
+  if payload = r.ahead && len = r.ahead_len then r.ahead_sum
+  else
+    match peek_payload r.src (payload + len) with
+    | next, next_len when next >= 0 ->
+      let sum, next_sum = fnv_span2 r.src.buf payload len next next_len in
+      r.ahead <- next;
+      r.ahead_len <- next_len;
+      r.ahead_sum <- next_sum;
+      sum
+    | _ -> fnv_span r.src.buf fnv_init payload len
 
 (* Decode the next chunk into the reader's reused batch.  [decode:false]
    (the header-only path) skips payload decoding and verification and
@@ -996,7 +1051,7 @@ let next_chunk ~decode r =
         corrupt_at r.pos "chunk length past end of file";
       if count > len then corrupt_at r.pos "more events than payload bytes";
       let payload = r.pos in
-      if decode && fnv_span r.src.buf fnv_init payload len <> !expected then
+      if decode && payload_sum r payload len <> !expected then
         corrupt_at payload "chunk checksum mismatch";
       r.pos <- payload + len;
       if decode then decode_chunk r.src.buf ~payload ~limit:(payload + len) ~count r.batch;

@@ -265,8 +265,8 @@ let run_source src =
      [hash; key offset + 1] pairs, indexed by other bits of the hash, is
      tried before the table: it points at the same key the table would
      find, so it gives the same id.  On the 465k-event trace perfbench
-     reads, 72% of the 648,608 list lookups are shared by the decoder,
-     19% hit the cache and 9% reach the table.
+     reads, 81% of the 648,608 list lookups are shared by the decoder,
+     11% hit the cache and 8% reach the table.
 
      The stores are the domain's kept storage: a scan clears the slots
      and rewinds the arena, starting at the capacity the last scan
