@@ -422,9 +422,9 @@ let with_fd_source fd len f =
    which is what lets preprocessing assign list identities without
    ever building datums for repeat arguments.
 
-   Every token and every top-level datum costs at least one payload
-   byte, so a batch reserved for a chunk's payload length takes the
-   decoder's writes unchecked. *)
+   Every token costs at least one payload byte, so a batch reserved
+   for a chunk's payload length takes the decoder's token writes
+   unchecked; the datum arrays are reserved per event. *)
 
 (* A datum's hash: one multiply per token, in the order the decoder
    writes them — atoms in place, a list header once its spine closes —
@@ -482,13 +482,17 @@ module Batch = struct
       b.names <- grow b.names (count + 1);
       b.ev_dat <- grow b.ev_dat (count + 1)
     end;
-    if len > Array.length b.dat_start then begin
-      b.dat_start <- grow b.dat_start len;
-      b.dat_stop <- grow b.dat_stop len;
-      b.dat_hash <- grow b.dat_hash len;
-      b.dat_same <- grow b.dat_same len
-    end;
     if len > Array.length b.toks then b.toks <- grow b.toks len
+
+  (* Room for [n] datums: checked per event, since a chunk holds far
+     fewer datums than bytes. *)
+  let reserve_datums b n =
+    if n > Array.length b.dat_start then begin
+      b.dat_start <- grow b.dat_start n;
+      b.dat_stop <- grow b.dat_stop n;
+      b.dat_hash <- grow b.dat_hash n;
+      b.dat_same <- grow b.dat_same n
+    end
 
   let length b = b.n
   let kind b i = b.tags.(i) land 7
@@ -842,9 +846,7 @@ let decode_chunk buf ~payload ~limit ~count (b : Batch.t) =
   b.n <- 0;
   b.ntok <- 0;
   b.stamp <- b.stamp + 1;
-  let tbl = b.tbl and dat_start = b.dat_start and dat_stop = b.dat_stop
-  and dat_hash = b.dat_hash and dat_same = b.dat_same and recent = b.recent
-  and stamp = b.stamp in
+  let tbl = b.tbl and recent = b.recent and stamp = b.stamp in
   let pos = ref payload and ndat = ref 0 in
   b.ev_dat.(0) <- 0;
   for i = 0 to count - 1 do
@@ -878,6 +880,9 @@ let decode_chunk buf ~payload ~limit ~count (b : Batch.t) =
        if nargs < 0 || nargs > limit - !pos then
          corrupt_at !pos "argument count past chunk end";
        (* the arguments, then the result: one top-level datum each *)
+       Batch.reserve_datums b (!ndat + nargs + 1);
+       let dat_start = b.dat_start and dat_stop = b.dat_stop and dat_hash = b.dat_hash
+       and dat_same = b.dat_same in
        for _ = 0 to nargs do
          let start = !pos and d = !ndat in
          (* [e]: the entry in [recent] of a list, or -1 *)
