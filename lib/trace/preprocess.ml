@@ -148,14 +148,18 @@ let result b code id =
   b.primitives <- b.primitives + 1;
   event b code
 
-(* [build ~events f] runs [f] on a builder for [events] events.  A
-   domain's first build sizes the reference stream and the (n, p) table
-   from the event count (traces hold about 1.4 references and at most a
+(* [build ~events ~bound f] runs [f] on a builder for [events] events
+   whose input bounds the reference stream and the (n, p) table by
+   [bound] ints each, so a small trace after a large one does not start
+   at the large one's lengths.  A domain's first build sizes them from
+   the event count (traces hold about 1.4 references and at most a
    quarter of a distinct list per event). *)
-let build ~events f =
+let build ~events ~bound f =
   let last = Domain.DLS.get last_lengths in
   let refs_len, np_len =
-    match !last with 0, 0 -> (3 * (events / 2), events / 2) | lengths -> lengths
+    match !last with
+    | 0, 0 -> (3 * (events / 2), events / 2)
+    | r, n -> (min r bound, min n bound)
   in
   let b =
     { codes = Array.make events 0; events = 0;
@@ -206,7 +210,7 @@ let run capture =
      looks — without this, recurring small numeric lists stitch unrelated
      structures together. *)
   let ids = Dtbl.create 1024 in
-  build ~events:(Capture.length capture) @@ fun b ->
+  build ~events:(Capture.length capture) ~bound:max_int @@ fun b ->
   let fresh_id d =
     let n, p = Sexp.Metrics.np d in
     let id = fresh b ~n ~p in
@@ -273,7 +277,8 @@ let run_source src =
      reached.  The source length bounds what a scan can need — every
      list costs at least two bytes, every token one — so a scan of a
      far smaller trace lets {!Scratch.use} replace the kept storage by
-     storage that fits. *)
+     storage that fits; the same bound caps where the reference stream
+     and the (n, p) table start. *)
   let slen = Binary.source_length src in
   let rec pow2 c = if c >= slen then c else pow2 (2 * c) in
   Scratch.use slot_pool (start slot_pool (pow2 1024) 4096)
@@ -351,7 +356,7 @@ let run_source src =
   in
   (* the chunk headers give the event count up front *)
   let events = (Binary.header_stats src).Binary.h_events in
-  build ~events @@ fun b ->
+  build ~events ~bound:slen @@ fun b ->
   (* (n, p) of §3.3.1 off the tokens of the list spanning [k0, stop):
      atoms add to n (nil does not, and a wide int's second token does
      not), nested lists to p, and an improper spine's tail — an atom in
