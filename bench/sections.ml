@@ -935,6 +935,18 @@ let () =
             Context.int_s s.Repr.Cost.eps_bits ])
        [ "(a b c (d e) f g)"; "(a (b (c (d e) f) g))" ])
 
+(* OCaml-heap bytes one call of [f] allocates: the least of five calls,
+   since a call during which the collector runs can be charged a whole
+   minor heap more than it allocated. *)
+let least_alloc_bytes f =
+  let least = ref infinity in
+  for _ = 1 to 5 do
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    least := Float.min !least (Gc.allocated_bytes () -. before)
+  done;
+  !least
+
 let () =
   register "traceio" "Trace store: owned-read replay vs the legacy reader" @@ fun () ->
   (* Two experiments on one large synthetic trace.  First the store
@@ -969,11 +981,6 @@ let () =
       if s < !best then best := s
     done;
     !best
-  in
-  let alloc_of f =
-    let before = Gc.allocated_bytes () in
-    ignore (f ());
-    Gc.allocated_bytes () -. before
   in
   let mb bytes = bytes /. (1024. *. 1024.) in
   let measure format suffix =
@@ -1045,14 +1052,21 @@ let () =
   let startup_s = best_of reps startup in
   let replay_s = best_of reps batch_replay in
   let kept_s = best_of reps kept_replay in
-  let legacy_alloc = alloc_of legacy_load in
-  let batch_alloc = alloc_of batch_replay in
+  let legacy_alloc = least_alloc_bytes legacy_load in
+  let batch_alloc = least_alloc_bytes batch_replay in
   let src = owned () in
   let stats_s = best_of reps (fun () -> ignore (Trace.Binary.header_stats src)) in
   let owned_read_s = best_of reps (fun () -> ignore (owned ())) in
   let pre_reps = if smoke then 1 else 2 in
   let pre_run_s = best_of pre_reps (fun () -> ignore (Trace.Preprocess.run capture)) in
-  let pre_src_s = best_of pre_reps (fun () -> ignore (Trace.Preprocess.run_source src)) in
+  let pre_src_s = best_of pre_reps (fun () -> ignore (Trace.Preprocess.scan src)) in
+  (* a repeat of bytes the process has scanned: [run_source] on a
+     second owned read, equal bytes in another buffer, is a lookup *)
+  let scanned = Trace.Preprocess.run_source src in
+  let again = owned () in
+  if Trace.Preprocess.run_source again != scanned then
+    failwith "traceio: equal bytes in another buffer missed the form memo";
+  let pre_hit_s = best_of reps (fun () -> ignore (Trace.Preprocess.run_source again)) in
   let startup_speedup = legacy_s /. Float.max startup_s 1e-9 in
   let replay_speedup = legacy_s /. Float.max replay_s 1e-9 in
   Util.Series.print_rows
@@ -1069,8 +1083,8 @@ let () =
   Printf.printf "replay startup: %.6fs owned read vs %.4fs legacy (%.0fx); \
                  kept-read replay: %.4fs; header-only stats: %.6fs\n"
     startup_s legacy_s startup_speedup kept_s stats_s;
-  Printf.printf "preprocess: run %.4fs vs run_source %.4fs (%.2fx)\n"
-    pre_run_s pre_src_s (pre_run_s /. Float.max pre_src_s 1e-9);
+  Printf.printf "preprocess: run %.4fs vs scan %.4fs (%.2fx); run_source hit %.6fs\n"
+    pre_run_s pre_src_s (pre_run_s /. Float.max pre_src_s 1e-9) pre_hit_s;
   Printf.printf "owned read (Trace.Io.open_path): %.6fs\n" owned_read_s;
   (match Sys.getenv_opt "SMALLSIM_BENCH_REPLAY_OUT" with
    | None -> ()
@@ -1083,10 +1097,10 @@ let () =
        \ \"batch_replay_s\": %.6f, \"batch_alloc_mb\": %.2f, \"replay_speedup\": %.2f,\n\
        \ \"kept_replay_s\": %.6f, \"header_stats_s\": %.6f,\n\
        \ \"preprocess_run_s\": %.6f, \"preprocess_run_source_s\": %.6f,\n\
-       \ \"owned_read_s\": %.6f}\n"
+       \ \"preprocess_hit_s\": %.6f, \"owned_read_s\": %.6f}\n"
        smoke events file_bytes legacy_s (mb legacy_alloc) startup_s startup_speedup
        replay_s (mb batch_alloc) replay_speedup kept_s stats_s pre_run_s pre_src_s
-       owned_read_s;
+       pre_hit_s owned_read_s;
      close_out oc;
      Printf.printf "wrote %s\n" file);
   if smoke && replay_s > legacy_s then
@@ -1103,8 +1117,9 @@ let () =
      meaningful if the simulation is bit-identical.  SMALLSIM_BENCH_SMOKE=1
      (CI) shrinks the trace and gates: the flat kernel must not be slower
      than the reference, and must stay under the per-event minor-allocation
-     ceiling (16 words); the cold-miss step — [Preprocess.run_source]
-     then [Simulator.pack] — must allocate at most 10% more OCaml-heap
+     ceiling (16 words); the cold-miss step — [Preprocess.scan] (what
+     [Preprocess.run_source] runs on bytes it has not seen) then
+     [Simulator.pack] — must allocate at most 10% more OCaml-heap
      bytes per event than it did once the scan wrote the form in place
      (10.8 B/event on the smoke trace, nearly all of it the form's codes
      and (n, p) table, so the ceiling is 11.9).  A repeat of the
@@ -1147,36 +1162,33 @@ let () =
      pack alone, the cold-miss preprocessing step, off a source that
      owns the file's bytes *)
   let path = Filename.temp_file "smallsim-simbench" ".smtb" in
-  let src_s, scan_pack_s, pack_alloc, (repeat_s, repeat_alloc, kept, kept_after) =
+  let src_s, scan_pack_s, pack_alloc, hit_s, (repeat_s, repeat_alloc, kept, kept_after) =
     Fun.protect
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () ->
          Trace.Io.save ~format:Trace.Io.Binary path capture;
-         let src =
+         let owned () =
            match Trace.Io.open_path path with
            | Trace.Io.Binary_source src -> src
            | Trace.Io.Sexp_capture _ -> failwith "sim.hotloop: binary trace expected"
          in
-         let scan_pack src = Core.Simulator.pack (Trace.Preprocess.run_source src) in
+         let src = owned () in
+         let scan_pack src = Core.Simulator.pack (Trace.Preprocess.scan src) in
          let run_src () =
            let s = Core.Simulator.run_packed cfg (scan_pack src) in
            if compare s s_ref <> 0 then
              failwith "sim.hotloop: the scanned trace diverges from the reference stats"
          in
          if compare (scan_pack src) packed <> 0 then
-           failwith "sim.hotloop: pack . run_source diverges from pack . run";
-         (* OCaml-heap bytes per event of one call: the least of five,
-            since a call during which the collector runs can be charged
-            a whole minor heap more than it allocated *)
-         let alloc_of f =
-           let least = ref infinity in
-           for _ = 1 to 5 do
-             let before = Gc.allocated_bytes () in
-             ignore (Sys.opaque_identity (f ()));
-             least := Float.min !least (Gc.allocated_bytes () -. before)
-           done;
-           !least /. float_of_int (max 1 events)
-         in
+           failwith "sim.hotloop: pack . scan diverges from pack . run";
+         let alloc_of f = least_alloc_bytes f /. float_of_int (max 1 events) in
+         (* a repeat cold miss on bytes the process has scanned: equal
+            bytes in another buffer are a form memo lookup *)
+         let scanned = Trace.Preprocess.run_source src in
+         let again = owned () in
+         if Trace.Preprocess.run_source again != scanned then
+           failwith "sim.hotloop: equal bytes in another buffer missed the form memo";
+         let hit_s = best_of reps (fun () -> ignore (Trace.Preprocess.run_source again)) in
          let alloc = alloc_of (fun () -> scan_pack src) in
          (* [Gc.allocated_bytes] sees the OCaml heap only: the kept
             memory is [Bigarray] storage, reported on its own *)
@@ -1192,7 +1204,7 @@ let () =
          if compare (scoped_pack ()) packed <> 0 then
            failwith "sim.hotloop: repeat scan diverges from pack . run";
          let kept_after = Trace.Scratch.retained_bytes () in
-         (best_of reps run_src, best_of reps (fun () -> ignore (scan_pack src)), alloc,
+         (best_of reps run_src, best_of reps (fun () -> ignore (scan_pack src)), alloc, hit_s,
           (best_of reps (fun () -> ignore (scoped_pack ())), repeat_alloc, kept, kept_after)))
   in
   (* per-primitive-event minor allocation of the flat kernel (the
@@ -1218,12 +1230,13 @@ let () =
       [ "flat packed"; Printf.sprintf "%.4f" flat_s;
         Printf.sprintf "%.0f" (eps flat_s); Printf.sprintf "%.1f" flat_alloc;
         Printf.sprintf "%.2fx" speedup ] ];
-  Printf.printf "pack: %.6fs once per trace; run_source end-to-end: %.4fs\n"
+  Printf.printf "pack: %.6fs once per trace; scan end-to-end: %.4fs\n"
     pack_s src_s;
-  Printf.printf "run_source + pack: %.4fs, %.1f B/event allocated\n" scan_pack_s pack_alloc;
+  Printf.printf "scan + pack: %.4fs, %.1f B/event allocated\n" scan_pack_s pack_alloc;
   Printf.printf
-    "run_source + pack repeat (kept memory): %.4fs, %.1f B/event allocated, %d B kept\n"
+    "scan + pack repeat (kept memory): %.4fs, %.1f B/event allocated, %d B kept\n"
     repeat_s repeat_alloc kept_after;
+  Printf.printf "run_source hit (equal bytes, another buffer): %.6fs\n" hit_s;
   (match Sys.getenv_opt "SMALLSIM_BENCH_SIM_OUT" with
    | None -> ()
    | Some file ->
@@ -1235,9 +1248,10 @@ let () =
        \ \"speedup\": %.2f, \"pack_s\": %.6f, \"run_source_s\": %.6f,\n\
        \ \"flat_prims_per_s\": %.0f, \"scan_pack_s\": %.6f,\n\
        \ \"scan_pack_alloc_b_per_event\": %.2f, \"scan_pack_repeat_s\": %.6f,\n\
-       \ \"scan_pack_repeat_alloc_b_per_event\": %.2f, \"scratch_bytes\": %d}\n"
+       \ \"scan_pack_repeat_alloc_b_per_event\": %.2f, \"scratch_bytes\": %d,\n\
+       \ \"run_source_hit_s\": %.6f}\n"
        smoke events prims ref_s ref_alloc flat_s flat_alloc speedup pack_s src_s
-       (eps flat_s) scan_pack_s pack_alloc repeat_s repeat_alloc kept_after;
+       (eps flat_s) scan_pack_s pack_alloc repeat_s repeat_alloc kept_after hit_s;
      close_out oc;
      Printf.printf "wrote %s\n" file);
   (* 16 words = 128 bytes on 64-bit: the issue's steady-state ceiling *)
@@ -1249,12 +1263,12 @@ let () =
   if smoke && pack_alloc > 11.9 then
     failwith
       (Printf.sprintf
-         "sim.hotloop: run_source + pack allocates %.1f B/event (ceiling 11.9)"
+         "sim.hotloop: scan + pack allocates %.1f B/event (ceiling 11.9)"
          pack_alloc);
   if smoke && repeat_alloc > 12.9 then
     failwith
       (Printf.sprintf
-         "sim.hotloop: repeat run_source + pack allocates %.1f B/event (ceiling 12.9)"
+         "sim.hotloop: repeat scan + pack allocates %.1f B/event (ceiling 12.9)"
          repeat_alloc);
   if smoke && kept_after > kept then
     failwith

@@ -236,16 +236,23 @@ let unhold s it =
   s.pending <- List.filter (fun p -> p != it) s.pending;
   it.at <- List.filter (fun sid -> sid <> s.sid) it.at
 
+(* Answer [it] with a degraded [line], unless a live shard still runs a
+   copy of it: that copy's reply answers it. *)
+let give_up t it line =
+  if not (List.exists (fun sid -> (shard t sid).alive) it.at) then answer t it line
+
 (* The one release: [s] no longer holds [it] (it died, lost the item or
    refused it), so the item moves to its next candidate under placement
-   [kind], or is answered [fallback] when none remains.  A probe is never
+   [kind], or is answered [fallback] when none remains.  An item that a
+   live shard still runs (the first shard of a hedged item whose hedge
+   target died) is left to that copy ({!give_up}).  A probe is never
    rerouted. *)
 let release t ~now s it ~kind ~fallback =
   unhold s it;
   if not it.answered then
     match if it.job = None then None else next_candidate t ~now it with
     | Some s' -> enqueue t s' it ~kind
-    | None -> answer t it fallback
+    | None -> give_up t it fallback
 
 (* ---- inputs ---- *)
 
@@ -419,7 +426,7 @@ let flush_lost t ~now s =
          Obs.Metric.Counter.incr t.resends_c;
          if it.resends > max_resends then begin
            unhold s it;
-           answer t it (shard_down it)
+           give_up t it (shard_down it)
          end
          else begin
            (* the loss was transient: this shard may be retried *)

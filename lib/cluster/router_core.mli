@@ -26,7 +26,10 @@
     - a shard's in-flight count equals the items sent to it that it has
       not yet answered and that were not found lost or failed over;
     - every owner-key value names one of the router's shards, and after
-      an [ok] reply wins it names the shard that replied. *)
+      an [ok] reply wins it names the shard that replied;
+    - no item is answered [shard_down] while a live shard still runs a
+      copy of it: a hedged item whose hedge target dies, or whose
+      resends run out, waits for its first shard's reply. *)
 
 type placement = Cache_aware | Hash_only | Uniform
 

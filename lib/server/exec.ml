@@ -57,7 +57,8 @@ let source_stamp = function
 (* [preprocessed ~expect s] is the flat form of a job's trace.  A
    workload's is the registry's, built once per process.  A file is
    read once into the worker's kept buffer: a binary trace is scanned
-   off its source, a sexp-lines one (no random-access form)
+   off its source (a lookup when these bytes were scanned before, by
+   any job), a sexp-lines one (no random-access form)
    preprocessed through its capture.  With [expect], a file whose
    stamp differs is refused before any of it is used. *)
 let preprocessed ~expect = function

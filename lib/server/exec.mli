@@ -38,10 +38,12 @@ type output =
 
 (** [preprocessed_of_source s] is the flat form every job on [s]
     reads.  A workload's is built once per process by the registry
-    ({!Workloads.Registry.preprocessed}); a binary trace file is scanned
-    off its source ({!Trace.Preprocess.run_source}), read into the
-    calling domain's kept buffer ({!Trace.Io.with_path}); a sexp-lines
-    file is preprocessed through its capture.
+    ({!Workloads.Registry.preprocessed}); a binary trace file is read
+    into the calling domain's kept buffer ({!Trace.Io.with_path}) and
+    scanned off its source ({!Trace.Preprocess.run_source}), a lookup
+    when the process has already scanned those exact bytes; a
+    sexp-lines file is preprocessed through its capture.  The form may
+    be shared: do not mutate it.
     @raise Trace.Io.Corrupt on a damaged file. *)
 val preprocessed_of_source : Job.source -> Trace.Preprocess.t
 

@@ -30,7 +30,7 @@ type t = {
   metrics_file : string option;
   queue_wait : Obs.Metric.Histogram.t;
   run_time : Obs.Metric.Histogram.t;
-  mirror : Core.stats -> unit;    (* the core's counters into small_sched_* *)
+  mirror : Core.stats -> unit;    (* the core's counters into small_sched_*, the form memo's *)
   observe : Core.reply -> unit;   (* each answer into small_svc_* *)
 }
 
@@ -237,11 +237,23 @@ let create ?metrics_file ?fault ?shard_id ?(retries = 0)
     in
     let depth = gauge "live jobs waiting in the queue" "small_sched_queue_depth"
     and inflight = gauge "jobs running on worker domains" "small_sched_inflight" in
+    (* the process-wide trace form memo's, counted from this service's start *)
+    let module M = Trace.Preprocess.Memo in
+    let form_hits =
+      counter "binary trace scans answered by a kept form" "small_trace_form_hits_total"
+    and form_misses = counter "binary trace scans run" "small_trace_form_misses_total"
+    and form_bytes = gauge "bytes the trace form memo keeps" "small_trace_form_bytes" in
+    let last_forms = ref (M.stats Trace.Preprocess.memo) in
     fun (s : Core.stats) ->
       List.iter (fun (c, f) -> Obs.Metric.Counter.add c (f s - f !last)) counters;
       Obs.Metric.Gauge.set depth s.queued;
       Obs.Metric.Gauge.set inflight s.running;
-      last := s
+      last := s;
+      let f = M.stats Trace.Preprocess.memo in
+      Obs.Metric.Counter.add form_hits (f.hits - !last_forms.hits);
+      Obs.Metric.Counter.add form_misses (f.misses - !last_forms.misses);
+      Obs.Metric.Gauge.set form_bytes f.kept_bytes;
+      last_forms := f
   in
   let observe =
     let latency = histogram "seconds from request to response" "small_svc_request_seconds" in

@@ -75,7 +75,10 @@ type response = Service_core.response = {
     result bodies.
 
     Every service owns an {!Obs.Registry.t}: runs ([small_sched_*]),
-    result cache ([small_cache_*]), requests ([small_svc_*]).  With
+    result cache ([small_cache_*]), requests ([small_svc_*]) and the
+    process-wide trace form memo ([small_trace_form_*], see
+    {!Trace.Preprocess.Memo}; hits and misses counted from this
+    service's start).  With
     [metrics_file], the exposition is rewritten atomically after every
     handled request line and at shutdown, for an external scraper. *)
 val create :

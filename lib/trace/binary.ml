@@ -341,6 +341,7 @@ let bigbytes_create len = Bigarray.Array1.create Bigarray.char Bigarray.c_layout
 
 external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bigstring_set64u : bigbytes -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bigstring_get64u : bigbytes -> int -> int64 = "%caml_bigstring_get64u"
 
 (* Copy [b.[0 .. len)] into [buf] at [off], eight bytes a move (the
    compiler inlines both primitives, unchecked and unboxed), then the
@@ -392,6 +393,32 @@ let with_fd_source fd len f =
   read_fd_into fd l.buf len;
   let src = source_of_buf l.buf len in
   Fun.protect ~finally:(fun () -> src.live <- false) (fun () -> f src)
+
+let copy_source src =
+  let len = source_length src in
+  let buf = bigbytes_create len in
+  Bigarray.Array1.blit (Bigarray.Array1.sub src.buf 0 len) buf;
+  { buf; slen = len; live = true }
+
+(* Length first, then eight bytes a compare, then the last [len mod 8]
+   one at a time. *)
+let source_equal a b =
+  let len = source_length a in
+  len = source_length b
+  && begin
+    let words = len land lnot 7 in
+    let i = ref 0 in
+    while !i < words && (bigstring_get64u a.buf !i : int64) = bigstring_get64u b.buf !i do
+      i := !i + 8
+    done;
+    !i >= words
+    && begin
+      while !i < len && sbyte a.buf !i = sbyte b.buf !i do
+        incr i
+      done;
+      !i = len
+    end
+  end
 
 (* ---- flat event batches ----
 
@@ -554,7 +581,6 @@ end
 (* ---- chunk decoding into a batch ---- *)
 
 external bigstring_get32u : bigbytes -> int -> int32 = "%caml_bigstring_get32u"
-external bigstring_get64u : bigbytes -> int -> int64 = "%caml_bigstring_get64u"
 
 (* The [recent] entry for a datum whose first eight bytes are at [p]. *)
 let[@inline] recent_slot buf p =

@@ -81,6 +81,14 @@ val source_of_fd : Unix.file_descr -> int -> source
 
 val source_length : source -> int
 
+(** [copy_source src] is a source over an owned copy of [src]'s bytes:
+    it stays valid after the scoped read that made [src] returns. *)
+val copy_source : source -> source
+
+(** [source_equal a b] is whether the two sources hold exactly the
+    same bytes: their lengths, then eight bytes at a time. *)
+val source_equal : source -> source -> bool
+
 (** {1 Flat event batches}
 
     One chunk decodes into one reusable struct-of-arrays batch: packed

@@ -247,12 +247,12 @@ let datum_pool = Scratch.create Bigarray.int
 (* Entries of the cache of recently used keys in front of the table. *)
 let recent_size = 1024
 
-(* [run_source] is [run] off the flat batches of a binary trace.  The
-   token stream of a batch is canonical — two datums are structurally
-   equal iff their token spans are identical (see {!Binary.Batch}) — so
-   list identity is assigned from span equality alone and no datum is
-   ever built, and a fresh id's (n, p) is counted off its tokens. *)
-let run_source src =
+(* [scan] is [run] off the flat batches of a binary trace.  The token
+   stream of a batch is canonical — two datums are structurally equal
+   iff their token spans are identical (see {!Binary.Batch}) — so list
+   identity is assigned from span equality alone and no datum is ever
+   built, and a fresh id's (n, p) is counted off its tokens. *)
+let scan src =
   let module B = Binary.Batch in
   let module A = Bigarray.Array1 in
   (* The span table maps a span to the latest id of its shape.  Each
@@ -430,3 +430,87 @@ let run_source src =
           done;
           result b !code (id_of bt toks (d0 + nargs) ~result:(kind >= 4))
       done)
+
+(* ---- the form memo ----
+
+   [scan] is a pure function of the source's bytes, so bytes scanned
+   before need not be scanned again: their form is looked up.  The key
+   is the bytes themselves, compared exactly, not a digest of them or
+   the stamp of the file they came from: equal bytes give the same
+   form, and bytes that differ anywhere never match, so a hit needs no
+   chunk checksum (the kept bytes passed them when they were scanned).
+   A lookup compares the source with the entries of its length outside
+   the lock; an insert re-checks, under it, only the entries added
+   since, so two domains that scanned the same bytes keep one entry
+   and return the same form.  No scan runs under the lock. *)
+
+module Memo = struct
+  type form = t
+
+  type entry = { bytes : Binary.source; form : form; cost : int }
+
+  type stats = { hits : int; misses : int; kept_bytes : int; entries : int }
+
+  type t = {
+    cap : int;
+    lock : Mutex.t;
+    mutable entries : entry list;   (* most recently used first *)
+    mutable kept : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~cap =
+    { cap; lock = Mutex.create (); entries = []; kept = 0; hits = 0; misses = 0 }
+
+  let stats (m : t) =
+    Mutex.protect m.lock @@ fun () ->
+    { hits = m.hits; misses = m.misses; kept_bytes = m.kept;
+      entries = List.length m.entries }
+
+  let cost src (f : form) =
+    Binary.source_length src + (8 * Array.length f.codes)
+    + (4 * Bigarray.Array1.dim f.refs) + (8 * Array.length f.np)
+
+  let find entries src = List.find_opt (fun e -> Binary.source_equal e.bytes src) entries
+
+  (* [e] becomes the most recently used entry, if it is still kept. *)
+  let touch m e =
+    if List.memq e m.entries then m.entries <- e :: List.filter (fun x -> x != e) m.entries
+
+  let rec evict m =
+    if m.kept > m.cap then
+      match List.rev m.entries with
+      | oldest :: rest ->
+        m.entries <- List.rev rest;
+        m.kept <- m.kept - oldest.cost;
+        evict m
+      | [] -> ()
+
+  let run m src =
+    let seen = Mutex.protect m.lock (fun () -> m.entries) in
+    match find seen src with
+    | Some e ->
+      Mutex.protect m.lock (fun () -> m.hits <- m.hits + 1; touch m e);
+      e.form
+    | None ->
+      Mutex.protect m.lock (fun () -> m.misses <- m.misses + 1);
+      let form = scan src in
+      let cost = cost src form in
+      if cost > m.cap then form
+      else begin
+        let bytes = Binary.copy_source src in
+        Mutex.protect m.lock @@ fun () ->
+        match find (List.filter (fun e -> not (List.memq e seen)) m.entries) src with
+        | Some e -> touch m e; e.form
+        | None ->
+          m.entries <- { bytes; form; cost } :: m.entries;
+          m.kept <- m.kept + cost;
+          evict m;
+          form
+      end
+end
+
+let memo_cap = 64 * 1024 * 1024
+let memo = Memo.create ~cap:memo_cap
+let run_source src = Memo.run memo src

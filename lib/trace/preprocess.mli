@@ -39,14 +39,59 @@ type t = {
     is checked against. *)
 val run : Capture.t -> t
 
-(** [run_source src] preprocesses a binary trace off its flat event
-    batches, assigning list identity from token spans: no [Event.t] and
-    no datum is built.  Its span table grows in the calling domain's
-    {!Scratch} storage, kept between calls; the reference stream and
-    the (n, p) table are written in place into arrays the form owns,
-    at the lengths the domain's last call ended with.
+(** [scan src] preprocesses a binary trace off its flat event batches,
+    assigning list identity from token spans: no [Event.t] and no datum
+    is built.  Its span table grows in the calling domain's {!Scratch}
+    storage, kept between calls; the reference stream and the (n, p)
+    table are written in place into arrays the form owns, at the
+    lengths the domain's last call ended with.  Every call scans.
+    @raise Binary.Corrupt on a damaged stream. *)
+val scan : Binary.source -> t
+
+(** [run_source src] is [scan src], looked up in the process-wide
+    {!memo} first: a repeat scan of bytes this process has already
+    scanned is a lookup, by an exact comparison of the bytes, and
+    returns the form the first scan built.  That form is shared by
+    every caller that gets it: callers must not mutate its arrays.
     @raise Binary.Corrupt on a damaged stream. *)
 val run_source : Binary.source -> t
+
+(** {1 The form memo}
+
+    Forms of binary sources, keyed by the sources' exact bytes, least
+    recently used first out.  An entry costs its source's length plus
+    its form's arrays; the entries together cost at most the memo's
+    cap, and a source whose entry alone would cost more is scanned and
+    not kept.  Safe to share between domains: a lock guards the
+    entries, and no scan runs under it; domains that scan the same
+    bytes at once keep one entry and return its form. *)
+module Memo : sig
+  type form := t
+  type t
+
+  type stats = {
+    hits : int;        (** calls answered by a kept form *)
+    misses : int;      (** calls that scanned *)
+    kept_bytes : int;  (** what the kept entries cost *)
+    entries : int;
+  }
+
+  (** An empty memo whose entries cost at most [cap] bytes. *)
+  val create : cap:int -> t
+
+  (** [run m src] is [scan src], looked up in [m] first and kept in it
+      after. *)
+  val run : t -> Binary.source -> form
+
+  val stats : t -> stats
+end
+
+(** The cap of {!memo}: 64 MB, about four entries of the 465k-event
+    trace (7.9 MB of bytes and 6.9 MB of form). *)
+val memo_cap : int
+
+(** The process-wide memo {!run_source} reads. *)
+val memo : Memo.t
 
 (** The length of the reference stream. *)
 val ref_count : t -> int

@@ -65,9 +65,11 @@ let forms : (string, Trace.Preprocess.t) Hashtbl.t = Hashtbl.create 8
 
 (* Straight off the source, never through [trace], and under the lock,
    so in-process shards that first meet a workload together scan it
-   once. *)
+   once.  This table is the workload's memo: the scan bypasses
+   [Trace.Preprocess.run_source]'s, which would keep a second copy of
+   the encoding. *)
 let preprocessed w =
   with_cache_lock @@ fun () ->
-  memo forms w @@ fun () -> Trace.Preprocess.run_source (encoded_unlocked w).source
+  memo forms w @@ fun () -> Trace.Preprocess.scan (encoded_unlocked w).source
 
 let simulation_suite () = List.filter (fun w -> w.name <> "pearl") all

@@ -283,7 +283,9 @@ let test_stats_shape () =
            "small_sched_inflight"; "small_sched_jobs_total";
            "small_sched_queue_depth"; "small_sched_queue_wait_seconds";
            "small_sched_run_seconds"; "small_svc_cancel_requests_total";
-           "small_svc_request_seconds"; "small_svc_requests_total" ]
+           "small_svc_request_seconds"; "small_svc_requests_total";
+           "small_trace_form_bytes"; "small_trace_form_hits_total";
+           "small_trace_form_misses_total" ]
          (List.map fst families)
      | _ -> Alcotest.fail "metrics must be an object")
   | _ -> Alcotest.fail "(stats) must be an object"

@@ -842,11 +842,13 @@ let test_canonical_tokens () =
 
 (* ---- working memory kept between jobs ---- *)
 
-(* The flat form of a file read through the scoped entry point. *)
+(* The flat form of a file read through the scoped entry point, always
+   scanned: these tests are about the scan's own kept storage, which a
+   form memo hit would not touch. *)
 let scoped_form path =
   Trace.Io.with_path path (fun _ loaded ->
       match loaded with
-      | Trace.Io.Binary_source src -> Trace.Preprocess.run_source src
+      | Trace.Io.Binary_source src -> Trace.Preprocess.scan src
       | Trace.Io.Sexp_capture c -> Trace.Preprocess.run c)
 
 let with_trace_files captures f =
@@ -924,7 +926,7 @@ let test_nested_scan () =
     Trace.Io.with_path op (fun _ loaded ->
         let src = binary op loaded in
         nested := Some (scoped_form ip);
-        Trace.Preprocess.run_source src)
+        Trace.Preprocess.scan src)
   in
   Alcotest.(check bool) "outer scan exact" true (form = Trace.Preprocess.run outer);
   Alcotest.(check bool) "nested scan exact" true
@@ -961,6 +963,7 @@ let test_use_after_scope () =
   refused "source_length" (fun () -> B.source_length src);
   refused "iter_batches" (fun () -> B.iter_batches src ignore);
   refused "run_source" (fun () -> Trace.Preprocess.run_source src);
+  refused "scan" (fun () -> Trace.Preprocess.scan src);
   let r = escape B.read_source in
   refused "next_batch" (fun () -> B.next_batch r)
 
@@ -977,12 +980,11 @@ let test_scoped_flip_and_cut () =
   let check label mutated =
     write_file path mutated;
     match
-      Trace.Io.with_path path (fun _ loaded ->
-          Trace.Preprocess.run_source (binary label loaded))
+      Trace.Io.with_path path (fun _ loaded -> Trace.Preprocess.scan (binary label loaded))
     with
-    | r -> if r <> want then Alcotest.failf "%s: run_source: silent misread" label
+    | r -> if r <> want then Alcotest.failf "%s: scan: silent misread" label
     | exception Trace.Io.Corrupt _ -> ()
-    | exception e -> Alcotest.failf "%s: run_source raised %s" label (Printexc.to_string e)
+    | exception e -> Alcotest.failf "%s: scan raised %s" label (Printexc.to_string e)
   in
   for pos = 0 to String.length data - 1 do
     let b = Bytes.of_string data in
@@ -994,6 +996,106 @@ let test_scoped_flip_and_cut () =
   for cut = 1 to String.length data - 1 do
     check (Printf.sprintf "cut at %d" cut) (String.sub data 0 cut)
   done
+
+(* ---- the form memo ---- *)
+
+module Memo = Trace.Preprocess.Memo
+
+let memo_data ~seed ~length =
+  encode ~chunk_events:16 (Trace.Synth.generate { Trace.Synth.default with length; seed })
+
+(* Equal bytes in two buffers: one scan, and both calls get the one
+   form it built. *)
+let test_memo_equal_bytes () =
+  let data = memo_data ~seed:21 ~length:2000 in
+  let before = Memo.stats Trace.Preprocess.memo in
+  let first = Trace.Preprocess.run_source (B.source_of_string data) in
+  let second = Trace.Preprocess.run_source (B.source_of_string data) in
+  let after = Memo.stats Trace.Preprocess.memo in
+  Alcotest.(check bool) "physically the same form" true (first == second);
+  Alcotest.(check bool) "scan's form" true (first = Trace.Preprocess.scan (B.source_of_string data));
+  Alcotest.(check (pair int int)) "one miss, then one hit" (1, 1)
+    (after.misses - before.misses, after.hits - before.hits)
+
+(* After a memoised success, every one-byte flip — in the magic, every
+   chunk header and payload, and the trailer — raises or is scanned
+   afresh: the kept form never answers for other bytes. *)
+let test_memo_flips () =
+  let data = memo_data ~seed:22 ~length:300 in
+  let kept = Trace.Preprocess.run_source (B.source_of_string data) in
+  for pos = 0 to String.length data - 1 do
+    let b = Bytes.of_string data in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+    let flipped = Bytes.to_string b in
+    match Trace.Preprocess.run_source (B.source_of_string flipped) with
+    | r ->
+      if r == kept then Alcotest.failf "flip at %d: answered by the kept form" pos;
+      if r <> Trace.Preprocess.scan (B.source_of_string flipped) then
+        Alcotest.failf "flip at %d: not scan's form of the flipped bytes" pos
+    | exception B.Corrupt _ -> ()
+  done;
+  Alcotest.(check bool) "the clean bytes still hit" true
+    (Trace.Preprocess.run_source (B.source_of_string data) == kept)
+
+(* A memo whose cap holds any two of three entries but not all three:
+   the least recently used goes, the kept bytes never pass the cap, and
+   a source whose entry alone passes a cap is never kept. *)
+let test_memo_cap () =
+  let src seed = B.source_of_string (memo_data ~seed ~length:1500) in
+  let cost seed =
+    let m = Memo.create ~cap:max_int in
+    ignore (Memo.run m (src seed));
+    (Memo.stats m).kept_bytes
+  in
+  let a, b, c = (41, 42, 43) in
+  let cap = cost a + cost b + cost c - 1 in
+  let m = Memo.create ~cap in
+  let run label seed ~hit =
+    let before = Memo.stats m in
+    let form = Memo.run m (src seed) in
+    let after = Memo.stats m in
+    Alcotest.(check bool) (label ^ ": scan's form") true (form = Trace.Preprocess.scan (src seed));
+    Alcotest.(check bool) (label ^ (if hit then ": a hit" else ": a miss")) true
+      (if hit then after.hits = before.hits + 1 else after.misses = before.misses + 1);
+    Alcotest.(check bool) (label ^ ": within the cap") true (after.kept_bytes <= cap)
+  in
+  run "a" a ~hit:false;
+  run "b" b ~hit:false;
+  run "a again" a ~hit:true;
+  run "c evicts b, the least recently used" c ~hit:false;
+  Alcotest.(check int) "two entries" 2 (Memo.stats m).entries;
+  run "a survives" a ~hit:true;
+  run "b was evicted" b ~hit:false;
+  run "c was evicted in its turn" c ~hit:false;
+  let small = Memo.create ~cap:(cost a - 1) in
+  ignore (Memo.run small (src a));
+  ignore (Memo.run small (src a));
+  let st = Memo.stats small in
+  Alcotest.(check (list int)) "an entry past the cap is never kept" [ 2; 0; 0; 0 ]
+    [ st.misses; st.hits; st.entries; st.kept_bytes ]
+
+(* Domains that scan the same bytes at once keep one entry, and every
+   one of them returns its form. *)
+let test_memo_domains () =
+  let data = memo_data ~seed:51 ~length:3000 in
+  let m = Memo.create ~cap:Trace.Preprocess.memo_cap in
+  let n = 4 in
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            let src = B.source_of_string data in
+            Atomic.incr ready;
+            while Atomic.get ready < n do Domain.cpu_relax () done;
+            Memo.run m src))
+  in
+  let forms = List.map Domain.join domains in
+  let st = Memo.stats m in
+  Alcotest.(check int) "one entry" 1 st.entries;
+  Alcotest.(check int) "every call counted" n (st.hits + st.misses);
+  Alcotest.(check bool) "one form for all" true (List.for_all (( == ) (List.hd forms)) forms);
+  Alcotest.(check bool) "scan's form" true
+    (List.hd forms = Trace.Preprocess.scan (B.source_of_string data))
 
 (* The end-to-end determinism regression: simulator output over a binary
    trace is identical whichever pipeline fed it. *)
@@ -1065,6 +1167,11 @@ let () =
          Alcotest.test_case "two domains" `Quick test_two_domains;
          Alcotest.test_case "use after scope" `Quick test_use_after_scope;
          Alcotest.test_case "scoped: every flip and cut" `Quick test_scoped_flip_and_cut ]);
+      ("form memo",
+       [ Alcotest.test_case "equal bytes, one form" `Quick test_memo_equal_bytes;
+         Alcotest.test_case "every flip misses" `Quick test_memo_flips;
+         Alcotest.test_case "byte cap, least recently used out" `Quick test_memo_cap;
+         Alcotest.test_case "concurrent scans keep one entry" `Quick test_memo_domains ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_readers_equivalent;
          QCheck_alcotest.to_alcotest prop_mapped_fuzz_corruption;

@@ -226,7 +226,7 @@ let test_chaos_battery () =
    (delay, drop, dup, reorder, one-way partition, slow shard, crash),
    and through its own [Random.State] the service times, overloaded
    replies, restarts, false convictions and client cancels.  The core
-   is stepped one input at a time and four invariants are checked after
+   is stepped one input at a time and five invariants are checked after
    every step; a failure names the plan seed, and [sim_run seed] replays
    it exactly. *)
 
@@ -431,6 +431,27 @@ let check_invariants w =
        | _ -> ())
     w.jobs
 
+(* No [shard_down] answer while a live shard still runs a copy of the
+   item: an answer cancels the copy at every shard its item is [at], so
+   a cancel in the same step toward a shard the core holds alive is a
+   copy that would have answered. *)
+let check_no_early_shard_down w actions =
+  let alive sid =
+    Array.exists (fun (s : Core.shard) -> s.sid = sid && s.alive) (Core.shards w.core)
+  in
+  List.iter
+    (function
+      | Core.Answer { id; line } when (Reply.read line).status = `Shard_down ->
+        List.iter
+          (function
+            | Core.Cancel { sid; id = c } when c = id && alive sid ->
+              sim_fail w
+                (Printf.sprintf "job %d answered shard_down while live shard %s runs it" id sid)
+            | _ -> ())
+          actions
+      | _ -> ())
+    actions
+
 let show_action = function
   | Core.Send { sid; items } ->
     Printf.sprintf "send %s %s" sid
@@ -460,6 +481,7 @@ let rec sim_step w input =
        | None -> ())
    | _ -> ());
   let actions = Core.step w.core input in
+  check_no_early_shard_down w actions;
   Printf.bprintf w.trace "%h\n" w.now;
   List.iter (fun a -> Buffer.add_string w.trace (show_action a); Buffer.add_char w.trace '\n') actions;
   List.iter (perform_sim w) actions;

@@ -408,7 +408,9 @@ let test_failure_keeps_pool_usable () =
    counters must sum to N and the gauges must settle back to zero.  Each
    outcome is forced without timing: a 25-argument primitive fails to
    simulate, a 1 ns timeout is overdue at completion, and a cancel is
-   sent right behind its job while 45 others are ahead of it. *)
+   sent right behind its job, before the next job is submitted (a job
+   over a trace the process has scanned is only its kernel, so a cancel
+   sent after all 60 submits can find every job answered). *)
 let test_scheduler_metrics_concurrent () =
   let svc = Server.Service.create ~workers:4 ~queue_capacity:128 () in
   Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
@@ -423,11 +425,11 @@ let test_scheduler_metrics_concurrent () =
           | 2 -> { (sim_job (100 + i)) with timeout = Some 1e-9 }
           | _ -> { (sim_job (100 + i)) with wire_id = Some (1000 + i) }
         in
-        ok (Server.Service.submit svc job))
+        let join = ok (Server.Service.submit svc job) in
+        if i mod 4 = 3 then
+          ignore (Server.Service.handle_line svc (Printf.sprintf "(cancel %d)" (1000 + i)));
+        join)
   in
-  List.iteri
-    (fun i _ -> if i mod 4 = 3 then ignore (Server.Service.handle_line svc (Printf.sprintf "(cancel %d)" (1000 + i))))
-    joins;
   List.iter (fun join -> ignore (join () : Server.Service.response)) joins;
   let counter labels =
     Obs.Metric.Counter.get
@@ -559,6 +561,39 @@ let test_rewrite_while_queued () =
   let r = ok (Server.Service.run_job svc job) in
   Alcotest.(check bool) "restored bytes are not a cache hit" false r.Server.Service.cached;
   Alcotest.(check string) "restored bytes answer as a fresh service" fresh (result_bytes r)
+
+(* A trace file rewritten between two submits of different configs:
+   the second answers for the new bytes, never from the form the first
+   scan kept for the old ones.  The answer equals a fresh service's and
+   a direct run's over the new capture, and the service counted one
+   form memo miss per distinct byte string. *)
+let test_rewrite_between_submits () =
+  let path = Filename.temp_file "rewrite" ".smtb" in
+  let capture seed = Trace.Synth.generate { Trace.Synth.default with length = 2000; seed } in
+  let save seed = Trace.Io.save ~format:Trace.Io.Binary path (capture seed) in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let job seed = file_job path (Server.Job.Simulate (sim_config seed)) in
+  (* the second job's result over the capture of trace seed [t] *)
+  let direct t =
+    Server.Json.to_string
+      (Server.Exec.output_to_json
+         (Server.Exec.Simulate_out
+            (Core.Simulator.run (sim_config 2) (Trace.Preprocess.run (capture t)))))
+  in
+  with_service @@ fun svc ->
+  let counter name = Obs.Metric.Counter.get (Obs.Registry.counter (Server.Service.metrics svc) name) in
+  save 31;
+  ignore (result_bytes (ok (Server.Service.run_job svc (job 1))));
+  save 32;
+  let r = ok (Server.Service.run_job svc (job 2)) in
+  Alcotest.(check bool) "a new config is not a cache hit" false r.Server.Service.cached;
+  let fresh = with_service (fun fresh -> result_bytes (ok (Server.Service.run_job fresh (job 2)))) in
+  Alcotest.(check string) "answers as a fresh service over the new bytes" fresh (result_bytes r);
+  Alcotest.(check string) "answers as a direct run over the new capture" (direct 32)
+    (result_bytes r);
+  Alcotest.(check bool) "differs from the old bytes' answer" true (direct 31 <> result_bytes r);
+  Alcotest.(check int) "each byte string scanned once" 2 (counter "small_trace_form_misses_total")
 
 let test_service_cache_hit () =
   let dir = temp_dir "svccache" in
@@ -1389,6 +1424,8 @@ let () =
          Alcotest.test_case "wide primitive stats" `Quick test_wide_primitive_stats;
          Alcotest.test_case "cache hit" `Quick test_service_cache_hit;
          Alcotest.test_case "file rewritten while queued" `Quick test_rewrite_while_queued;
+         Alcotest.test_case "file rewritten between submits" `Quick
+           test_rewrite_between_submits;
          Alcotest.test_case "wire handling" `Quick test_handle_line ]);
       ("wire",
        [ Alcotest.test_case "ping and shard field" `Quick test_ping_and_shard_field;
